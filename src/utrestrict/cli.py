@@ -15,10 +15,10 @@ from math import comb
 
 from .qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi, qint
 from .setpart import (
-    GroundSet, SetPartition, RegionSplit, parse_partition,
-    enumerate_partitions, bell, nst, nst_points, wt_up,
+    GroundSet, SetPartition, RegionSplit, EnumerationBoundExceeded,
+    parse_partition, enumerate_partitions, bell, nst, nst_points,
 )
-from .nestposet import Poset, block_poset, poset_binom
+from .nestposet import block_poset, poset_binom
 from .scfcore import (
     SuperclassFunction, superchar_value, decompose_exact, character_function,
 )
@@ -54,6 +54,8 @@ def _parse_labels(text):
         raise UsageError(f"bad label list {text!r}")
     if not labels or len(set(labels)) != len(labels):
         raise UsageError(f"labels must be distinct and nonempty: {text!r}")
+    if min(labels) < 1:
+        raise UsageError(f"labels must be positive: {text!r}")
     return labels
 
 
@@ -82,6 +84,8 @@ def _parse_anchor_pairs(text):
             raise UsageError(f"bad anchor pair {chunk!r}")
         if lo >= hi:
             raise UsageError(f"anchor pair {chunk!r} is not increasing")
+        if lo < 1:
+            raise UsageError(f"anchor pair {chunk!r} is not positive")
         pairs.append((lo, hi))
     return pairs
 
@@ -91,12 +95,17 @@ def _parse_ms(text):
         ms = [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"bad --m list {text!r}")
+    if min(ms) < 1:
+        raise UsageError(f"--m list entries must be positive: {text!r}")
     return ms
 
 
 def _ground(args):
     if args.labels:
-        return GroundSet(_parse_labels(args.labels))
+        labels = _parse_labels(args.labels)
+        if labels != sorted(labels):
+            raise UsageError(f"--labels must be increasing: {args.labels!r}")
+        return GroundSet(labels)
     if args.n is None:
         raise UsageError("need --n or --labels")
     if args.n < 1:
@@ -125,6 +134,8 @@ def _build_decomposition(args):
                 "or trivial_coeff")
         if args.m is None or args.ell is None:
             raise UsageError("double-rainbow needs --m and --ell")
+        if args.m < 0 or args.ell < 0:
+            raise UsageError("double-rainbow needs --m >= 0 and --ell >= 0")
         return double_rainbow(_parse_split(args.split), args.m, args.ell,
                               target)
     if fam == "onion":
@@ -136,9 +147,13 @@ def _build_decomposition(args):
             raise UsageError("--anchors and the m list disagree in length")
         outer = _ground(args)
         all_anchors = {x for p in pairs for x in p}
-        if set(pairs[0]) & set(outer):
+        if not all(pairs[0][0] < x < pairs[0][1] for x in outer):
             raise UsageError(
-                "outermost anchors must lie outside the ground set")
+                "the ground set must lie between the outermost anchors")
+        for (plo, phi), (lo, hi) in zip(pairs, pairs[1:]):
+            if not plo <= lo < hi <= phi:
+                raise UsageError("each anchor pair must nest inside the "
+                                 "one before it")
         layers = []
         ground = outer
         for j, (lo, hi) in enumerate(pairs):
@@ -228,8 +243,8 @@ def _run_qbinom(args, out):
         n = args.antichain
         if n < 0:
             raise UsageError("--antichain size must be nonnegative")
-        P = Poset(range(1, n + 1), ())
-        out.write(str(poset_binom(P, args.k)) + "\n")
+        blocks = [(x, x, 0) for x in range(1, n + 1)]
+        out.write(str(poset_binom(blocks, args.k)) + "\n")
         return
     g = _ground(args)
     try:
@@ -278,14 +293,6 @@ def _run_show(args, out):
 
 # --- verify ------------------------------------------------------------------
 
-def _closed_psiK(n, K, mu):
-    L = mu.left_endpoints()
-    if L & K:
-        return ZERO
-    pool = [x for x in range(1, n + 1) if x not in L]
-    return QPoly.q_pow(wt_up(K, pool))
-
-
 def _verify_orbits(bounds, budget, report):
     grid = [(n, p) for p in (2, 3) for n in range(1, bounds[p] + 1)]
     for n, p in grid:
@@ -300,20 +307,20 @@ def _verify_traces(bounds, budget, report):
     for p in (2, 3):
         for n in range(1, bounds[p] + 1):
             table = superclass_orbits(n, p, budget=budget)
-            labels = list(range(1, n + 1))
+            g = GroundSet.range(n)
             for r in range(n + 1):
-                for K in itertools.combinations(labels, r):
+                for K in itertools.combinations(g, r):
                     K = frozenset(K)
+                    mod = psiK(g, K)
                     for mu in table.reps:
                         u = u_mu_matrix(mu, n)
                         got = module_trace(("psiK", K), u, p, n).as_integer()
-                        want = _closed_psiK(n, K, mu)(p)
+                        want = mod.value(mu)(p)
                         if got != want:
                             report(f"traces psiK n={n} p={p}", False,
                                    f"K={sorted(K)} mu={mu.label()} q={p} "
                                    f"oracle={got} formula={want}")
                             return
-            g = GroundSet.range(n)
             mod = ut_algebra(g)
             for mu in table.reps:
                 u = u_mu_matrix(mu, n)
@@ -420,6 +427,10 @@ def _verify_identities(nmax, report):
 
 
 def _run_verify(args, out):
+    for flag in ("n", "max", "budget"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag} must be positive")
     budget = args.budget if args.budget else 10 ** 7
     nmax = args.max if args.max else None
     # default oracle grid: p=2 up to n=5, p=3 up to n=4
@@ -520,7 +531,13 @@ def run(argv, out=None):
         if args.m_list is None and args.m is not None \
                 and args.family == "onion":
             args.m_list = str(args.m)
-        dec = _build_decomposition(args)
+        try:
+            dec = _build_decomposition(args)
+        except EnumerationBoundExceeded:
+            raise
+        except ValueError as exc:
+            # engines reject out-of-range parameters with ValueError
+            raise UsageError(str(exc)) from None
         if args.out:
             with open(args.out, "w") as fh:
                 _emit_decomposition(dec, args, fh)
@@ -543,7 +560,7 @@ def main(argv=None):
     except VerifyFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, EnumerationBoundExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
 

@@ -1,226 +1,77 @@
-"""Posets on blocks of noncrossing partitions and their q-binomials.
+"""Block weights of noncrossing partitions and their poset q-binomials.
 
-The poset q-binomial [P choose k]_q sums q^wt(A) over k-subsets A of P, with
-wt(a) = number of elements strictly above a.  The block poset of a noncrossing
-partition orders blocks by nesting; it is a forest in which every connected
-component has a unique maximal element.
+The blocks of a noncrossing partition are ordered by nesting, and the poset
+q-binomial [P choose k]_q sums q^wt(A) over k-subsets A of the blocks, with
+wt(A) the sum over a in A of the number of blocks strictly above a.  That
+weight is additive, so [P choose k]_q is the elementary symmetric polynomial
+e_k(q^wt(b) : b a block) and depends only on the block weights.
+
+Arcs of a noncrossing partition cannot cross a block, so the blocks above b
+are those with an arc strictly over min(b), one arc each:
+wt(b) = nst_points(lam, [min b]).
 """
 
-import itertools
-
 from .qcalc import QPoly, ZERO, ONE
-from .setpart import crs
-
-
-class Poset:
-    """Finite strict poset.  `above` maps each element to the frozenset of
-    elements strictly above it (transitively closed)."""
-
-    __slots__ = ("elements", "above", "payload")
-
-    def __init__(self, elements, relations, payload=None):
-        """relations: iterable of (a, b) meaning a < b; closed transitively."""
-        self.elements = tuple(elements)
-        up = {x: set() for x in self.elements}
-        for a, b in relations:
-            up[a].add(b)
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a in self.elements:
-                grow = set()
-                for b in up[a]:
-                    grow |= up[b]
-                if not grow <= up[a]:
-                    up[a] |= grow
-                    changed = True
-        for a in self.elements:
-            assert a not in up[a], "relation must be irreflexive"
-        self.above = {a: frozenset(b) for a, b in up.items()}
-        self.payload = dict(payload or {})
-
-    def __len__(self):
-        return len(self.elements)
-
-    def wt(self, a):
-        return len(self.above[a])
-
-    def wt_subset(self, A):
-        return sum(self.wt(a) for a in A)
-
-    def less(self, a, b):
-        return b in self.above[a]
-
-    def minimal_elements(self):
-        return [x for x in self.elements if not any(
-            x in self.above[y] for y in self.elements)]
-
-    def strictly_below(self, a):
-        return [b for b in self.elements if a in self.above[b]]
-
-    def remove(self, a):
-        keep = [x for x in self.elements if x != a]
-        rels = [(x, y) for x in keep for y in self.above[x] if y != a]
-        return Poset(keep, rels, {k: v for k, v in self.payload.items() if k != a})
-
-    def restrict(self, subset):
-        keep = [x for x in self.elements if x in subset]
-        rels = [(x, y) for x in keep for y in self.above[x] if y in subset]
-        return Poset(keep, rels, {k: v for k, v in self.payload.items() if k in subset})
-
-    def is_pointed_forest(self):
-        """Each connected component of the Hasse diagram has a unique maximal
-        element; equivalently the strict upper bounds of any element form a
-        chain."""
-        for a in self.elements:
-            ups = sorted(self.above[a], key=lambda b: len(self.above[b]))
-            for x, y in zip(ups, ups[1:]):
-                if not self.less(y, x):
-                    return False
-        return True
-
-    def to_json(self):
-        labels = {x: self._label(x) for x in self.elements}
-        covers = []
-        for a in self.elements:
-            for b in self.above[a]:
-                # keep only covers (no c strictly between)
-                if not any(b in self.above[c] and c in self.above[a]
-                           for c in self.elements):
-                    covers.append([labels[a], labels[b]])
-        return {"elements": sorted(labels.values()),
-                "covers": sorted(covers)}
-
-    @staticmethod
-    def _label(x):
-        if isinstance(x, frozenset):
-            return "~".join(str(i) for i in sorted(x))
-        return str(x)
-
-    @staticmethod
-    def from_json(obj):
-        return Poset(obj["elements"], [tuple(c) for c in obj["covers"]])
-
-    @staticmethod
-    def antichain(n):
-        return Poset(range(1, n + 1), ())
-
-    @staticmethod
-    def chain(n):
-        return Poset(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+from .setpart import crs, nst_points
 
 
 def block_poset(lam):
-    """Nesting poset on bl(lam) for noncrossing lam.
-
-    a < b iff (|a| > 1 and some consecutive pair of a sits strictly inside an
-    arc of b) or (a a singleton strictly inside an arc of b).  Payload maps
-    each block to (min, max) ground points, used downstream to pick out
-    bl_{R(K)} / bl_{L(K)}.
-    """
+    """One (min, max, wt) entry per block of the noncrossing partition lam,
+    sorted by min.  The end points pick out bl_{R(K)} / bl_{L(K)}
+    downstream; wt is the number of blocks nesting over the block."""
     if crs(lam) != 0:
         raise ValueError("block_poset requires a noncrossing partition")
-    blocks = sorted(lam.blocks(), key=lambda b: (min(b), max(b)))
-    rels = []
-    for a, b in itertools.permutations(blocks, 2):
-        if _nested_in(a, b):
-            rels.append((a, b))
-    payload = {b: (min(b), max(b)) for b in blocks}
-    P = Poset(blocks, rels, payload)
-    assert P.is_pointed_forest()
-    return P
-
-
-def _nested_in(a, b):
-    sa, sb = sorted(a), sorted(b)
-    if len(a) > 1:
-        pairs = zip(sa, sa[1:])
-    else:
-        j = sa[0]
-        pairs = [(j, j)]
-    arcs_b = list(zip(sb, sb[1:]))
-    for j, k in pairs:
-        for i, l in arcs_b:
-            if i < j and k < l:
-                return True
-    return False
+    return tuple(sorted((min(b), max(b), nst_points(lam, [min(b)]))
+                        for b in lam.blocks()))
 
 
 def blocks_with_max_in(P, K):
-    """bl_{R(K)}: elements whose rightmost ground point lies in K."""
-    return frozenset(b for b in P.elements if P.payload[b][1] in K)
+    """bl_{R(K)}: entries whose rightmost ground point lies in K."""
+    return frozenset(b for b in P if b[1] in K)
 
 
 def blocks_with_min_in(P, K):
-    """bl_{L(K)}: elements whose leftmost ground point lies in K."""
-    return frozenset(b for b in P.elements if P.payload[b][0] in K)
+    """bl_{L(K)}: entries whose leftmost ground point lies in K."""
+    return frozenset(b for b in P if b[0] in K)
 
 
-_DIRECT_LIMIT = 20
-
-
-def _binom_over(P, pool, k):
-    """sum over k-subsets A of `pool` of q^{wt^P(A)} (weights in full P)."""
-    if k < 0 or k > len(pool):
+def _e_k(weights, k):
+    """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum)."""
+    if k < 0 or k > len(weights):
         return ZERO
-    coeffs = {}
-    for A in itertools.combinations(pool, k):
-        w = P.wt_subset(A)
-        coeffs[w] = coeffs.get(w, 0) + 1
-    if not coeffs:
-        return ZERO
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return QPoly(out)
+    # rows[j]: coefficients of e_j over the weights seen so far
+    rows = [[1]] + [[] for _ in range(k)]
+    for i, w in enumerate(weights):
+        for j in range(min(i + 1, k), 0, -1):
+            src, dst = rows[j - 1], rows[j]
+            if len(dst) < len(src) + w:
+                dst.extend([0] * (len(src) + w - len(dst)))
+            for e, c in enumerate(src):
+                dst[e + w] += c
+    return QPoly(rows[k])
 
 
 def poset_binom(P, k):
     """[P choose k]_q = sum over k-subsets A of q^{wt(A)}."""
-    if k < 0 or k > len(P):
-        return ZERO
-    if len(P) <= _DIRECT_LIMIT:
-        return _binom_over(P, P.elements, k)
-    # minimal-element recursion for large posets
-    a = P.minimal_elements()[0]
-    Pp = P.remove(a)
-    return poset_binom(Pp, k - 1).shift(P.wt(a)) + poset_binom(Pp, k)
+    return _e_k([b[2] for b in P], k)
 
 
 def poset_multinom(P, constraints):
     """Constrained multinomial: product over (k_j, pool_j) of the sum over
     k_j-subsets of pool_j of q^{wt^P}.  A pool of None means the complement
     of the other pools (a trailing unconstrained count)."""
-    pools = [c[1] for c in constraints if c[1] is not None]
     seen = set()
-    for pool in pools:
-        pool = set(pool)
-        assert not (pool & seen), "constraint pools must be disjoint"
-        seen |= pool
-    residual = [x for x in P.elements if x not in seen]
+    for _, pool in constraints:
+        if pool is not None:
+            pool = set(pool)
+            assert not (pool & seen), "constraint pools must be disjoint"
+            seen |= pool
     out = ONE
     for k, pool in constraints:
-        chosen = residual if pool is None else [x for x in P.elements if x in pool]
-        factor = _binom_over(P, chosen, k)
+        chosen = [b for b in P if b not in seen] if pool is None \
+            else [b for b in P if b in pool]
+        factor = _e_k([b[2] for b in chosen], k)
         if factor.is_zero():
             return ZERO
         out = out * factor
     return out
-
-
-def plain_multinom(P, ks):
-    """Unconstrained multinomial: multinomial(|P|; ks) * q^wt(P)."""
-    from math import factorial
-    assert sum(ks) == len(P)
-    c = factorial(len(P))
-    for k in ks:
-        c //= factorial(k)
-    return QPoly.q_pow(P.wt_subset(P.elements), c)
-
-
-def reverse_binom_pair(P, k):
-    """b_P(n,k,q,1) and b_P(n,k,1,q): [P choose k]_q and [P choose n-k]_q
-    have mutually reversed coefficient sequences."""
-    n = len(P)
-    return poset_binom(P, k), poset_binom(P, n - k)

@@ -133,12 +133,9 @@ def psi_hook(ground, K, J):
     K, J = frozenset(K), frozenset(J)
     if not (all(x in ground for x in K) and all(x in ground for x in J)):
         raise ValueError("hook parameters must sit inside the ground set")
-    coeffs = {}
-    for lam in enumerate_partitions(ground):
-        if lam.left_endpoints() <= K and lam.right_endpoints() == J:
-            extra = sorted(K - lam.left_endpoints())
-            coeffs[lam] = QPoly.q_pow(nst(lam, lam) + nst_points(lam, extra))
-    return Decomposition("supercharacter", coeffs)
+    coeffs = PsiKModule(ground, K).decomposition().coeffs
+    return Decomposition("supercharacter", {
+        lam: c for lam, c in coeffs.items() if lam.right_endpoints() == J})
 
 
 def endpoint_refine(ground, K, J):

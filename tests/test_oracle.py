@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from utrestrict.qcalc import QPoly
 from utrestrict.setpart import (
     GroundSet, SetPartition, enumerate_partitions, bell, nst, nst_points,
     wt_up,
 )
 from utrestrict.scfcore import character_function
+from utrestrict.restrict import psiK
 from utrestrict.oracle import (
     BudgetExceeded, CyclotomicInt, OrbitTable, superclass_orbits,
     module_trace, numeric_decompose, verify_constancy, add_identity,
@@ -106,39 +106,31 @@ class TestOrbits:
                 assert f(mu)(2) == int(f(mu)(2))
 
 
-def closed_psiK_value(n, K, mu):
-    """q-exponent form of the column-module trace at u_mu, as a QPoly."""
-    L = mu.left_endpoints()
-    if L & K:
-        return QPoly.const(0)
-    pool = [x for x in range(1, n + 1) if x not in L]
-    e = sum(sum(1 for c in pool if c > k) for k in K)
-    return QPoly.q_pow(e)
-
-
 class TestModuleTraces:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_psiK_matches_closed_form(self, n):
         p = 2
         table = superclass_orbits(n, p)
-        labels = list(range(1, n + 1))
+        g = GroundSet.range(n)
         for r in range(n + 1):
-            for K in itertools.combinations(labels, r):
+            for K in itertools.combinations(g, r):
                 K = frozenset(K)
+                mod = psiK(g, K)
                 for mu in table.reps:
                     u = u_mu_matrix(mu, n)
                     got = module_trace(("psiK", K), u, p, n).as_integer()
-                    assert got == closed_psiK_value(n, K, mu)(p), (K, mu)
+                    assert got == mod.value(mu)(p), (K, mu)
 
     def test_psiK_p3(self):
         n, p = 3, 3
         table = superclass_orbits(n, p)
         for K in [frozenset(), frozenset({1}), frozenset({2, 3}),
                   frozenset({1, 2, 3})]:
+            mod = psiK(GroundSet.range(n), K)
             for mu in table.reps:
                 u = u_mu_matrix(mu, n)
                 got = module_trace(("psiK", K), u, p, n).as_integer()
-                assert got == closed_psiK_value(n, K, mu)(p)
+                assert got == mod.value(mu)(p)
 
     def test_regular_module(self):
         n, p = 3, 2

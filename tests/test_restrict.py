@@ -390,9 +390,9 @@ class TestWorkedExample:
         g, union, K, P = self.setup_data()
         assert sorted(union.uncross().arcs) == \
             [(1, 13), (2, 12), (3, 10), (5, 6), (7, 9)]
-        weights = {tuple(sorted(b)): P.wt(b) for b in P.elements}
-        assert weights == {(1, 13): 0, (2, 12): 1, (3, 10): 2, (4,): 3,
-                           (5, 6): 3, (7, 9): 3, (8,): 4, (11,): 2}
+        weights = {(lo, hi): w for lo, hi, w in P}
+        assert weights == {(1, 13): 0, (2, 12): 1, (3, 10): 2, (4, 4): 3,
+                           (5, 6): 3, (7, 9): 3, (8, 8): 4, (11, 11): 2}
 
     def test_intermediate_polynomials(self):
         g, union, K, P = self.setup_data()
