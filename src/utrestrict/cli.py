@@ -7,21 +7,17 @@ exceeded.  All output is deterministic for fixed inputs.
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import sys
 from math import comb
 
-from .qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi, qint
+from .qcalc import QPoly, ZERO, qbinom, qphi
 from .setpart import (
-    GroundSet, SetPartition, RegionSplit, EnumerationBoundExceeded,
-    parse_partition, enumerate_partitions, bell, nst, nst_points,
+    GroundSet, RegionSplit, EnumerationBoundExceeded,
+    parse_partition, enumerate_partitions, bell,
 )
 from .nestposet import block_poset, poset_binom
-from .scfcore import (
-    SuperclassFunction, superchar_value, decompose_exact, character_function,
-)
 from .oracle import (
     BudgetExceeded, superclass_orbits, module_trace, u_mu_matrix,
     numeric_decompose,

@@ -7,10 +7,9 @@ independent of the closed-form engines, so agreement is evidence.
 """
 
 import itertools
-from fractions import Fraction
 
-from .setpart import GroundSet, SetPartition, enumerate_partitions, bell
-from .scfcore import supercharacter_table, solve_exact
+from .setpart import GroundSet, SetPartition, bell
+from .scfcore import SuperclassFunction, decompose_at_prime
 
 
 class BudgetExceeded(Exception):
@@ -309,15 +308,9 @@ def numeric_decompose(values, p, ground):
 
     values: map SetPartition -> CyclotomicInt or int.
     """
-    parts, M = supercharacter_table(ground, p)
-    rhs = []
-    for mu in parts:
-        v = values[mu]
-        if isinstance(v, CyclotomicInt):
-            v = v.as_integer()
-        rhs.append(v)
-    sol = solve_exact(M, rhs)
-    return dict(zip(parts, sol))
+    ints = {mu: v.as_integer() if isinstance(v, CyclotomicInt) else v
+            for mu, v in values.items()}
+    return decompose_at_prime(SuperclassFunction(ground, ints), p)
 
 
 def verify_constancy(f, table):

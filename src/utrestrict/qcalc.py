@@ -3,7 +3,8 @@
 QPoly stores coefficients little-endian by exponent, with no trailing zeros
 (the zero polynomial is the empty tuple).  All the q-combinatorial quantities
 (q-integers, q-factorials, Gaussian binomials, the phi products) live here,
-together with exact Newton interpolation used by the decomposition solver.
+together with the exact division used by the decomposition solver and exact
+Newton interpolation through integer samples.
 """
 
 from fractions import Fraction
@@ -12,6 +13,11 @@ from functools import cache
 
 class NonIntegralInterpolation(Exception):
     """Interpolation succeeded but the coefficients are not integers."""
+
+
+class InexactDivision(ArithmeticError):
+    """A polynomial quotient left a remainder or has a non-integer
+    coefficient."""
 
 
 class QPoly:
@@ -30,7 +36,8 @@ class QPoly:
 
     @staticmethod
     def q_pow(e, c=1):
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"negative power of q: q^{e}")
         return QPoly((0,) * e + (c,))
 
     def is_zero(self):
@@ -97,7 +104,8 @@ class QPoly:
 
     def shift(self, e):
         """Multiply by q^e."""
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"negative q-shift: q^{e}")
         if not self.coeffs:
             return self
         return QPoly((0,) * e + self.coeffs)
@@ -190,110 +198,29 @@ Q = QPoly.q_pow(1)
 Q_MINUS_1 = QPoly((-1, 1))
 
 
-class QRational:
-    """Ratio of two QPoly, reduced only on demand (solver intermediate)."""
+def divide_exact(num, den):
+    """num / den in Z[q].
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        if isinstance(num, int):
-            num = QPoly.const(num)
-        if isinstance(den, int):
-            den = QPoly.const(den)
-        assert not den.is_zero()
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        return QRational(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    def __sub__(self, other):
-        return QRational(self.num * other.den - other.num * self.den,
-                         self.den * other.den)
-
-    def __mul__(self, other):
-        return QRational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        assert not other.num.is_zero()
-        return QRational(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        # cross multiplication avoids computing a gcd
-        return self.num * other.den == other.num * self.den
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def reduced(self):
-        """Return (num, den) with the polynomial gcd divided out."""
-        if self.num.is_zero():
-            return QRational(ZERO, ONE)
-        a = [Fraction(c) for c in self.num.coeffs]
-        b = [Fraction(c) for c in self.den.coeffs]
-
-        def rem(u, v):
-            u = u[:]
-            while len(u) >= len(v) and any(u):
-                while u and u[-1] == 0:
-                    u.pop()
-                if len(u) < len(v):
-                    break
-                f = u[-1] / v[-1]
-                off = len(u) - len(v)
-                for i, x in enumerate(v):
-                    u[off + i] -= f * x
-                u.pop()
-            while u and u[-1] == 0:
-                u.pop()
-            return u
-
-        while b:
-            a, b = b, rem(a, b)
-        # a is the gcd (fraction coefficients); divide both parts by it
-
-        def divexact(u, g):
-            u = [Fraction(c) for c in u]
-            out = [Fraction(0)] * (len(u) - len(g) + 1)
-            while len(u) >= len(g) and any(u):
-                while u and u[-1] == 0:
-                    u.pop()
-                if len(u) < len(g):
-                    break
-                f = u[-1] / g[-1]
-                off = len(u) - len(g)
-                out[off] = f
-                for i, x in enumerate(g):
-                    u[off + i] -= f * x
-                u.pop()
-            return out
-
-        num = divexact(list(self.num.coeffs), a)
-        den = divexact(list(self.den.coeffs), a)
-        # clear denominators and normalize leading sign of den
-        mult = 1
-        for c in num + den:
-            mult = mult * c.denominator // _gcd(mult, c.denominator)
-        num = [c * mult for c in num]
-        den = [c * mult for c in den]
-        if den and den[-1] < 0:
-            num = [-c for c in num]
-            den = [-c for c in den]
-        g = 0
-        for c in num + den:
-            g = _gcd(g, int(c))
-        if g > 1:
-            num = [int(c) // g for c in num]
-            den = [int(c) // g for c in den]
-        return QRational(QPoly(int(c) for c in num), QPoly(int(c) for c in den))
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    Raises InexactDivision unless den divides num with an integer quotient,
+    and ZeroDivisionError when den is zero.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(num.coeffs)
+    top = den.degree()
+    lead = den.coeffs[-1]
+    quot = [0] * max(len(rem) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + top], lead)
+        if r:
+            raise InexactDivision(f"({num}) / ({den}) is not integral")
+        quot[k] = c
+        if c:
+            for i, x in enumerate(den.coeffs):
+                rem[k + i] -= c * x
+    if any(rem):
+        raise InexactDivision(f"({num}) / ({den}) leaves a remainder")
+    return QPoly(quot)
 
 
 def qint(n):

@@ -13,8 +13,7 @@ from math import comb
 from .qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi, qmultinom, qint
 from .setpart import (
     GroundSet, SetPartition, ArcMultiset, DistinctEndpointViolation,
-    enumerate_partitions, nst, nst_points, wt_up, arcs_of,
-    RegionSplit, region_select,
+    enumerate_partitions, nst, nst_points, wt_up, arcs_of, region_select,
 )
 from .nestposet import (
     block_poset, poset_binom, poset_multinom,

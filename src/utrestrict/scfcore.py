@@ -7,21 +7,34 @@ superclass representative u_mu is
 
 unless some arc i~k of lam has i~j or j~k in mu with i<j<k, in which case it
 vanishes.  Multiset characters factor as the pointwise product of their arcs.
-Any superclass function with polynomial values is expressed in the
-supercharacter basis by sampling q at primes, solving exactly over the
-rationals, and interpolating the coefficients.
+
+Supercharacters are orthogonal for the superclass-size weighted inner
+product (Diaconis-Isaacs), so a superclass function f with polynomial values
+has supercharacter coefficients
+
+    c_nu = sum_mu |K_mu| f(mu) chi^nu(u_mu) / sum_mu |K_mu| chi^nu(u_mu)^2,
+
+one exact division in Z[q] per coefficient.  The solver then rebuilds f from
+the coefficients at every superclass; the table is invertible over Q(q), so
+a rebuild that matches proves the coefficients are the unique ones.  The
+numeric solve at a fixed prime (`decompose_at_prime`) serves the oracle.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .qcalc import (
-    QPoly, ZERO, ONE, Q_MINUS_1, interpolate, primes,
-    NonIntegralInterpolation,
+    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact,
 )
 from .setpart import (
-    SetPartition, ArcMultiset, arcs_of, nst, nst_points,
-    enumerate_partitions,
+    SetPartition, arcs_of, nst, nst_points, enumerate_partitions,
 )
+
+
+class DecompositionError(ArithmeticError):
+    """The symbolic solver could not certify a decomposition: a coefficient
+    is not an integer polynomial (or exceeds the degree bound), or the
+    coefficients do not rebuild the function."""
 
 
 class SingularSystem(Exception):
@@ -52,9 +65,24 @@ def _single_partition_value(lam, mu, ambient):
     diff = len(lam.arcs - mu_arcs)
     meet = len(lam.arcs & mu_arcs)
     e = nst_points(lam, list(ambient)) - nst(lam, mu)
-    assert e >= 0
     val = (Q_MINUS_1 ** diff).shift(e)
     return val if meet % 2 == 0 else -val
+
+
+def superclass_size(mu, ground):
+    """|K_mu|, the size of the superclass of u_mu in UT_ground, as a QPoly.
+
+    With the arcs of mu read in the ranks of `ground` (n = |ground|):
+    (q-1)^|mu| q^(sum_{(i,l) in mu} (n-l+i-1)
+                  - #{(i,l), (j,k) in mu : i<j, l<k}).
+    """
+    rank = {x: r for r, x in enumerate(ground, 1)}
+    n = len(ground)
+    arcs = sorted((rank[i], rank[l]) for i, l in mu.arcs)
+    e = sum(n - l + i - 1 for i, l in arcs)
+    # sorted by distinct left endpoints, so i < j holds in every pair
+    e -= sum(1 for (_, l), (_, k) in combinations(arcs, 2) if l < k)
+    return (Q_MINUS_1 ** len(arcs)).shift(e)
 
 
 class SuperclassFunction:
@@ -178,12 +206,15 @@ def solve_exact(matrix, rhs):
     return [A[r][n] for r in range(n)]
 
 
-def supercharacter_table(ground, q):
-    """Matrix [chi^nu(u_mu)] at a fixed integer q, rows mu, cols nu, in the
-    deterministic partition order."""
+def supercharacter_table(ground, q=None):
+    """Matrix [chi^nu(u_mu)], rows mu, cols nu, in the deterministic
+    partition order: QPoly entries, or integers when q is given."""
     parts = sorted(enumerate_partitions(ground), key=partition_sort_key)
-    return parts, [[superchar_value(nu, mu, ground)(q) for nu in parts]
-                   for mu in parts]
+    table = [[superchar_value(nu, mu, ground) for nu in parts]
+             for mu in parts]
+    if q is not None:
+        table = [[v(q) for v in row] for row in table]
+    return parts, table
 
 
 def decompose_at_prime(f, p):
@@ -194,27 +225,44 @@ def decompose_at_prime(f, p):
     return dict(zip(parts, sol))
 
 
-def decompose_exact(f, degree_bound):
+def decompose_exact(f, degree_bound=None):
     """Expand a symbolic SuperclassFunction in the supercharacter basis.
 
-    Samples q at degree_bound+1 primes starting at 2, solves each system in
-    exact rational arithmetic, interpolates every coefficient, verifies the
-    interpolant at one extra prime, and asserts integer coefficients.  The
-    degree bound is the caller's closed-form bound (or the m*|N|^2 overestimate).
+    Each coefficient is the orthogonality quotient
+    sum_mu |K_mu| f(mu) chi^nu(u_mu) / sum_mu |K_mu| chi^nu(u_mu)^2, divided
+    exactly in Z[q]; then sum_nu c_nu chi^nu(u_mu) == f(mu) is checked at
+    every mu.  Raises DecompositionError when a quotient is not an integer
+    polynomial, when a coefficient's degree exceeds `degree_bound` (if
+    given), or when the coefficients do not rebuild f.
     """
-    assert len(f.ground) <= 6, "decompose_exact is desk scale (|K| <= 6)"
-    ps = primes(degree_bound + 2)
-    check_p = ps[-1]
-    ps = ps[:-1]
-    samples = {p: decompose_at_prime(f, p) for p in ps}
-    parts = sorted(enumerate_partitions(f.ground), key=partition_sort_key)
+    ground = f.ground
+    parts, table = supercharacter_table(ground)
+    sizes = [superclass_size(mu, ground) for mu in parts]
+    weighted = [size * f(mu) for size, mu in zip(sizes, parts)]
     coeffs = {}
-    for nu in parts:
-        poly = interpolate([(p, samples[p][nu]) for p in ps])
-        coeffs[nu] = poly
-    # verification sample
-    extra = decompose_at_prime(f, check_p)
-    for nu in parts:
-        assert coeffs[nu](check_p) == extra[nu], \
-            f"degree bound {degree_bound} too small for {nu}"
-    return Decomposition("supercharacter", coeffs)
+    for j, nu in enumerate(parts):
+        column = [(w, size, row[j])
+                  for w, size, row in zip(weighted, sizes, table)
+                  if not row[j].is_zero()]
+        num = sum((w * chi for w, _, chi in column), ZERO)
+        if num.is_zero():
+            continue
+        den = sum((size * chi * chi for _, size, chi in column), ZERO)
+        try:
+            c = divide_exact(num, den)
+        except InexactDivision as exc:
+            raise DecompositionError(
+                f"coefficient of {nu.label()}: {exc}") from None
+        if degree_bound is not None and c.degree() > degree_bound:
+            raise DecompositionError(
+                f"coefficient of {nu.label()} has degree {c.degree()} > "
+                f"bound {degree_bound}")
+        coeffs[j] = c
+    for mu, row in zip(parts, table):
+        rebuilt = sum((c * row[j] for j, c in coeffs.items()), ZERO)
+        if rebuilt != f(mu):
+            raise DecompositionError(
+                f"coefficients do not rebuild f at {mu.label()}: "
+                f"{rebuilt} != {f(mu)}")
+    return Decomposition("supercharacter",
+                         {parts[j]: c for j, c in coeffs.items()})

@@ -48,6 +48,10 @@ BAD_INPUTS = [
     (["verify", "solver", "--n", "0"], 1),
     (["verify", "identities", "--max", "0"], 1),
     (["verify", "orbits", "--budget", "0"], 1),
+    # the known three-layer onion defect (see the strict xfail below) must
+    # fail cleanly, not print a wrong table
+    (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",
+      "--anchors", "1,12;3,10;5,8", "--m-list", "2,1,2"], 1),
 ]
 
 
@@ -192,7 +196,7 @@ class TestDecompose:
         assert code == 0
         assert out.startswith("basis: onion")
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
+    @pytest.mark.xfail(raises=UsageError, strict=True,
                        reason="known defect: a three-layer onion with "
                               "middle m = 1 shifts by a negative exponent")
     def test_onion_three_layers_middle_m1(self):

@@ -6,7 +6,7 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, enumerate_partitions, bell, nst, nst_points,
     wt_up,
 )
-from utrestrict.scfcore import character_function
+from utrestrict.scfcore import character_function, superclass_size
 from utrestrict.restrict import psiK
 from utrestrict.oracle import (
     BudgetExceeded, CyclotomicInt, OrbitTable, superclass_orbits,
@@ -78,6 +78,15 @@ class TestOrbits:
         labels = sorted(r.label() for r in table.reps)
         want = sorted(mu.label() for mu in enumerate_partitions(GroundSet.range(n)))
         assert labels == want
+
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)]
+                             + [(n, 3) for n in range(1, 5)] + [(3, 5)])
+    def test_superclass_size_formula(self, n, p):
+        # the closed-form |K_mu| the symbolic solver weights by
+        g = GroundSet.range(n)
+        table = superclass_orbits(n, p)
+        for rep, orbit in zip(table.reps, table.orbits):
+            assert superclass_size(rep, g)(p) == len(orbit), rep
 
     def test_zero_orbit_is_singleton(self):
         table = superclass_orbits(3, 3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from utrestrict.qcalc import (
-    QPoly, QRational, NonIntegralInterpolation,
+    QPoly, NonIntegralInterpolation, InexactDivision, divide_exact,
     qint, qfactorial, qbinom, qphi, qmultinom, interpolate, primes,
     ONE, ZERO, Q_MINUS_1,
 )
@@ -142,23 +142,46 @@ class TestInterpolate:
         assert coeffs[1] == Fraction(1, 2)
 
 
-class TestQRational:
-    def test_eq_cross_mult(self):
-        half = QRational(qint(2), QPoly((2, 2)))
-        also = QRational(ONE, QPoly((2,)))
-        assert half == also
+class TestDivideExact:
+    def test_exact_quotient(self):
+        assert divide_exact(qphi(3, 2), Q_MINUS_1) == \
+            (QPoly.q_pow(3) - 1) * qint(2)
+        assert divide_exact(qfactorial(5), qfactorial(3)) == qint(4) * qint(5)
+        assert divide_exact(QPoly((-6, 4)), QPoly((3, -2))) == \
+            QPoly.const(-2)
 
-    def test_reduce(self):
-        r = QRational(qphi(3, 2), Q_MINUS_1).reduced()
-        assert r.num == (QPoly((0, 0, 0, 1)) - 1) * qint(2)
-        assert r.den == ONE
+    def test_quotient_times_divisor(self):
+        for a in (qbinom(6, 3), Q_MINUS_1 ** 4, QPoly((5, -3, 0, 2))):
+            for b in (ONE, Q_MINUS_1, qint(3).shift(2), QPoly((1, 0, -2))):
+                assert divide_exact(a * b, b) == a
 
-    def test_arith(self):
-        a = QRational(ONE, qint(2))
-        b = QRational(qint(2), ONE)
-        assert (a * b) == QRational(ONE, ONE)
-        s = a + a
-        assert s == QRational(QPoly((2,)), qint(2))
+    def test_remainder_raises(self):
+        with pytest.raises(InexactDivision):
+            divide_exact(qint(3), Q_MINUS_1)
+        with pytest.raises(InexactDivision):
+            divide_exact(ONE, QPoly.q_pow(1))
+
+    def test_non_integral_quotient_raises(self):
+        # q + 1 = (1/2)(2q + 2) over Q, but not over Z
+        with pytest.raises(InexactDivision):
+            divide_exact(qint(2), QPoly((2, 2)))
+
+    def test_zero_numerator(self):
+        assert divide_exact(ZERO, qint(3)) == ZERO
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(ONE, ZERO)
+
+
+class TestNegativeExponent:
+    def test_shift_raises(self):
+        with pytest.raises(ValueError):
+            qint(2).shift(-1)
+
+    def test_q_pow_raises(self):
+        with pytest.raises(ValueError):
+            QPoly.q_pow(-2)
 
 
 def test_primes():

@@ -1,6 +1,13 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import utrestrict
+from utrestrict import scfcore
 
 from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1
 from utrestrict.setpart import (
@@ -10,7 +17,7 @@ from utrestrict.setpart import (
 from utrestrict.scfcore import (
     superchar_value, character_function, restrict_values, decompose_exact,
     decompose_at_prime, supercharacter_table, solve_exact, SingularSystem,
-    SuperclassFunction, Decomposition,
+    SuperclassFunction, Decomposition, DecompositionError, superclass_size,
 )
 
 N6 = GroundSet.range(6)
@@ -141,6 +148,102 @@ class TestDecomposeExact:
         assert f.odot(one).values == f.values
         h = character_function(parse_partition("2-3", g), g)
         assert f.odot(h).values == h.odot(f).values
+
+
+def rainbow_restriction():
+    # chi^{1~5, 1~5} restricted from {1..5} to {2,3,4}
+    big = GroundSet.range(5)
+    return restrict_values(ArcMultiset(big, [(1, 5)] * 2),
+                           GroundSet((2, 3, 4)))
+
+
+class TestCertification:
+    """decompose_exact raises instead of returning an uncertified answer."""
+
+    def test_size_reads_ranks(self):
+        g = GroundSet((3, 5, 8, 9))
+        for mu in enumerate_partitions(g):
+            ranked = SetPartition(
+                GroundSet.range(4),
+                [(list(g).index(i) + 1, list(g).index(l) + 1)
+                 for i, l in mu.arcs])
+            assert superclass_size(mu, g) == \
+                superclass_size(ranked, GroundSet.range(4))
+
+    def test_sizes_sum_to_group_order(self):
+        for n in range(1, 6):
+            g = GroundSet.range(n)
+            total = sum((superclass_size(mu, g)
+                         for mu in enumerate_partitions(g)), ZERO)
+            assert total == QPoly.q_pow(n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("sabotage", ["unit", "one_class_times_q"])
+    def test_wrong_superclass_size_raises(self, monkeypatch, sabotage):
+        true_size = superclass_size
+        if sabotage == "unit":
+            def wrong(mu, ground):
+                return ONE
+        else:
+            def wrong(mu, ground):
+                size = true_size(mu, ground)
+                return size.shift(1) if len(mu) == 1 else size
+        f = rainbow_restriction()
+        assert decompose_exact(f).coeffs  # the honest solve succeeds
+        monkeypatch.setattr(scfcore, "superclass_size", wrong)
+        with pytest.raises(DecompositionError):
+            decompose_exact(f)
+
+    def test_wrong_quotient_fails_rebuild(self, monkeypatch):
+        # an exact but wrong quotient is caught by the rebuild check
+        true_divide = scfcore.divide_exact
+        monkeypatch.setattr(scfcore, "divide_exact",
+                            lambda num, den: true_divide(num, den) + ONE)
+        with pytest.raises(DecompositionError, match="rebuild"):
+            decompose_exact(rainbow_restriction())
+
+    def test_wrong_superclass_size_raises_under_optimize(self):
+        # `python -O` strips asserts: the certification must not use them
+        script = (
+            "import json\n"
+            "from utrestrict import scfcore\n"
+            "from utrestrict.qcalc import ONE\n"
+            "from utrestrict.setpart import GroundSet, ArcMultiset\n"
+            "f = scfcore.restrict_values(ArcMultiset(GroundSet.range(5), "
+            "[(1, 5)] * 2), GroundSet((2, 3, 4)))\n"
+            "honest = len(scfcore.decompose_exact(f).coeffs)\n"
+            "scfcore.superclass_size = lambda mu, ground: ONE\n"
+            "try:\n"
+            "    scfcore.decompose_exact(f)\n"
+            "    outcome = 'returned'\n"
+            "except scfcore.DecompositionError:\n"
+            "    outcome = 'raised'\n"
+            "print(json.dumps([honest, outcome]))\n")
+        src = os.path.dirname(os.path.dirname(utrestrict.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        honest, outcome = json.loads(proc.stdout)
+        assert honest > 0 and outcome == "raised"
+
+    def test_non_polynomial_coefficient_raises(self):
+        # the indicator of the identity class is the regular character
+        # divided by q^C(n,2): its coefficients are not in Z[q]
+        g = GroundSet.range(3)
+        values = {mu: ZERO for mu in enumerate_partitions(g)}
+        values[empty(g)] = ONE
+        with pytest.raises(DecompositionError):
+            decompose_exact(SuperclassFunction(g, values))
+
+    def test_degree_bound_enforced(self):
+        f = rainbow_restriction()
+        top = max(c.degree() for c in decompose_exact(f).coeffs.values())
+        assert decompose_exact(f, top).coeffs == decompose_exact(f).coeffs
+        with pytest.raises(DecompositionError):
+            decompose_exact(f, top - 1)
 
 
 class TestRestrictValues:
