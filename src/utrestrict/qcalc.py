@@ -25,10 +25,21 @@ class QPoly:
 
     def __init__(self, coeffs=()):
         c = list(coeffs)
+        if not all(isinstance(x, int) for x in c):
+            raise TypeError(f"QPoly coefficients must be integers: {c!r}")
         while c and c[-1] == 0:
             c.pop()
-        assert all(isinstance(x, int) for x in c)
         self.coeffs = tuple(c)
+
+    @classmethod
+    def _of(cls, c):
+        """QPoly from a list of ints without the type check: integers are
+        closed under the ring operations, so their results need none."""
+        while c and c[-1] == 0:
+            c.pop()
+        out = cls.__new__(cls)
+        out.coeffs = tuple(c)
+        return out
 
     @staticmethod
     def const(c):
@@ -61,12 +72,13 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return QPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        return QPoly._of([x + (b[i] if i < len(b) else 0)
+                          for i, x in enumerate(a)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-x for x in self.coeffs])
+        return QPoly._of([-x for x in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -78,7 +90,7 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly([other * x for x in self.coeffs])
+            return QPoly._of([other * x for x in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
@@ -87,7 +99,7 @@ class QPoly:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return QPoly(out)
+        return QPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -108,7 +120,7 @@ class QPoly:
             raise ValueError(f"negative q-shift: q^{e}")
         if not self.coeffs:
             return self
-        return QPoly((0,) * e + self.coeffs)
+        return QPoly._of([0] * e + list(self.coeffs))
 
     def __call__(self, q):
         """Evaluate at an integer or Fraction value of q (Horner)."""
@@ -220,7 +232,7 @@ def divide_exact(num, den):
                 rem[k + i] -= c * x
     if any(rem):
         raise InexactDivision(f"({num}) / ({den}) leaves a remainder")
-    return QPoly(quot)
+    return QPoly._of(quot)
 
 
 def qint(n):

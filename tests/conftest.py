@@ -1,4 +1,15 @@
+import itertools
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import pytest
+
+import utrestrict
+from utrestrict.oracle import (
+    CyclotomicInt, add_identity, mat_inverse_unipotent, mat_mul,
+)
 
 
 def _nested_in(a, b):
@@ -23,3 +34,136 @@ def _nesting_above(lam):
 @pytest.fixture
 def nesting_above():
     return _nesting_above
+
+
+# --- brute-force module traces -------------------------------------------------
+#
+# The oracle reads module traces off ranks mod p.  This reference enumerates
+# every basis vector of the module and sums theta(tr(a v)) in Z[zeta_p] over
+# the vectors u fixes, straight from the definition of the action.
+
+def _matrices(n, p, cells):
+    for vals in itertools.product(range(p), repeat=len(cells)):
+        m = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(cells, vals):
+            m[i][j] = v
+        yield tuple(tuple(row) for row in m)
+
+
+def _strict_upper(n, p):
+    return _matrices(n, p, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _unitriangular(n, p):
+    """Every u in UT_n(F_p)."""
+    return (add_identity(x, p) for x in _strict_upper(n, p))
+
+
+def _lt_basis(n, p, cols=None, rows=None):
+    """Strictly lower-triangular matrices, optionally restricted to column
+    support `cols` and/or row support `rows` (1-based ground labels)."""
+    return _matrices(n, p, [(i, j) for i in range(n) for j in range(i)
+                            if (cols is None or j + 1 in cols)
+                            and (rows is None or i + 1 in rows)])
+
+
+def _strict_lower_part(m):
+    n = len(m)
+    return tuple(tuple(m[i][j] if i > j else 0 for j in range(n))
+                 for i in range(n))
+
+
+def _trace_prod(a, b, p):
+    """tr(a b) mod p."""
+    n = len(a)
+    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n)) % p
+
+
+def _minus_identity(m, p):
+    n = len(m)
+    return tuple(tuple((m[i][j] - (i == j)) % p for j in range(n))
+                 for i in range(n))
+
+
+def _left_fixed(u, p, basis, unit=1):
+    """(v, theta(tr((u-1)v))) for each v of the basis with
+    strict_lower(u v) == v; theta(x) = zeta^(unit x)."""
+    um1 = _minus_identity(u, p)
+    for v in basis:
+        if _strict_lower_part(mat_mul(u, v, p)) == v:
+            yield v, CyclotomicInt.theta(p, unit * _trace_prod(um1, v, p))
+
+
+def _left_trace(u, p, basis, unit=1):
+    """Trace of u on the left action u > v = theta(tr((u-1)v)) (uv mod b)."""
+    total = CyclotomicInt.zero(p)
+    for _, z in _left_fixed(u, p, basis, unit):
+        total = total + z
+    return total
+
+
+def _right_trace(u, p, basis):
+    """Trace of u on the right action u > v = theta(tr(v(u^-1 - 1)))
+    (v u^-1 mod b)."""
+    uinv = mat_inverse_unipotent(u, p)
+    um1 = _minus_identity(uinv, p)
+    total = CyclotomicInt.zero(p)
+    for v in basis:
+        if _strict_lower_part(mat_mul(v, uinv, p)) == v:
+            total = total + CyclotomicInt.theta(p, _trace_prod(v, um1, p))
+    return total
+
+
+def _hook_traces(K, u, p, n):
+    """Trace of u on each hook module ("psiHook", K, J): J -> trace, for
+    every row support J that some fixed vector of the column-set module
+    has."""
+    out = {}
+    for v, z in _left_fixed(u, p, _lt_basis(n, p, cols=set(K))):
+        J = frozenset(i + 1 for i, row in enumerate(v) if any(row))
+        out[J] = out.get(J, CyclotomicInt.zero(p)) + z
+    return out
+
+
+def _cyclotomic_trace(spec, u, p, n):
+    """The reference for oracle.module_trace, with the same specs (but
+    "regular")."""
+    kind = spec[0]
+    if kind == "psiK":
+        return _left_trace(u, p, _lt_basis(n, p, cols=set(spec[1])))
+    if kind == "psiHook":
+        return _hook_traces(spec[1], u, p, n).get(
+            frozenset(spec[2]), CyclotomicInt.zero(p))
+    if kind == "flippedK":
+        return _right_trace(u, p, _lt_basis(n, p, rows=set(spec[1])))
+    if kind == "utAlgebra":
+        count = sum(1 for v in _strict_upper(n, p) if mat_mul(u, v, p) == v)
+        return CyclotomicInt.integer(p, count)
+    raise ValueError(f"unknown module spec {spec!r}")
+
+
+@pytest.fixture
+def brute_force():
+    return SimpleNamespace(
+        trace=_cyclotomic_trace, hook_traces=_hook_traces,
+        left_trace=_left_trace, lt_basis=_lt_basis,
+        unitriangular=_unitriangular)
+
+
+# --- python -O ---------------------------------------------------------------
+
+def _run_optimized(script, *args):
+    """Run a Python script under `python -O` (asserts stripped) with this
+    checkout's package importable."""
+    src = os.path.dirname(os.path.dirname(utrestrict.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-O", "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.fixture
+def run_optimized():
+    return _run_optimized

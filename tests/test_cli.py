@@ -1,12 +1,8 @@
 import io
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import utrestrict
 from utrestrict.qcalc import QPoly, ZERO, qbinom
 from utrestrict.setpart import GroundSet, SetPartition, enumerate_partitions
 from utrestrict.scfcore import superchar_value
@@ -87,20 +83,14 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    def test_bad_input_under_optimize(self):
+    def test_bad_input_under_optimize(self, run_optimized):
         # `python -O` strips asserts: every rejection must still happen
         script = ("import json, sys\n"
                   "from utrestrict.cli import main\n"
                   "print(json.dumps([main(a) for a in "
                   "json.loads(sys.argv[1])]))")
-        src = os.path.dirname(os.path.dirname(utrestrict.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         argvs = [argv for argv, _ in BAD_INPUTS]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, json.dumps(argvs)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_optimized(script, json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [code for _, code in BAD_INPUTS]
         assert len(proc.stderr.splitlines()) == len(BAD_INPUTS)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -9,21 +10,38 @@ from utrestrict.setpart import (
 from utrestrict.scfcore import character_function, superclass_size
 from utrestrict.restrict import psiK
 from utrestrict.oracle import (
-    BudgetExceeded, CyclotomicInt, OrbitTable, superclass_orbits,
-    module_trace, numeric_decompose, verify_constancy, add_identity,
-    u_mu_matrix, mat_mul, mat_dagger, mat_inverse_unipotent, identity,
-    enumerate_lt_basis, enumerate_strict_upper, left_trace, trace_prod,
-    strict_lower_part,
+    BudgetExceeded, CyclotomicInt, superclass_orbits, borel_generators,
+    module_trace, numeric_decompose, verify_constancy, u_mu_matrix, mat_mul,
+    mat_dagger, mat_inverse_unipotent, identity,
 )
 
 
-def empty(g):
-    return SetPartition(g, ())
+def subsets(n):
+    labels = range(1, n + 1)
+    return [frozenset(c) for r in range(n + 1)
+            for c in itertools.combinations(labels, r)]
 
 
-def all_ut(n, p):
-    for x in enumerate_strict_upper(n, p):
-        yield add_identity(x, p)
+def character_values(table):
+    """lam -> {mu: chi^lam(u_mu) at q = p} over the oracle's representatives."""
+    g = GroundSet.range(table.n)
+    return {lam: {mu: character_function(lam, g)(mu)(table.p)
+                  for mu in table.reps}
+            for lam in enumerate_partitions(g)}
+
+
+def orthogonality_failures(table, values):
+    """Pairs (lam, nu) whose inner product sum_mu |orbit_mu| chi^lam(u_mu)
+    chi^nu(u_mu), weighted by the oracle's orbit sizes, is zero when
+    lam == nu or nonzero when lam != nu."""
+    sizes = {mu: len(orbit) for mu, orbit in zip(table.reps, table.orbits)}
+    out = []
+    for lam, a in values.items():
+        for nu, b in values.items():
+            inner = sum(sizes[mu] * a[mu] * b[mu] for mu in sizes)
+            if (inner == 0) == (lam == nu):
+                out.append((lam.label(), nu.label()))
+    return out
 
 
 class TestCyclotomic:
@@ -53,23 +71,24 @@ class TestCyclotomic:
 
 
 class TestMatrixPlumbing:
-    def test_inverse(self):
+    def test_inverse(self, brute_force):
         for p in (2, 3):
-            for u in all_ut(3, p):
+            for u in brute_force.unitriangular(3, p):
                 assert mat_mul(u, mat_inverse_unipotent(u, p), p) == identity(3)
 
-    def test_dagger_involution_and_product(self):
-        for u in all_ut(3, 2):
+    def test_dagger_involution_and_product(self, brute_force):
+        for u in brute_force.unitriangular(3, 2):
             assert mat_dagger(mat_dagger(u)) == u
-        for u in all_ut(3, 3):
-            for v in all_ut(3, 3):
+        all_ut = list(brute_force.unitriangular(3, 3))
+        for u in all_ut:
+            for v in all_ut:
                 assert mat_dagger(mat_mul(u, v, 3)) == \
                     mat_mul(mat_dagger(v), mat_dagger(u), 3)
 
 
 class TestOrbits:
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3),
-                                     (4, 2), (4, 3)])
+                                     (4, 2), (4, 3), (6, 2), (4, 5)])
     def test_census(self, n, p):
         table = superclass_orbits(n, p)
         assert len(table.orbits) == bell(n)
@@ -79,8 +98,9 @@ class TestOrbits:
         want = sorted(mu.label() for mu in enumerate_partitions(GroundSet.range(n)))
         assert labels == want
 
-    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 6)]
-                             + [(n, 3) for n in range(1, 5)] + [(3, 5)])
+    @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)]
+                             + [(n, 3) for n in range(1, 5)]
+                             + [(3, 5), (4, 5)])
     def test_superclass_size_formula(self, n, p):
         # the closed-form |K_mu| the symbolic solver weights by
         g = GroundSet.range(n)
@@ -99,26 +119,40 @@ class TestOrbits:
         with pytest.raises(BudgetExceeded):
             superclass_orbits(5, 2, budget=100)
 
-    def test_supercharacters_constant_on_orbits(self):
-        # the closed-form values, extended from the orbit representative,
-        # agree with nothing yet; the real check is that a trace computed
-        # pointwise is constant (test below); here: formula re-evaluated on
-        # every u_mu pattern found in the orbit is consistent by construction
+    @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (3, 5)])
+    def test_orbits_closed_under_generators(self, n, p):
+        # ties the row/column moves of the search to matrix products
+        table = superclass_orbits(n, p)
+        gens = borel_generators(n, p)
+        for x, oid in table.orbit_of.items():
+            for g in gens:
+                assert table.orbit_of[mat_mul(g, x, p)] == oid, (x, g)
+                assert table.orbit_of[mat_mul(x, g, p)] == oid, (x, g)
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3), (4, 3)])
+    def test_supercharacter_orthogonality(self, n, p):
+        # the closed-form supercharacters, weighted by the oracle's orbit
+        # sizes (not by the size formula), are orthogonal and nonzero
+        table = superclass_orbits(n, p)
+        assert orthogonality_failures(table, character_values(table)) == []
+
+    def test_orthogonality_negative_control(self):
+        # one perturbed value breaks the inner product with the trivial
+        # supercharacter (constant 1) by the size of that orbit
         table = superclass_orbits(3, 2)
-        g = GroundSet.range(3)
-        for lam in enumerate_partitions(g):
-            f = character_function(lam, g)
-            vals = {table.reps[table.orbit_of[x]]: None
-                    for x in table.orbit_of}
-            assert set(vals) == set(table.reps)
-            for mu in table.reps:
-                assert f(mu)(2) == int(f(mu)(2))
+        values = character_values(table)
+        lam = next(lam for lam in values if lam.arcs)
+        values[lam][table.reps[0]] += 1
+        trivial = SetPartition(GroundSet.range(3), ())
+        assert (lam.label(), trivial.label()) in \
+            orthogonality_failures(table, values)
 
 
 class TestModuleTraces:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_psiK_matches_closed_form(self, n):
-        p = 2
+    @pytest.mark.parametrize(
+        "n,p", [pytest.param(n, 2, id=str(n)) for n in (2, 3, 4, 5)]
+        + [pytest.param(4, 3, id="4-p3")])
+    def test_psiK_matches_closed_form(self, n, p):
         table = superclass_orbits(n, p)
         g = GroundSet.range(n)
         for r in range(n + 1):
@@ -166,18 +200,19 @@ class TestModuleTraces:
                                 ("psiHook", K, frozenset(J)), u, p, n)
                     assert total == module_trace(("psiK", K), u, p, n)
 
-    def test_flipped_dagger_transport(self):
+    def test_flipped_dagger_transport(self, brute_force):
         n, p = 3, 2
         labels = list(range(1, n + 1))
         for r in range(n + 1):
             for K in itertools.combinations(labels, r):
                 K = frozenset(K)
                 w0K = frozenset(n + 1 - x for x in K)
-                for u in all_ut(n, p):
+                for u in brute_force.unitriangular(n, p):
                     assert module_trace(("flippedK", K), u, p, n) == \
                         module_trace(("psiK", w0K), mat_dagger(u), p, n)
 
-    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2),
+                                     (4, 3), (5, 2), (3, 5)])
     def test_ut_algebra_trace(self, n, p):
         table = superclass_orbits(n, p)
         for mu in table.reps:
@@ -194,23 +229,65 @@ class TestModuleTraces:
         assert module_trace(("utAlgebra",), u, 2, 2).as_integer() == 2
         assert module_trace(("utAlgebra",), u, 3, 2).as_integer() == 3
 
-    def test_theta_choice_irrelevant(self):
+    def test_theta_choice_irrelevant(self, brute_force):
         # replacing theta(x) = zeta^x by theta(x) = zeta^(c x) for any unit c
         # leaves every module trace unchanged
         n, p = 3, 3
-        basis = list(enumerate_lt_basis(n, p, cols={1, 2, 3}))
+        K = {1, 2, 3}
+        basis = list(brute_force.lt_basis(n, p, cols=K))
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            um1 = tuple(tuple((u[i][j] - int(i == j)) % p for j in range(n))
-                        for i in range(n))
+            want = module_trace(("psiK", K), u, p, n)
             for c in range(1, p):
-                total = CyclotomicInt.zero(p)
-                for v in basis:
-                    if strict_lower_part(mat_mul(u, v, p)) == v:
-                        total = total + CyclotomicInt.theta(
-                            p, c * trace_prod(um1, v, p))
-                assert total == left_trace(u, p, basis)
+                assert brute_force.left_trace(u, p, basis, unit=c) == want
+
+
+# grids where the witness runs over every u in UT_n(F_p), and grids where it
+# runs over the superclass representatives u_mu
+EVERY_U = [(2, 2), (3, 2), (2, 3), (3, 3)]
+EVERY_U_MU = [(4, 2), (4, 3), (3, 5)]
+
+
+def witness_points(n, p, brute_force):
+    if (n, p) in EVERY_U:
+        return list(brute_force.unitriangular(n, p))
+    return [u_mu_matrix(mu, n) for mu in superclass_orbits(n, p).reps]
+
+
+class TestCyclotomicWitness:
+    """module_trace reads traces off ranks mod p; the reference sums
+    theta(tr(a v)) over every fixed basis vector in Z[zeta_p]."""
+
+    @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
+    def test_psiK(self, n, p, brute_force):
+        for u in witness_points(n, p, brute_force):
+            for K in subsets(n):
+                assert module_trace(("psiK", K), u, p, n) == \
+                    brute_force.trace(("psiK", K), u, p, n), (u, K)
+
+    @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
+    def test_flippedK(self, n, p, brute_force):
+        for u in witness_points(n, p, brute_force):
+            for R in subsets(n):
+                assert module_trace(("flippedK", R), u, p, n) == \
+                    brute_force.trace(("flippedK", R), u, p, n), (u, R)
+
+    @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
+    def test_psiHook(self, n, p, brute_force):
+        zero = CyclotomicInt.zero(p)
+        for u in witness_points(n, p, brute_force):
+            for K in subsets(n):
+                hooks = brute_force.hook_traces(K, u, p, n)
+                for J in subsets(n):
+                    assert module_trace(("psiHook", K, J), u, p, n) == \
+                        hooks.get(J, zero), (u, K, J)
+
+    @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
+    def test_ut_algebra(self, n, p, brute_force):
+        for u in witness_points(n, p, brute_force):
+            assert module_trace(("utAlgebra",), u, p, n) == \
+                brute_force.trace(("utAlgebra",), u, p, n), u
 
 
 class TestConstancy:
@@ -270,3 +347,27 @@ class TestNumericDecompose:
                         extra = sorted(K - lam.left_endpoints())
                         e = nst(lam, lam) + nst_points(lam, extra)
                         assert c == p ** e, (K, lam)
+
+
+class TestOptimizedInterpreter:
+    def test_invariant_checks_survive_optimize(self, run_optimized):
+        # `python -O` strips asserts: these must still raise; elimination
+        # mod p needs a field, so p = 4 is refused
+        script = (
+            "import json\n"
+            "from utrestrict.oracle import (\n"
+            "    CyclotomicInt, identity, module_trace, superclass_orbits)\n"
+            "calls = [lambda: superclass_orbits(3, 4),\n"
+            "         lambda: module_trace(('psiK', {1}), identity(3), 4, 3),\n"
+            "         lambda: CyclotomicInt.theta(3, 1).as_integer()]\n"
+            "out = []\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        out.append('returned')\n"
+            "    except ValueError:\n"
+            "        out.append('raised')\n"
+            "print(json.dumps(out))\n")
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["raised"] * 3

@@ -174,6 +174,25 @@ class TestDivideExact:
             divide_exact(ONE, ZERO)
 
 
+class TestIntegerCoefficients:
+    def test_non_integer_raises(self):
+        with pytest.raises(TypeError):
+            QPoly([1.5])
+        with pytest.raises(TypeError):
+            QPoly.const(Fraction(1, 2))
+
+    def test_non_integer_raises_under_optimize(self, run_optimized):
+        script = ("from utrestrict.qcalc import QPoly\n"
+                  "try:\n"
+                  "    QPoly([1.5])\n"
+                  "    print('returned')\n"
+                  "except TypeError:\n"
+                  "    print('raised')\n")
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["raised"]
+
+
 class TestNegativeExponent:
     def test_shift_raises(self):
         with pytest.raises(ValueError):

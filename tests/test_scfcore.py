@@ -1,12 +1,8 @@
 import itertools
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import utrestrict
 from utrestrict import scfcore
 
 from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1
@@ -201,7 +197,7 @@ class TestCertification:
         with pytest.raises(DecompositionError, match="rebuild"):
             decompose_exact(rainbow_restriction())
 
-    def test_wrong_superclass_size_raises_under_optimize(self):
+    def test_wrong_superclass_size_raises_under_optimize(self, run_optimized):
         # `python -O` strips asserts: the certification must not use them
         script = (
             "import json\n"
@@ -218,13 +214,7 @@ class TestCertification:
             "except scfcore.DecompositionError:\n"
             "    outcome = 'raised'\n"
             "print(json.dumps([honest, outcome]))\n")
-        src = os.path.dirname(os.path.dirname(utrestrict.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = run_optimized(script)
         assert proc.returncode == 0, proc.stderr
         honest, outcome = json.loads(proc.stdout)
         assert honest > 0 and outcome == "raised"
