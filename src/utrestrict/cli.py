@@ -37,6 +37,11 @@ class VerifyFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # one spelling per flag: no prefix abbreviations (verify --m would
+    # otherwise read as --max)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -90,9 +95,9 @@ def _parse_ms(text):
     try:
         ms = [int(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad --m list {text!r}")
+        raise UsageError(f"bad --m-list {text!r}")
     if min(ms) < 1:
-        raise UsageError(f"--m list entries must be positive: {text!r}")
+        raise UsageError(f"--m-list entries must be positive: {text!r}")
     return ms
 
 
@@ -136,7 +141,7 @@ def _build_decomposition(args):
                               target)
     if fam == "onion":
         if args.anchors is None or args.m_list is None:
-            raise UsageError("onion needs --anchors and --m-list (or --m)")
+            raise UsageError("onion needs --anchors and --m-list")
         pairs = _parse_anchor_pairs(args.anchors)
         ms = _parse_ms(args.m_list)
         if len(ms) != len(pairs):
@@ -310,7 +315,7 @@ def _verify_traces(bounds, budget, report):
                     mod = psiK(g, K)
                     for mu in table.reps:
                         u = u_mu_matrix(mu, n)
-                        got = module_trace(("psiK", K), u, p, n).as_integer()
+                        got = module_trace(("psiK", K), u, p, n)
                         want = mod.value(mu)(p)
                         if got != want:
                             report(f"traces psiK n={n} p={p}", False,
@@ -320,7 +325,7 @@ def _verify_traces(bounds, budget, report):
             mod = ut_algebra(g)
             for mu in table.reps:
                 u = u_mu_matrix(mu, n)
-                got = module_trace(("utAlgebra",), u, p, n).as_integer()
+                got = module_trace(("utAlgebra",), u, p, n)
                 want = mod.trace(mu)(p)
                 if got != want:
                     report(f"traces ut n={n} p={p}", False,
@@ -429,12 +434,16 @@ def _run_verify(args, out):
             raise UsageError(f"--{flag} must be positive")
     budget = args.budget if args.budget else 10 ** 7
     nmax = args.max if args.max else None
-    # default oracle grid: p=2 up to n=5, p=3 up to n=4
-    bounds = {2: min(args.n or 5, 5), 3: min(args.n or 4, 4)}
-    if args.q is not None:
-        if args.q not in (2, 3):
-            raise UsageError("verify oracle suites support --q 2 or 3")
-        bounds = {p: (bounds[p] if p == args.q else 0) for p in (2, 3)}
+    # the oracle grid: p=2 up to n=5, p=3 up to n=4
+    caps = {2: 5, 3: 4}
+    if args.q is not None and args.q not in caps:
+        raise UsageError("verify oracle suites support --q 2 or 3")
+    top = caps[args.q] if args.q else max(caps.values())
+    if args.n is not None and args.n > top:
+        raise UsageError(f"verify --n must be at most {top}"
+                         + (f" with --q {args.q}" if args.q else ""))
+    bounds = {p: min(args.n or cap, cap) if args.q in (None, p) else 0
+              for p, cap in caps.items()}
     failures = []
     lines = []
 
@@ -467,15 +476,12 @@ def build_parser():
                             "supercharacters")
     sub = p.add_subparsers(dest="command")
 
-    def add_common(sp):
+    def add_ground(sp):
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--labels", default=None)
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default=None)
-        sp.add_argument("--q", type=int, default=None)
 
     qb = sub.add_parser("qbinom", description="poset binomial coefficients")
-    add_common(qb)
+    add_ground(qb)
     qb.add_argument("--k", type=int, default=None)
     qb.add_argument("--chain", type=int, default=None)
     qb.add_argument("--antichain", type=int, default=None)
@@ -486,7 +492,10 @@ def build_parser():
         dp.add_argument("family", choices=(
             "rainbow", "double-rainbow", "onion", "psi", "core", "peel",
             "ut-algebra"))
-        add_common(dp)
+        add_ground(dp)
+        dp.add_argument("--format", choices=("text", "json", "csv"),
+                        default=None)
+        dp.add_argument("--q", type=int, default=None)
         dp.add_argument("--m", type=int, default=None)
         dp.add_argument("--ell", type=int, default=None)
         dp.add_argument("--split", default=None)
@@ -500,14 +509,14 @@ def build_parser():
         dp.add_argument("--out", default=None)
 
     sh = sub.add_parser("show", description="ASCII arc diagram")
-    add_common(sh)
+    add_ground(sh)
     sh.add_argument("arcs", nargs="*")
 
     vf = sub.add_parser("verify", description="oracle verification suites")
     vf.add_argument("suite", choices=(
         "identities", "orbits", "traces", "solver", "all"))
-    add_common(vf)
-    vf.add_argument("--m", type=int, default=None)
+    vf.add_argument("--n", type=int, default=None)
+    vf.add_argument("--q", type=int, default=None)
     vf.add_argument("--max", type=int, default=None)
     vf.add_argument("--budget", type=int, default=None)
     return p
@@ -524,9 +533,6 @@ def run(argv, out=None):
     elif args.command in ("decompose", "export"):
         if args.command == "export" and args.format is None:
             args.format = "json"
-        if args.m_list is None and args.m is not None \
-                and args.family == "onion":
-            args.m_list = str(args.m)
         try:
             dec = _build_decomposition(args)
         except EnumerationBoundExceeded:
@@ -535,8 +541,12 @@ def run(argv, out=None):
             # engines reject out-of-range parameters with ValueError
             raise UsageError(str(exc)) from None
         if args.out:
-            with open(args.out, "w") as fh:
-                _emit_decomposition(dec, args, fh)
+            try:
+                with open(args.out, "w") as fh:
+                    _emit_decomposition(dec, args, fh)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {args.out!r}: "
+                                 f"{exc.strerror}") from None
         else:
             _emit_decomposition(dec, args, out)
     elif args.command == "show":

@@ -35,80 +35,6 @@ def _check_prime(p):
         raise ValueError(f"p must be one of {SUPPORTED_PRIMES}, got {p!r}")
 
 
-class CyclotomicInt:
-    """Element of Z[zeta_p] as an integer vector over 1, zeta, ..., zeta^(p-2)
-    with zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  For p = 2 this is a
-    plain integer in disguise."""
-
-    __slots__ = ("p", "vec")
-
-    def __init__(self, p, vec):
-        vec = list(vec)
-        if len(vec) != p - 1:
-            raise ValueError(f"Z[zeta_{p}] needs {p - 1} coordinates, "
-                             f"got {len(vec)}")
-        self.p = p
-        self.vec = tuple(vec)
-
-    @staticmethod
-    def zero(p):
-        return CyclotomicInt(p, [0] * (p - 1))
-
-    @staticmethod
-    def integer(p, c):
-        return CyclotomicInt(p, [c] + [0] * (p - 2))
-
-    @staticmethod
-    def theta(p, x):
-        """zeta_p^x for an integer exponent x."""
-        e = x % p
-        vec = [0] * (p - 1)
-        if e == p - 1:
-            vec = [-1] * (p - 1)
-        else:
-            vec[e] = 1
-        return CyclotomicInt(p, vec)
-
-    def _same_field(self, other):
-        if self.p != other.p:
-            raise ValueError(f"Z[zeta_{self.p}] and Z[zeta_{other.p}] mixed")
-
-    def __add__(self, other):
-        self._same_field(other)
-        return CyclotomicInt(self.p, [a + b for a, b in zip(self.vec, other.vec)])
-
-    def __mul__(self, other):
-        self._same_field(other)
-        p = self.p
-        # multiply in Z[x]/(1 + x + ... + x^(p-1)) via exponents mod p
-        full = [0] * p
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        full[(i + j) % p] += a * b
-        last = full[p - 1]
-        return CyclotomicInt(p, [c - last for c in full[:-1]])
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclotomicInt)
-                and self.p == other.p and self.vec == other.vec)
-
-    def __hash__(self):
-        return hash((self.p, self.vec))
-
-    def __repr__(self):
-        return f"CyclotomicInt(p={self.p}, {self.vec})"
-
-    def is_rational_integer(self):
-        return all(c == 0 for c in self.vec[1:])
-
-    def as_integer(self):
-        if not self.is_rational_integer():
-            raise ValueError(f"not an integer: {self.vec}")
-        return self.vec[0]
-
-
 # --- matrix plumbing (tuples of tuples mod p) --------------------------------
 
 def mat_mul(a, b, p):
@@ -120,13 +46,6 @@ def mat_mul(a, b, p):
 
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_dagger(m):
-    """Flip across the anti-diagonal: (m^dag)_ij = m_(w0 j, w0 i)."""
-    n = len(m)
-    return tuple(tuple(m[n - 1 - j][n - 1 - i] for j in range(n))
-                 for i in range(n))
 
 
 def mat_inverse_unipotent(u, p):
@@ -341,7 +260,7 @@ def _minus_identity(m, p):
 
 
 def module_trace(spec, u, p, n):
-    """Trace of u in UT_N on a concretely realized module.
+    """Trace of u in UT_N on a concretely realized module, an integer.
 
     spec: ("psiK", K) | ("psiHook", K, J) | ("regular",) | ("utAlgebra",)
         | ("flippedK", K), with K, J sets of 1-based labels.
@@ -355,8 +274,8 @@ def module_trace(spec, u, p, n):
     if kind == "psiK":
         K = set(spec[1])
         cells = [(i, j) for i, j in lower if j + 1 in K]
-        value = _fixed_sum(_minus_identity(u, p), cells, lower, p)
-    elif kind == "psiHook":
+        return _fixed_sum(_minus_identity(u, p), cells, lower, p)
+    if kind == "psiHook":
         K, J = set(spec[1]), sorted(set(spec[2]))
         a = _minus_identity(u, p)
         # row support exactly J: inclusion-exclusion over the subspaces
@@ -368,41 +287,23 @@ def module_trace(spec, u, p, n):
                          if j + 1 in K and i + 1 in rows]
                 value += (-1) ** (len(J) - r) * _fixed_sum(
                     a, cells, lower, p)
-    elif kind == "flippedK":
+        return value
+    if kind == "flippedK":
         R = set(spec[1])
         cells = [(i, j) for i, j in lower if i + 1 in R]
         a = _minus_identity(mat_inverse_unipotent(u, p), p)
-        value = _fixed_sum(a, cells, lower, p, left=False)
-    elif kind == "utAlgebra":
+        return _fixed_sum(a, cells, lower, p, left=False)
+    if kind == "utAlgebra":
         # u v = v on ut_N: the kernel of v -> (u - 1) v, no character
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        value = _fixed_sum(_minus_identity(u, p), upper, upper, p,
-                           functional=False)
-    else:
-        raise ValueError(f"unknown module spec {spec!r}")
-    return CyclotomicInt.integer(p, value)
+        return _fixed_sum(_minus_identity(u, p), upper, upper, p,
+                          functional=False)
+    raise ValueError(f"unknown module spec {spec!r}")
 
 
 def numeric_decompose(values, p, ground):
     """Solve sum_nu c_nu chi^nu(u_mu)|q=p = values[mu] exactly over Q.
 
-    values: map SetPartition -> CyclotomicInt or int.
+    values: map SetPartition -> int.
     """
-    ints = {mu: v.as_integer() if isinstance(v, CyclotomicInt) else v
-            for mu, v in values.items()}
-    return decompose_at_prime(SuperclassFunction(ground, ints), p)
-
-
-def verify_constancy(f, table):
-    """Check that f is constant on Id + each orbit; returns (ok, detail)."""
-    for oid, members in enumerate(table.orbits):
-        vals = {f(add_identity(x, table.p)) for x in members}
-        if len(vals) != 1:
-            return False, (table.reps[oid], sorted(vals)[:2])
-    return True, None
-
-
-def add_identity(x, p):
-    n = len(x)
-    return tuple(tuple((x[i][j] + int(i == j)) % p for j in range(n))
-                 for i in range(n))
+    return decompose_at_prime(SuperclassFunction(ground, values), p)

@@ -155,13 +155,6 @@ class QPoly:
     def __repr__(self):
         return f"QPoly({str(self)})"
 
-    def to_json(self):
-        return {"coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(obj):
-        return QPoly(obj["coeffs"])
-
     @staticmethod
     def parse(text):
         """Parse the sparse descending text form produced by __str__."""
@@ -206,7 +199,6 @@ class QPoly:
 
 ZERO = QPoly()
 ONE = QPoly.const(1)
-Q = QPoly.q_pow(1)
 Q_MINUS_1 = QPoly((-1, 1))
 
 

@@ -10,7 +10,9 @@ themselves are witnessed by the brute-force oracle at small sizes.
 import itertools
 from math import comb
 
-from .qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi, qmultinom, qint
+from .qcalc import (
+    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
+)
 from .setpart import (
     GroundSet, SetPartition, ArcMultiset, DistinctEndpointViolation,
     enumerate_partitions, nst, nst_points, wt_up, arcs_of, region_select,
@@ -70,13 +72,13 @@ class ModuleLabel:
 
 
 def _shift_signed(poly, e):
-    """Multiply by q^e; for e < 0 the division must be exact."""
+    """Multiply by q^e; for e < 0 the division must be exact, else
+    InexactDivision is raised."""
     if e >= 0:
         return poly.shift(e)
-    e = -e
-    assert all(c == 0 for c in poly.coeffs[:e]), \
-        f"inexact division of {poly} by q^{e}"
-    return QPoly(poly.coeffs[e:])
+    if any(poly.coeffs[:-e]):
+        raise InexactDivision(f"{poly} is not divisible by q^{-e}")
+    return QPoly(poly.coeffs[-e:])
 
 
 def _subsets(pool, size=None):
@@ -135,21 +137,6 @@ def psi_hook(ground, K, J):
     coeffs = PsiKModule(ground, K).decomposition().coeffs
     return Decomposition("supercharacter", {
         lam: c for lam, c in coeffs.items() if lam.right_endpoints() == J})
-
-
-def endpoint_refine(ground, K, J):
-    """Exponents of the left-endpoint refinement: the hook on columns K
-    rewrites as the sum over I of q^exponent times the hook on columns I.
-
-    Returns {I: integer exponent}; exponents may be negative only when the
-    corresponding refined module vanishes.
-    """
-    K, J = frozenset(K), frozenset(J)
-    out = {}
-    for I in _subsets(K, len(J)):
-        rest = K - I
-        out[I] = wt_up(rest, J) - wt_up(rest, I)
-    return out
 
 
 # --- core modules -----------------------------------------------------------

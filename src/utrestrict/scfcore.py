@@ -23,9 +23,7 @@ numeric solve at a fixed prime (`decompose_at_prime`) serves the oracle.
 from fractions import Fraction
 from itertools import combinations
 
-from .qcalc import (
-    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact,
-)
+from .qcalc import ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact
 from .setpart import (
     SetPartition, arcs_of, nst, nst_points, enumerate_partitions,
 )
@@ -86,7 +84,8 @@ def superclass_size(mu, ground):
 
 
 class SuperclassFunction:
-    """Total map from S_K to QPoly values (a symbolic superclass function)."""
+    """Total map from S_K to values: QPolys for a symbolic superclass
+    function, integers for the numeric solve at a prime."""
 
     __slots__ = ("ground", "values")
 
@@ -98,24 +97,6 @@ class SuperclassFunction:
 
     def __call__(self, mu):
         return self.values[mu]
-
-    def odot(self, other):
-        assert self.ground == other.ground, "pointwise product needs one ground"
-        return SuperclassFunction(
-            self.ground,
-            {mu: v * other.values[mu] for mu, v in self.values.items()})
-
-    __mul__ = odot
-
-
-def character_function(lam, ambient, ground=None):
-    """chi^lam as a SuperclassFunction on `ground` (default: ambient),
-    evaluated in `ambient`."""
-    ground = ground or ambient
-    return SuperclassFunction(
-        ground,
-        {mu: superchar_value(lam, mu, ambient)
-         for mu in enumerate_partitions(ground)})
 
 
 def restrict_values(lam, sub):
@@ -168,21 +149,6 @@ class Decomposition:
             out.append((text, coeff))
         return out
 
-    def to_json(self):
-        return {"basis": self.basis,
-                "terms": [{"label": t, "coeff": str(c)}
-                          for t, c in self.labels_text()]}
-
-    def check_nonnegative_at(self, qs=(2, 3)):
-        """Supercharacter multiplicities must be nonnegative integers at
-        prime powers."""
-        for coeff in self.coeffs.values():
-            for q in qs:
-                v = coeff(q)
-                assert v == int(v) and v >= 0, \
-                    f"negative multiplicity {coeff} at q={q}"
-        return True
-
 
 def solve_exact(matrix, rhs):
     """Gaussian elimination over Fractions; returns the solution vector.
@@ -218,10 +184,10 @@ def supercharacter_table(ground, q=None):
 
 
 def decompose_at_prime(f, p):
-    """Coefficients of f in the supercharacter basis at q = p (Fractions)."""
+    """Coefficients in the supercharacter basis, at q = p (Fractions), of a
+    superclass function f with integer values."""
     parts, M = supercharacter_table(f.ground, p)
-    rhs = [f(mu)(p) if isinstance(f(mu), QPoly) else f(mu) for mu in parts]
-    sol = solve_exact(M, rhs)
+    sol = solve_exact(M, [f(mu) for mu in parts])
     return dict(zip(parts, sol))
 
 

@@ -66,10 +66,6 @@ class GroundSet:
         assert all(x in self for x in labels)
         return GroundSet(labels)
 
-    def minus(self, labels):
-        drop = set(labels)
-        return GroundSet(x for x in self.labels if x not in drop)
-
 
 def _check_arcs(ground, arcs):
     for i, j in arcs:
@@ -159,14 +155,6 @@ class SetPartition:
             arcs.append((avail.pop(), r))
         return SetPartition(self.ground, arcs)
 
-    def restricted(self, sub):
-        """Arcs with both endpoints in `sub`, as a partition of `sub`."""
-        return SetPartition(sub, ((i, j) for i, j in self.arcs
-                                  if i in sub and j in sub))
-
-    def to_json(self):
-        return {"ground": list(self.ground), "arcs": [list(a) for a in sorted(self.arcs)]}
-
 
 class ArcMultiset:
     """Multiset of arcs over a ground set (no distinctness constraint)."""
@@ -201,12 +189,6 @@ class ArcMultiset:
     def right_endpoints(self):
         return frozenset(j for _, j in self.arcs)
 
-    def to_json(self):
-        distinct = sorted(set(self.arcs))
-        return {"ground": list(self.ground),
-                "arcs": [list(a) for a in distinct],
-                "mult": [self.arcs.count(a) for a in distinct]}
-
 
 def arcs_of(lam):
     """Arc list with multiplicity for either partition flavor."""
@@ -223,40 +205,13 @@ def parse_partition(text, ground):
     return SetPartition(ground, arcs)
 
 
-def parse_multiset(text, ground):
-    arcs = []
-    for tok in text.split():
-        i, j = tok.split("-")
-        arcs.append((int(i), int(j)))
-    return ArcMultiset(ground, arcs)
-
-
-def partition_from_json(obj):
-    ground = GroundSet(obj["ground"])
-    arcs = [tuple(a) for a in obj["arcs"]]
-    if "mult" in obj and obj["mult"]:
-        expanded = []
-        for a, m in zip(arcs, obj["mult"]):
-            expanded.extend([a] * m)
-        return ArcMultiset(ground, expanded)
-    return SetPartition(ground, arcs)
-
-
 # --- statistics ------------------------------------------------------------
-
-def nst_pairs(lam, mu):
-    """Witnessing pairs for nst^lam_mu (debug variant; counts are primary)."""
-    out = []
-    for a, (i, l) in enumerate(arcs_of(lam)):
-        for b, (j, k) in enumerate(arcs_of(mu)):
-            if i < j and k < l:
-                out.append((a, b))
-    return out
-
 
 def nst(lam, mu):
     """nst^lam_mu = #{(i~l in lam, j~k in mu) : i<j<k<l}, with multiplicity."""
-    return len(nst_pairs(lam, mu))
+    mu_arcs = arcs_of(mu)
+    return sum(1 for (i, l) in arcs_of(lam) for (j, k) in mu_arcs
+               if i < j and k < l)
 
 
 def nst_points(lam, points):
@@ -309,16 +264,12 @@ class RegionSplit:
         assert len(self.n_gt) > 0 or n_p == n_pp
 
     @staticmethod
-    def from_sizes(a, b, c, collapse_left=None, collapse_right=None):
+    def from_sizes(a, b, c):
         """Geometry with |N_<| = a, |N_=| = b, |N_>| = c on consecutive labels.
 
         n_- collapses onto n_-- exactly when a = 0 (the geometry forces it),
-        similarly on the right; the optional flags only assert expectations.
+        similarly on the right.
         """
-        if collapse_left is not None:
-            assert collapse_left == (a == 0)
-        if collapse_right is not None:
-            assert collapse_right == (c == 0)
         labels = []
         x = 1
         if a > 0:
@@ -345,15 +296,6 @@ class RegionSplit:
             n_pp = x
             labels.append(x)
         return RegionSplit(GroundSet(labels), n_mm, n_m, n_p, n_pp)
-
-    def region_of(self, x):
-        if x in (self.n_mm, self.n_m, self.n_p, self.n_pp):
-            return "anchor"
-        if x < self.n_m:
-            return "<"
-        if x < self.n_p:
-            return "="
-        return ">"
 
     def anchor_multiset(self, m, ell):
         """The double-rainbow multiset over the ambient ground set."""
@@ -385,19 +327,6 @@ def region_select(lam, split, alpha, beta):
     return ArcMultiset(lam.ground, arcs)
 
 
-def gamma_eq(lam, split):
-    """Arcs lying entirely inside N_=."""
-    return region_select(lam, split, "=", "=")
-
-
-def gamma_neq(lam, split):
-    eq = set(arcs_of(gamma_eq(lam, split)))
-    arcs = [a for a in arcs_of(lam) if a not in eq]
-    if isinstance(lam, SetPartition):
-        return SetPartition(lam.ground, arcs)
-    return ArcMultiset(lam.ground, arcs)
-
-
 # --- enumeration -----------------------------------------------------------
 
 def blocks_to_arcs(blocks):
@@ -414,7 +343,7 @@ def from_blocks(ground, blocks):
     return SetPartition(ground, blocks_to_arcs(blocks))
 
 
-def enumerate_partitions(ground, predicate=None, bound=10):
+def enumerate_partitions(ground, bound=10):
     """All of S_N exactly once, in restricted-growth-string order."""
     n = len(ground)
     if n > bound:
@@ -429,17 +358,13 @@ def enumerate_partitions(ground, predicate=None, bound=10):
             yield from rgs(prefix + [v], max(mx, v))
 
     if n == 0:
-        p = SetPartition(ground, ())
-        if predicate is None or predicate(p):
-            yield p
+        yield SetPartition(ground, ())
         return
     for s in rgs([0], 0):
         blocks = {}
         for x, v in zip(labels, s):
             blocks.setdefault(v, []).append(x)
-        p = from_blocks(ground, blocks.values())
-        if predicate is None or predicate(p):
-            yield p
+        yield from_blocks(ground, blocks.values())
 
 
 def bell(n):

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 import utrestrict
-from utrestrict.oracle import (
-    CyclotomicInt, add_identity, mat_inverse_unipotent, mat_mul,
-)
+from utrestrict.oracle import mat_inverse_unipotent, mat_mul
+from utrestrict.scfcore import SuperclassFunction, superchar_value
+from utrestrict.setpart import enumerate_partitions
 
 
 def _nested_in(a, b):
@@ -36,11 +36,121 @@ def nesting_above():
     return _nesting_above
 
 
+# --- reference helpers ---------------------------------------------------------
+
+def character_function(lam, ground):
+    """chi^lam as a SuperclassFunction on `ground`."""
+    return SuperclassFunction(
+        ground,
+        {mu: superchar_value(lam, mu, ground)
+         for mu in enumerate_partitions(ground)})
+
+
+def odot(f, h):
+    """Pointwise product of two superclass functions on one ground."""
+    assert f.ground == h.ground, "pointwise product needs one ground"
+    return SuperclassFunction(f.ground,
+                              {mu: v * h(mu) for mu, v in f.values.items()})
+
+
+def check_nonnegative_at(dec, qs=(2, 3)):
+    """Supercharacter multiplicities must be nonnegative integers at prime
+    powers."""
+    for coeff in dec.coeffs.values():
+        for q in qs:
+            assert coeff(q) >= 0, f"negative multiplicity {coeff} at q={q}"
+
+
 # --- brute-force module traces -------------------------------------------------
 #
 # The oracle reads module traces off ranks mod p.  This reference enumerates
 # every basis vector of the module and sums theta(tr(a v)) in Z[zeta_p] over
-# the vectors u fixes, straight from the definition of the action.
+# the vectors u fixes, straight from the definition of the action.  The sums
+# must be rational integers (`as_integer` raises otherwise), and they are
+# compared with the oracle's integer traces.
+
+class CyclotomicInt:
+    """Element of Z[zeta_p] as an integer vector over 1, zeta, ..., zeta^(p-2)
+    with zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  For p = 2 this is a
+    plain integer in disguise."""
+
+    __slots__ = ("p", "vec")
+
+    def __init__(self, p, vec):
+        vec = list(vec)
+        if len(vec) != p - 1:
+            raise ValueError(f"Z[zeta_{p}] needs {p - 1} coordinates, "
+                             f"got {len(vec)}")
+        self.p = p
+        self.vec = tuple(vec)
+
+    @staticmethod
+    def zero(p):
+        return CyclotomicInt(p, [0] * (p - 1))
+
+    @staticmethod
+    def theta(p, x):
+        """zeta_p^x for an integer exponent x."""
+        e = x % p
+        vec = [0] * (p - 1)
+        if e == p - 1:
+            vec = [-1] * (p - 1)
+        else:
+            vec[e] = 1
+        return CyclotomicInt(p, vec)
+
+    def _same_field(self, other):
+        if self.p != other.p:
+            raise ValueError(f"Z[zeta_{self.p}] and Z[zeta_{other.p}] mixed")
+
+    def __add__(self, other):
+        self._same_field(other)
+        return CyclotomicInt(self.p, [a + b for a, b in zip(self.vec, other.vec)])
+
+    def __mul__(self, other):
+        self._same_field(other)
+        p = self.p
+        # multiply in Z[x]/(1 + x + ... + x^(p-1)) via exponents mod p
+        full = [0] * p
+        for i, a in enumerate(self.vec):
+            if a:
+                for j, b in enumerate(other.vec):
+                    if b:
+                        full[(i + j) % p] += a * b
+        last = full[p - 1]
+        return CyclotomicInt(p, [c - last for c in full[:-1]])
+
+    def __eq__(self, other):
+        return (isinstance(other, CyclotomicInt)
+                and self.p == other.p and self.vec == other.vec)
+
+    def __hash__(self):
+        return hash((self.p, self.vec))
+
+    def __repr__(self):
+        return f"CyclotomicInt(p={self.p}, {self.vec})"
+
+    def is_rational_integer(self):
+        return all(c == 0 for c in self.vec[1:])
+
+    def as_integer(self):
+        if not self.is_rational_integer():
+            raise ValueError(f"not an integer: {self.vec}")
+        return self.vec[0]
+
+
+def add_identity(x, p):
+    n = len(x)
+    return tuple(tuple((x[i][j] + int(i == j)) % p for j in range(n))
+                 for i in range(n))
+
+
+def mat_dagger(m):
+    """Flip across the anti-diagonal: (m^dag)_ij = m_(w0 j, w0 i)."""
+    n = len(m)
+    return tuple(tuple(m[n - 1 - j][n - 1 - i] for j in range(n))
+                 for i in range(n))
+
 
 def _matrices(n, p, cells):
     for vals in itertools.product(range(p), repeat=len(cells)):
@@ -99,7 +209,7 @@ def _left_trace(u, p, basis, unit=1):
     total = CyclotomicInt.zero(p)
     for _, z in _left_fixed(u, p, basis, unit):
         total = total + z
-    return total
+    return total.as_integer()
 
 
 def _right_trace(u, p, basis):
@@ -111,7 +221,7 @@ def _right_trace(u, p, basis):
     for v in basis:
         if _strict_lower_part(mat_mul(v, uinv, p)) == v:
             total = total + CyclotomicInt.theta(p, _trace_prod(v, um1, p))
-    return total
+    return total.as_integer()
 
 
 def _hook_traces(K, u, p, n):
@@ -122,7 +232,7 @@ def _hook_traces(K, u, p, n):
     for v, z in _left_fixed(u, p, _lt_basis(n, p, cols=set(K))):
         J = frozenset(i + 1 for i, row in enumerate(v) if any(row))
         out[J] = out.get(J, CyclotomicInt.zero(p)) + z
-    return out
+    return {J: z.as_integer() for J, z in out.items()}
 
 
 def _cyclotomic_trace(spec, u, p, n):
@@ -132,13 +242,11 @@ def _cyclotomic_trace(spec, u, p, n):
     if kind == "psiK":
         return _left_trace(u, p, _lt_basis(n, p, cols=set(spec[1])))
     if kind == "psiHook":
-        return _hook_traces(spec[1], u, p, n).get(
-            frozenset(spec[2]), CyclotomicInt.zero(p))
+        return _hook_traces(spec[1], u, p, n).get(frozenset(spec[2]), 0)
     if kind == "flippedK":
         return _right_trace(u, p, _lt_basis(n, p, rows=set(spec[1])))
     if kind == "utAlgebra":
-        count = sum(1 for v in _strict_upper(n, p) if mat_mul(u, v, p) == v)
-        return CyclotomicInt.integer(p, count)
+        return sum(1 for v in _strict_upper(n, p) if mat_mul(u, v, p) == v)
     raise ValueError(f"unknown module spec {spec!r}")
 
 

@@ -12,10 +12,10 @@ from math import comb
 
 import pytest
 
-from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi
+from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qphi
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions, bell,
-    nst, nst_points, wt_up, parse_partition, parse_multiset, RegionSplit,
+    nst, nst_points, wt_up, parse_partition, RegionSplit,
     from_blocks,
 )
 from utrestrict.nestposet import (
@@ -28,6 +28,7 @@ from utrestrict.scfcore import (
 from utrestrict.oracle import (
     superclass_orbits, module_trace, u_mu_matrix, numeric_decompose,
 )
+from utrestrict import cli
 from utrestrict.restrict import (
     psiK, core_tensor, rainbow, double_rainbow, OnionLayer, onion,
     ut_algebra,
@@ -65,7 +66,7 @@ class TestColumnModuleGroundTruth:
                     mod = psiK(g, K)
                     for mu in table.reps:
                         u = u_mu_matrix(mu, n)
-                        got = module_trace(("psiK", K), u, p, n).as_integer()
+                        got = module_trace(("psiK", K), u, p, n)
                         assert got == mod.value(mu)(p), (n, K, mu)
 
     def test_regular_module_is_full_column_set(self):
@@ -209,7 +210,7 @@ class TestOnionAcceptance:
         mod = ut_algebra(GroundSet.range(n))
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("utAlgebra",), u, p, n).as_integer()
+            got = module_trace(("utAlgebra",), u, p, n)
             assert got == mod.trace(mu)(p), (n, p, mu)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -229,33 +230,19 @@ class TestOnionAcceptance:
 
 # --- criterion 6: polynomial identity suite -----------------------------------
 
+IDENTITY_CHECKS = ("phi-telescoping", "core-tensor", "rainbow-consistency")
+
+
 class TestIdentitySuite:
-    def test_suite_runs_exactly_and_fast(self, nesting_above):
+    def test_suite_runs_exactly_and_fast(self, nesting_above, capsys):
         start = time.monotonic()
 
-        # (i) core tensor identity, n <= 8, 0 <= j <= k <= n, 0 <= l <= n-1
-        for n in range(9):
-            for k in range(n + 1):
-                for j in range(k + 1):
-                    cmap = core_tensor(j, k, n)
-                    for l in range(max(n, 1)):
-                        lhs = qbinom(n - l, j).shift(comb(j, 2)) \
-                            * qbinom(n - l, k).shift(comb(k, 2))
-                        rhs = ZERO
-                        for m, c in cmap.items():
-                            rhs = rhs + c * qbinom(n - l, k + m) \
-                                .shift(comb(k + m, 2))
-                        assert lhs == rhs, (n, k, j, l)
-
-        # (ii) phi telescoping, 0 <= ell <= m <= 10
-        for m in range(11):
-            for ell in range(m + 1):
-                total = ZERO
-                for k in range(ell, m + 1):
-                    total = total + (
-                        qphi(m - ell, k - ell) * qbinom(ell, k - ell)
-                    ).shift(comb(k - ell, 2))
-                assert total == QPoly.q_pow((m - ell) * ell), (m, ell)
+        # (i) core tensor identity, n <= 8, 0 <= j <= k <= n, 0 <= l <= n,
+        # and (ii) phi telescoping, 0 <= ell <= m <= 10: the default grid of
+        # `verify identities`
+        assert cli.main(["verify", "identities"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"PASS  identities {name}" for name in IDENTITY_CHECKS]
 
         # (iii) both poset-binomial recursions on every block poset, |N| <= 6
         for n in range(1, 7):
@@ -283,6 +270,17 @@ class TestIdentitySuite:
         self._worked_example()
 
         assert time.monotonic() - start < 300
+
+    def test_verify_identities_negative_control(self, monkeypatch, capsys):
+        # one wrong core-tensor coefficient must fail the suite
+        def wrong(j, k, n):
+            cmap = core_tensor(j, k, n)
+            cmap[0] = cmap[0] + 1
+            return cmap
+        monkeypatch.setattr(cli, "core_tensor", wrong)
+        assert cli.main(["verify", "identities"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  identities core-tensor" in out.splitlines()
 
     @staticmethod
     def _worked_example():

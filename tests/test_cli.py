@@ -44,6 +44,17 @@ BAD_INPUTS = [
     (["verify", "solver", "--n", "0"], 1),
     (["verify", "identities", "--max", "0"], 1),
     (["verify", "orbits", "--budget", "0"], 1),
+    (["verify", "orbits", "--n", "7", "--q", "2"], 1),
+    (["verify", "traces", "--n", "5", "--q", "3"], 1),
+    (["verify", "all", "--n", "6"], 1),
+    (["export", "core", "--n", "3", "--k", "1",
+      "--out", "/nonexistent/dir/x.json"], 1),
+    # flags that no command reads are rejected, not ignored
+    (["qbinom", "--chain", "3", "--k", "1", "--q", "2"], 1),
+    (["show", "1-2", "--n", "2", "--format", "json"], 1),
+    (["verify", "identities", "--m", "3"], 1),
+    (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5",
+      "--m", "2"], 1),
     # the known three-layer onion defect (see the strict xfail below) must
     # fail cleanly, not print a wrong table
     (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",

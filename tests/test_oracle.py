@@ -7,13 +7,14 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, enumerate_partitions, bell, nst, nst_points,
     wt_up,
 )
-from utrestrict.scfcore import character_function, superclass_size
+from utrestrict.scfcore import superclass_size
 from utrestrict.restrict import psiK
 from utrestrict.oracle import (
-    BudgetExceeded, CyclotomicInt, superclass_orbits, borel_generators,
-    module_trace, numeric_decompose, verify_constancy, u_mu_matrix, mat_mul,
-    mat_dagger, mat_inverse_unipotent, identity,
+    BudgetExceeded, superclass_orbits, borel_generators, module_trace,
+    numeric_decompose, u_mu_matrix, mat_mul, mat_inverse_unipotent, identity,
 )
+
+from conftest import CyclotomicInt, add_identity, character_function, mat_dagger
 
 
 def subsets(n):
@@ -161,7 +162,7 @@ class TestModuleTraces:
                 mod = psiK(g, K)
                 for mu in table.reps:
                     u = u_mu_matrix(mu, n)
-                    got = module_trace(("psiK", K), u, p, n).as_integer()
+                    got = module_trace(("psiK", K), u, p, n)
                     assert got == mod.value(mu)(p), (K, mu)
 
     def test_psiK_p3(self):
@@ -172,7 +173,7 @@ class TestModuleTraces:
             mod = psiK(GroundSet.range(n), K)
             for mu in table.reps:
                 u = u_mu_matrix(mu, n)
-                got = module_trace(("psiK", K), u, p, n).as_integer()
+                got = module_trace(("psiK", K), u, p, n)
                 assert got == mod.value(mu)(p)
 
     def test_regular_module(self):
@@ -180,7 +181,7 @@ class TestModuleTraces:
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("regular",), u, p, n).as_integer()
+            got = module_trace(("regular",), u, p, n)
             want = p ** 3 if not mu.arcs else 0
             assert got == want
 
@@ -193,7 +194,7 @@ class TestModuleTraces:
                 K = frozenset(K)
                 for mu in table.reps:
                     u = u_mu_matrix(mu, n)
-                    total = CyclotomicInt.zero(p)
+                    total = 0
                     for s in range(n + 1):
                         for J in itertools.combinations(labels, s):
                             total = total + module_trace(
@@ -217,7 +218,7 @@ class TestModuleTraces:
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("utAlgebra",), u, p, n).as_integer()
+            got = module_trace(("utAlgebra",), u, p, n)
             e = n * (n - 1) // 2 - sum(n - j for _, j in mu.arcs)
             assert got == p ** e, (mu, got)
 
@@ -226,8 +227,8 @@ class TestModuleTraces:
         g = GroundSet.range(2)
         mu = SetPartition(g, [(1, 2)])
         u = u_mu_matrix(mu, 2)
-        assert module_trace(("utAlgebra",), u, 2, 2).as_integer() == 2
-        assert module_trace(("utAlgebra",), u, 3, 2).as_integer() == 3
+        assert module_trace(("utAlgebra",), u, 2, 2) == 2
+        assert module_trace(("utAlgebra",), u, 3, 2) == 3
 
     def test_theta_choice_irrelevant(self, brute_force):
         # replacing theta(x) = zeta^x by theta(x) = zeta^(c x) for any unit c
@@ -275,13 +276,12 @@ class TestCyclotomicWitness:
 
     @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
     def test_psiHook(self, n, p, brute_force):
-        zero = CyclotomicInt.zero(p)
         for u in witness_points(n, p, brute_force):
             for K in subsets(n):
                 hooks = brute_force.hook_traces(K, u, p, n)
                 for J in subsets(n):
                     assert module_trace(("psiHook", K, J), u, p, n) == \
-                        hooks.get(J, zero), (u, K, J)
+                        hooks.get(J, 0), (u, K, J)
 
     @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
     def test_ut_algebra(self, n, p, brute_force):
@@ -290,30 +290,34 @@ class TestCyclotomicWitness:
                 brute_force.trace(("utAlgebra",), u, p, n), u
 
 
+def orbit_values(f, table):
+    """For each orbit, the set of values of f at Id + x over its members."""
+    return [{f(add_identity(x, table.p)) for x in members}
+            for members in table.orbits]
+
+
 class TestConstancy:
     def test_trace_is_superclass_function(self):
         n, p = 3, 2
         table = superclass_orbits(n, p)
         for K in [frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})]:
-            ok, detail = verify_constancy(
+            values = orbit_values(
                 lambda u: module_trace(("psiK", K), u, p, n), table)
-            assert ok, detail
+            assert all(len(v) == 1 for v in values), K
 
     def test_ut_algebra_constant(self):
         n, p = 3, 2
         table = superclass_orbits(n, p)
-        ok, detail = verify_constancy(
-            lambda u: module_trace(("utAlgebra",), u, p, n).as_integer(), table)
-        assert ok, detail
+        values = orbit_values(
+            lambda u: module_trace(("utAlgebra",), u, p, n), table)
+        assert all(len(v) == 1 for v in values)
 
     def test_negative_control(self):
         # a raw matrix entry is not a superclass function; note p = 3 since
         # at p = 2 the (1,2) corner entry happens to be B x B invariant
         n, p = 2, 3
         table = superclass_orbits(n, p)
-        ok, detail = verify_constancy(lambda u: u[0][1], table)
-        assert not ok
-        assert detail is not None
+        assert any(len(v) > 1 for v in orbit_values(lambda u: u[0][1], table))
 
 
 class TestNumericDecompose:
@@ -356,10 +360,9 @@ class TestOptimizedInterpreter:
         script = (
             "import json\n"
             "from utrestrict.oracle import (\n"
-            "    CyclotomicInt, identity, module_trace, superclass_orbits)\n"
+            "    identity, module_trace, superclass_orbits)\n"
             "calls = [lambda: superclass_orbits(3, 4),\n"
-            "         lambda: module_trace(('psiK', {1}), identity(3), 4, 3),\n"
-            "         lambda: CyclotomicInt.theta(3, 1).as_integer()]\n"
+            "         lambda: module_trace(('psiK', {1}), identity(3), 4, 3)]\n"
             "out = []\n"
             "for call in calls:\n"
             "    try:\n"
@@ -370,4 +373,4 @@ class TestOptimizedInterpreter:
             "print(json.dumps(out))\n")
         proc = run_optimized(script)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["raised"] * 3
+        assert json.loads(proc.stdout) == ["raised"] * 2

@@ -54,10 +54,6 @@ class TestQPoly:
         assert str(ZERO) == "0"
         assert str(QPoly((0, 1))) == "q"
 
-    def test_json(self):
-        p = QPoly((1, 0, 2))
-        assert QPoly.from_json(p.to_json()) == p
-
     @given(st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6),
            st.integers(-3, 3))

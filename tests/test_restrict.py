@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
-from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1, qbinom, qphi, qint
+from utrestrict.qcalc import (
+    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qint,
+)
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
     nst, nst_points, wt_up, parse_partition, RegionSplit, region_select,
@@ -17,10 +19,16 @@ from utrestrict.scfcore import (
     SuperclassFunction, superchar_value, decompose_exact, restrict_values,
 )
 from utrestrict.restrict import (
-    ModuleLabel, _shift_signed, psiK, psi_hook, endpoint_refine,
+    ModuleLabel, _shift_signed, psiK, psi_hook,
     core, core_tensor, rainbow, interference, peel, double_rainbow,
     OnionLayer, onion, ut_algebra,
 )
+
+from conftest import check_nonnegative_at
+
+
+# the q at which multiplicities must be nonnegative
+QS = (2, 3, 4, 5)
 
 
 def expand_value(dec, mu, ground):
@@ -44,8 +52,38 @@ class TestShiftSigned:
             QPoly.q_pow(2) - 1
 
     def test_inexact_raises(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InexactDivision):
             _shift_signed(qint(2), -1)
+
+    def test_inexact_raises_under_optimize(self, run_optimized):
+        # `python -O` strips asserts: a nonzero low coefficient must still
+        # stop the division instead of being dropped
+        script = (
+            "from utrestrict.qcalc import InexactDivision, qint\n"
+            "from utrestrict.restrict import _shift_signed\n"
+            "try:\n"
+            "    print(_shift_signed(qint(2), -1))\n"
+            "except InexactDivision:\n"
+            "    print('raised')\n")
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
+
+
+def endpoint_refine(K, J):
+    """Exponents of the left-endpoint refinement: the hook on columns K
+    rewrites as the sum over I of q^exponent times the hook on columns I.
+
+    Returns {I: integer exponent}; exponents may be negative only when the
+    corresponding refined module vanishes.
+    """
+    K, J = frozenset(K), frozenset(J)
+    out = {}
+    for I in itertools.combinations(sorted(K), len(J)):
+        I = frozenset(I)
+        rest = K - I
+        out[I] = wt_up(rest, J) - wt_up(rest, I)
+    return out
 
 
 class TestPsiK:
@@ -101,7 +139,7 @@ class TestPsiK:
                     for J in itertools.combinations(labels, s):
                         want = psi_hook(g, K, J).coeffs
                         total = {}
-                        for I, e in endpoint_refine(g, K, J).items():
+                        for I, e in endpoint_refine(K, J).items():
                             part = psi_hook(g, I, J).coeffs
                             if e < 0:
                                 assert not part, (K, J, I)
@@ -795,8 +833,8 @@ class TestUtAlgebra:
     def test_nonnegative_multiplicities(self):
         for n in (2, 3, 4):
             g = GroundSet.range(n)
-            ut_algebra(g).superchar_decomposition() \
-                .check_nonnegative_at((2, 3, 4, 5))
+            check_nonnegative_at(ut_algebra(g).superchar_decomposition(),
+                                 QS)
 
 
 class TestNonnegativity:
@@ -804,19 +842,19 @@ class TestNonnegativity:
         for n in (2, 3, 4):
             g = GroundSet.range(n)
             for m in range(4):
-                rainbow(g, m, "superchars").check_nonnegative_at((2, 3, 4, 5))
+                check_nonnegative_at(rainbow(g, m, "superchars"), QS)
 
     def test_double_rainbow(self):
         for abc in [(1, 1, 1), (2, 1, 1), (0, 2, 1)]:
             split = RegionSplit.from_sizes(*abc)
             for m in range(3):
                 for ell in range(3):
-                    double_rainbow(split, m, ell, "superchars") \
-                        .check_nonnegative_at((2, 3, 4, 5))
+                    check_nonnegative_at(
+                        double_rainbow(split, m, ell, "superchars"), QS)
 
     def test_psi_core_peel(self):
         g = GroundSet.range(4)
-        psiK(g, {2, 3}).decomposition().check_nonnegative_at((2, 3, 4, 5))
-        core(g, 2).decomposition().check_nonnegative_at((2, 3, 4, 5))
+        check_nonnegative_at(psiK(g, {2, 3}).decomposition(), QS)
+        check_nonnegative_at(core(g, 2).decomposition(), QS)
         split = RegionSplit.from_sizes(2, 1, 1)
-        peel(split, 1, 2).check_nonnegative_at((2, 3, 4, 5))
+        check_nonnegative_at(peel(split, 1, 2), QS)

@@ -7,14 +7,16 @@ from utrestrict import scfcore
 
 from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1
 from utrestrict.setpart import (
-    GroundSet, SetPartition, ArcMultiset, parse_partition, parse_multiset,
+    GroundSet, SetPartition, ArcMultiset, parse_partition,
     enumerate_partitions, nst, nst_points, wt_up,
 )
 from utrestrict.scfcore import (
-    superchar_value, character_function, restrict_values, decompose_exact,
+    superchar_value, restrict_values, decompose_exact,
     decompose_at_prime, supercharacter_table, solve_exact, SingularSystem,
     SuperclassFunction, Decomposition, DecompositionError, superclass_size,
 )
+
+from conftest import character_function, check_nonnegative_at, odot
 
 N6 = GroundSet.range(6)
 
@@ -109,7 +111,7 @@ class TestDecomposeExact:
                 rest = [x for x in gl if x not in lam.left_endpoints()]
                 want = QPoly.q_pow(nst(lam, lam) + nst_points(lam, rest))
                 assert d[lam] == want
-            d.check_nonnegative_at()
+            check_nonnegative_at(d)
 
     def test_single_arc_restriction(self):
         # Res chi^{k~n} from N+{n} to N = (q-1)(chi^0 + sum_{l>k} chi^{k~l})
@@ -131,7 +133,7 @@ class TestDecomposeExact:
         i, j, l = 1, 2, 5
         f = character_function(SetPartition(g, [(i, l)]), g)
         h = character_function(SetPartition(g, [(j, l)]), g)
-        d = decompose_exact(f.odot(h), degree_bound=4)
+        d = decompose_exact(odot(f, h), degree_bound=4)
         want = {SetPartition(g, [(i, l)]): Q_MINUS_1}
         for k in range(j + 1, l):
             want[SetPartition(g, [(i, l), (j, k)])] = Q_MINUS_1
@@ -141,9 +143,9 @@ class TestDecomposeExact:
         g = GroundSet.range(3)
         one = character_function(empty(g), g)
         f = character_function(parse_partition("1-3", g), g)
-        assert f.odot(one).values == f.values
+        assert odot(f, one).values == f.values
         h = character_function(parse_partition("2-3", g), g)
-        assert f.odot(h).values == h.odot(f).values
+        assert odot(f, h).values == odot(h, f).values
 
 
 def rainbow_restriction():
