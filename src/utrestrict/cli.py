@@ -14,14 +14,13 @@ from math import comb
 
 from .qcalc import QPoly, ZERO, qbinom, qphi
 from .setpart import (
-    GroundSet, RegionSplit, EnumerationBoundExceeded,
-    parse_partition, enumerate_partitions, bell,
+    GroundSet, RegionSplit, EnumerationBoundExceeded, parse_partition, bell,
 )
 from .nestposet import block_poset, poset_binom
 from .oracle import (
     BudgetExceeded, superclass_orbits, module_trace, u_mu_matrix,
-    numeric_decompose,
 )
+from .scfcore import supercharacter_table
 from .restrict import (
     psiK, core, core_tensor, rainbow, peel, double_rainbow,
     OnionLayer, onion, ut_algebra,
@@ -116,8 +115,26 @@ def _ground(args):
 
 # --- decompose ---------------------------------------------------------------
 
+# the parameters each family reads; passing any other one is a usage error
+_FAMILY_FLAGS = {
+    "rainbow": ("n", "labels", "m", "target"),
+    "double-rainbow": ("split", "m", "ell", "target"),
+    "onion": ("n", "labels", "anchors", "m_list"),
+    "psi": ("n", "labels", "cols"),
+    "core": ("n", "labels", "k"),
+    "peel": ("split", "b", "f"),
+    "ut-algebra": ("n", "labels", "target"),
+}
+
+
 def _build_decomposition(args):
     fam = args.family
+    unread = [f"--{flag.replace('_', '-')}"
+              for flag in sorted(set().union(*_FAMILY_FLAGS.values()))
+              if flag not in _FAMILY_FLAGS[fam]
+              and getattr(args, flag) is not None]
+    if unread:
+        raise UsageError(f"{fam} does not read {', '.join(unread)}")
     if fam == "rainbow":
         target = args.target or "superchars"
         if target not in ("superchars", "core"):
@@ -252,7 +269,7 @@ def _run_qbinom(args, out):
         lam = parse_partition(args.partition, g)
     except Exception as exc:
         raise UsageError(f"bad partition: {exc}")
-    out.write(str(poset_binom(block_poset(lam.uncross()), args.k)) + "\n")
+    out.write(str(poset_binom(block_poset(lam), args.k)) + "\n")
 
 
 # --- show --------------------------------------------------------------------
@@ -336,41 +353,32 @@ def _verify_traces(bounds, budget, report):
 
 
 def _verify_solver(bounds, budget, report):
-    p = 2
-    for n in range(1, min(bounds[p], 3) + 1):
-        g = GroundSet.range(n)
-        labels = list(range(1, n + 1))
-        superclass_orbits(n, p, budget=budget)
-        for r in range(n + 1):
-            for K in itertools.combinations(labels, r):
-                K = frozenset(K)
-                values = {}
-                for mu in enumerate_partitions(g):
-                    u = u_mu_matrix(mu, n)
-                    values[mu] = module_trace(("psiK", K), u, p, n)
-                sol = numeric_decompose(values, p, g)
-                want = psiK(g, K).decomposition().coeffs
-                for lam, c in sol.items():
-                    w = want.get(lam, ZERO)(p)
-                    if c != w:
-                        report(f"solver psiK n={n}", False,
-                               f"K={sorted(K)} lam={lam.label()} q={p} "
-                               f"oracle={c} formula={w}")
+    # the closed-form coefficients at q = p must rebuild the oracle traces
+    # through the supercharacter table; the table is invertible at p, so a
+    # rebuild that matches proves they are the unique solution
+    for p in (2, 3):
+        for n in range(1, bounds[p] + 1):
+            table = superclass_orbits(n, p, budget=budget)
+            g = GroundSet.range(n)
+            parts, values = supercharacter_table(g, p)
+            rows = dict(zip(parts, values))
+            checks = [(f"psiK n={n} p={p}", f"K={sorted(K)} ", ("psiK", K),
+                       psiK(g, K).decomposition())
+                      for r in range(n + 1)
+                      for K in map(frozenset, itertools.combinations(g, r))]
+            checks.append((f"ut n={n} p={p}", "", ("utAlgebra",),
+                           ut_algebra(g).superchar_decomposition()))
+            for name, what, spec, dec in checks:
+                coeffs = [dec[nu](p) for nu in parts]
+                for mu in table.reps:
+                    got = sum(c * chi for c, chi in zip(coeffs, rows[mu]))
+                    want = module_trace(spec, u_mu_matrix(mu, n), p, n)
+                    if got != want:
+                        report(f"solver {name}", False,
+                               f"{what}mu={mu.label()} q={p} oracle={want} "
+                               f"rebuilt={got}")
                         return
-        mod = ut_algebra(g)
-        values = {}
-        for mu in enumerate_partitions(g):
-            u = u_mu_matrix(mu, n)
-            values[mu] = module_trace(("utAlgebra",), u, p, n)
-        sol = numeric_decompose(values, p, g)
-        want = mod.superchar_decomposition().coeffs
-        for lam, c in sol.items():
-            w = want.get(lam, ZERO)(p)
-            if c != w:
-                report(f"solver ut n={n}", False,
-                       f"lam={lam.label()} q={p} oracle={c} formula={w}")
-                return
-        report(f"solver n={n} p={p}", True, None)
+            report(f"solver n={n} p={p}", True, None)
 
 
 def _verify_identities(nmax, report):
@@ -428,6 +436,12 @@ def _verify_identities(nmax, report):
 
 
 def _run_verify(args, out):
+    suite = args.suite
+    unread = (["max"] if suite in ("orbits", "traces", "solver") else
+              ["n", "q", "budget"] if suite == "identities" else [])
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"verify {suite} does not read --{flag}")
     for flag in ("n", "max", "budget"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -453,7 +467,6 @@ def _run_verify(args, out):
             failures.append((name, detail))
             lines.append(f"      first counterexample: {detail}")
 
-    suite = args.suite
     if suite in ("orbits", "all"):
         _verify_orbits(bounds, budget, report)
     if suite in ("traces", "all"):
@@ -489,9 +502,7 @@ def build_parser():
 
     for name in ("decompose", "export"):
         dp = sub.add_parser(name, description="decomposition coefficients")
-        dp.add_argument("family", choices=(
-            "rainbow", "double-rainbow", "onion", "psi", "core", "peel",
-            "ut-algebra"))
+        dp.add_argument("family", choices=tuple(_FAMILY_FLAGS))
         add_ground(dp)
         dp.add_argument("--format", choices=("text", "json", "csv"),
                         default=None)

@@ -1,4 +1,4 @@
-"""Block weights of noncrossing partitions and their poset q-binomials.
+"""Block weights of the uncrossed partition and their poset q-binomials.
 
 The blocks of a noncrossing partition are ordered by nesting, and the poset
 q-binomial [P choose k]_q sums q^wt(A) over k-subsets A of the blocks, with
@@ -6,23 +6,36 @@ wt(A) the sum over a in A of the number of blocks strictly above a.  That
 weight is additive, so [P choose k]_q is the elementary symmetric polynomial
 e_k(q^wt(b) : b a block) and depends only on the block weights.
 
-Arcs of a noncrossing partition cannot cross a block, so the blocks above b
-are those with an arc strictly over min(b), one arc each:
-wt(b) = nst_points(lam, [min b]).
+The engines read these weights on the uncrossing of a partition lam, which
+depends only on L(lam) and R(lam).  Arcs of a noncrossing partition cannot
+cross a block, so the blocks above b are those with an arc strictly over
+min(b), one arc each: wt(b) is the number of arcs open at min(b).
 """
 
 from .qcalc import QPoly, ZERO, ONE
-from .setpart import crs, nst_points
 
 
 def block_poset(lam):
-    """One (min, max, wt) entry per block of the noncrossing partition lam,
-    sorted by min.  The end points pick out bl_{R(K)} / bl_{L(K)}
-    downstream; wt is the number of blocks nesting over the block."""
-    if crs(lam) != 0:
-        raise ValueError("block_poset requires a noncrossing partition")
-    return tuple(sorted((min(b), max(b), nst_points(lam, [min(b)]))
-                        for b in lam.blocks()))
+    """One (min, max, wt) entry per block of the uncrossing of lam, sorted
+    by min.  The end points pick out bl_{R(K)} / bl_{L(K)} downstream; wt
+    is the number of blocks nesting over the block.
+
+    One scan of the ground set: a right endpoint joins the block of the
+    nearest open left endpoint (the matching of SetPartition.uncross), and
+    any other point starts a block under the arcs open there."""
+    L, R = lam.left_endpoints(), lam.right_endpoints()
+    entries = []
+    open_blocks = []    # block of each open left endpoint, nearest last
+    for x in lam.ground:
+        if x in R:
+            b = open_blocks.pop()
+            entries[b][1] = x
+        else:
+            b = len(entries)
+            entries.append([x, x, len(open_blocks)])
+        if x in L:
+            open_blocks.append(b)
+    return tuple(map(tuple, entries))
 
 
 def blocks_with_max_in(P, K):
@@ -58,19 +71,13 @@ def poset_binom(P, k):
 
 def poset_multinom(P, constraints):
     """Constrained multinomial: product over (k_j, pool_j) of the sum over
-    k_j-subsets of pool_j of q^{wt^P}.  A pool of None means the complement
-    of the other pools (a trailing unconstrained count)."""
-    seen = set()
-    for _, pool in constraints:
-        if pool is not None:
-            pool = set(pool)
-            assert not (pool & seen), "constraint pools must be disjoint"
-            seen |= pool
+    k_j-subsets of pool_j of q^{wt^P}; the pools must be disjoint."""
+    pools = [set(pool) for _, pool in constraints]
+    assert sum(map(len, pools)) == len(set().union(*pools)), \
+        "constraint pools must be disjoint"
     out = ONE
-    for k, pool in constraints:
-        chosen = [b for b in P if b not in seen] if pool is None \
-            else [b for b in P if b in pool]
-        factor = _e_k([b[2] for b in chosen], k)
+    for (k, _), pool in zip(constraints, pools):
+        factor = _e_k([b[2] for b in P if b in pool], k)
         if factor.is_zero():
             return ZERO
         out = out * factor

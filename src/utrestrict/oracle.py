@@ -15,7 +15,6 @@ independent of the closed-form engines, so agreement is evidence.
 import itertools
 
 from .setpart import GroundSet, SetPartition, bell
-from .scfcore import SuperclassFunction, decompose_at_prime
 
 
 class BudgetExceeded(Exception):
@@ -87,12 +86,11 @@ def borel_generators(n, p):
 
 
 class OrbitTable:
-    __slots__ = ("n", "p", "orbit_of", "orbits", "reps")
+    __slots__ = ("n", "p", "orbits", "reps")
 
-    def __init__(self, n, p, orbit_of, orbits, reps):
+    def __init__(self, n, p, orbits, reps):
         self.n = n
         self.p = p
-        self.orbit_of = orbit_of    # matrix -> orbit id
         self.orbits = orbits        # orbit id -> list of matrices
         self.reps = reps            # orbit id -> SetPartition
 
@@ -176,10 +174,9 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
             f"{len(flat_orbits)} orbits at n={n} p={p}, expected "
             f"Bell({n}) = {bell(n)}")
     ground = GroundSet.range(n)
-    orbit_of = {}
     orbits = []
     reps = []
-    for oid, members in enumerate(flat_orbits):
+    for members in flat_orbits:
         patterns = [a for a in (_arc_pattern(x, cells) for x in members)
                     if a is not None]
         if len(patterns) != 1:
@@ -187,10 +184,8 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
                 f"orbit must contain exactly one u_mu pattern, "
                 f"got {len(patterns)}")
         reps.append(SetPartition(ground, patterns[0]))
-        matrices = [_upper_matrix(x, n) for x in members]
-        orbit_of.update(dict.fromkeys(matrices, oid))
-        orbits.append(matrices)
-    return OrbitTable(n, p, orbit_of, orbits, reps)
+        orbits.append([_upper_matrix(x, n) for x in members])
+    return OrbitTable(n, p, orbits, reps)
 
 
 def _upper_matrix(state, n):
@@ -300,10 +295,3 @@ def module_trace(spec, u, p, n):
                           functional=False)
     raise ValueError(f"unknown module spec {spec!r}")
 
-
-def numeric_decompose(values, p, ground):
-    """Solve sum_nu c_nu chi^nu(u_mu)|q=p = values[mu] exactly over Q.
-
-    values: map SetPartition -> int.
-    """
-    return decompose_at_prime(SuperclassFunction(ground, values), p)

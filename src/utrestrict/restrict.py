@@ -160,10 +160,8 @@ class CoreModule:
         coeffs = {}
         if self.k < 0 or self.k > len(self.ground):
             return Decomposition("supercharacter", coeffs)
-        for lam in enumerate_partitions(self.ground):
-            if len(lam) > self.k:
-                continue
-            P = block_poset(lam.uncross())
+        for lam in enumerate_partitions(self.ground, self.k):
+            P = block_poset(lam)
             c = poset_binom(P, self.k - len(lam))
             if not c.is_zero():
                 coeffs[lam] = c.shift(nst(lam, lam))
@@ -202,10 +200,8 @@ def rainbow(ground, m, target):
         return Decomposition("core", coeffs)
     if target == "superchars":
         coeffs = {}
-        for lam in enumerate_partitions(ground):
-            if len(lam) > m:
-                continue
-            P = block_poset(lam.uncross())
+        for lam in enumerate_partitions(ground, m):
+            P = block_poset(lam)
             total = ZERO
             for k in range(len(lam), m + 1):
                 total = total + qphi(m, k) * poset_binom(P, k - len(lam))
@@ -285,20 +281,17 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                   if all(i < x < j for x in K))
         subK = ground.subset(K)
         coeffs = {}
-        for lam in enumerate_partitions(subK):
-            if len(lam) > ell:
-                continue
+        for lam in enumerate_partitions(subK, ell):
             try:
                 union = SetPartition(ground, set(nu.arcs) | lam.arcs)
             except DistinctEndpointViolation:
                 continue
-            P = block_poset(union.uncross())
+            P = block_poset(union)
             blR = blocks_with_max_in(P, K)
             base = nst(union, lam)
             total = ZERO
             for l in range(len(lam), ell + 1):
-                mult = poset_multinom(
-                    P, [(l - len(lam), blR), (0, None)])
+                mult = poset_multinom(P, [(l - len(lam), blR)])
                 if mult.is_zero():
                     continue
                 term = qphi(ell, l) * mult
@@ -326,16 +319,13 @@ def peel(split, b, f):
     if not (0 <= b <= min(a, c) and b <= f <= a + c):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
     coeffs = {}
-    for nu in enumerate_partitions(split.inner):
-        if len(nu) > f:
-            continue
+    for nu in enumerate_partitions(split.inner, f):
         if len(region_select(nu, split, "<", ">")) != b:
             continue
         if len(region_select(nu, split, "=", "=")) != 0:
             continue
-        P = block_poset(nu.uncross())
-        c_poly = poset_multinom(
-            P, [(f - len(nu), _peel_pool(P, split)), (0, None)])
+        P = block_poset(nu)
+        c_poly = poset_multinom(P, [(f - len(nu), _peel_pool(P, split))])
         if c_poly.is_zero():
             continue
         coeffs[nu] = c_poly.shift(nst(nu, nu))
@@ -372,12 +362,13 @@ def double_rainbow(split, m, ell, target):
 
     if target == "superchars":
         coeffs = {}
-        for gam in enumerate_partitions(split.inner):
+        # more than m + ell arcs leave the f and l ranges below empty
+        for gam in enumerate_partitions(split.inner, m + ell):
             g_eq = len(region_select(gam, split, "=", "="))
             g_neq = len(gam) - g_eq
             le_gt = len(region_select(gam, split, "<=", ">"))
             eq_gt = len(region_select(gam, split, "=", ">"))
-            P = block_poset(gam.uncross())
+            P = block_poset(gam)
             pool1 = _peel_pool(P, split)
             pool2 = blocks_with_max_in(P, set(split.n_eq))
             base = nst(gam, gam)
@@ -385,7 +376,7 @@ def double_rainbow(split, m, ell, target):
             for f in range(g_neq, m + 1):
                 for l in range(g_eq, m - f + ell + 1):
                     mult = poset_multinom(
-                        P, [(f - g_neq, pool1), (l - g_eq, pool2), (0, None)])
+                        P, [(f - g_neq, pool1), (l - g_eq, pool2)])
                     if mult.is_zero():
                         continue
                     term = qphi(m, f) * qphi(m - f + ell, l) * mult

@@ -1,13 +1,12 @@
 """Arc-form set partitions over ordered ground sets.
 
 A set partition here is a set of arcs (i, j), i < j, with pairwise distinct
-left endpoints and pairwise distinct right endpoints; blocks are recovered by
-transitive closure.  Statistics (nestings, crossings, weights), the uncrossing
-map, the dagger involution and enumeration all live here, together with the
-region geometry used by the double-rainbow and onion engines.
+left endpoints and pairwise distinct right endpoints; a block is a maximal
+chain of arcs.  Statistics (nestings, weights), the uncrossing map, the
+dagger involution and enumeration by a left-to-right arc scan all live here,
+together with the region geometry used by the double-rainbow and onion
+engines.
 """
-
-import itertools
 
 
 class DistinctEndpointViolation(ValueError):
@@ -117,23 +116,6 @@ class SetPartition:
     def right_endpoints(self):
         return frozenset(j for _, j in self.arcs)
 
-    def blocks(self):
-        """Classical set partition bl(.) by transitive closure, with singletons."""
-        parent = {x: x for x in self.ground}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.arcs:
-            parent[find(i)] = find(j)
-        out = {}
-        for x in self.ground:
-            out.setdefault(find(x), []).append(x)
-        return frozenset(frozenset(b) for b in out.values())
-
     def dagger(self):
         w0 = self.ground.w0
         return SetPartition(self.ground, ((w0(j), w0(i)) for i, j in self.arcs))
@@ -217,13 +199,6 @@ def nst(lam, mu):
 def nst_points(lam, points):
     """nst^lam_A = #{(i~l in lam, j in A) : i<j<l}, with multiplicity."""
     return sum(1 for (i, l) in arcs_of(lam) for j in points if i < j < l)
-
-
-def crs(lam):
-    """Number of crossing pairs i~k, j~l with i<j<k<l."""
-    arcs = arcs_of(lam)
-    return sum(1 for (i, k), (j, l) in itertools.combinations(sorted(arcs), 2)
-               if i < j < k < l)
 
 
 def wt_up(A, C):
@@ -329,42 +304,56 @@ def region_select(lam, split, alpha, beta):
 
 # --- enumeration -----------------------------------------------------------
 
-def blocks_to_arcs(blocks):
-    """Arcs of the unique arc-form partition with the given blocks:
-    consecutive pairs inside each sorted block."""
+def from_blocks(ground, blocks):
+    """The partition with the given blocks: consecutive pairs inside each
+    sorted block are its arcs."""
     arcs = []
     for b in blocks:
         b = sorted(b)
         arcs.extend(zip(b, b[1:]))
-    return arcs
+    return SetPartition(ground, arcs)
 
 
-def from_blocks(ground, blocks):
-    return SetPartition(ground, blocks_to_arcs(blocks))
+# the largest ground set that enumerate_partitions sweeps (Bell(10) = 115975)
+MAX_GROUND = 10
 
 
-def enumerate_partitions(ground, bound=10):
-    """All of S_N exactly once, in restricted-growth-string order."""
-    n = len(ground)
-    if n > bound:
-        raise EnumerationBoundExceeded(f"|ground| = {n} > bound {bound}")
-    labels = list(ground)
+def enumerate_partitions(ground, max_arcs=None):
+    """Every partition of `ground` with at most max_arcs arcs (all of S_N if
+    None), each once.
 
-    def rgs(prefix, mx):
-        if len(prefix) == n:
-            yield prefix
+    A left-to-right scan of the arc diagram: each point may close one open
+    arc and may open one.  A branch stops when its arcs would exceed
+    max_arcs, or when more arcs are open than points are left to close them.
+    """
+    labels = tuple(ground)
+    n = len(labels)
+    if n > MAX_GROUND:
+        raise EnumerationBoundExceeded(f"|ground| = {n} > bound {MAX_GROUND}")
+    arcs = []
+    opened = []     # left endpoints of the open arcs
+
+    def scan(i, spare):
+        # spare: arcs that may still be opened
+        if i == n:
+            yield SetPartition(ground, arcs)
             return
-        for v in range(mx + 2):
-            yield from rgs(prefix + [v], max(mx, v))
+        x, rest = labels[i], n - i - 1
+        for c in range(-1, len(opened)):
+            if c >= 0:
+                arcs.append((opened.pop(c), x))
+            if len(opened) <= rest:
+                yield from scan(i + 1, spare)
+            if spare > 0 and len(opened) < rest:
+                opened.append(x)
+                yield from scan(i + 1, spare - 1)
+                opened.pop()
+            if c >= 0:
+                opened.insert(c, arcs.pop()[0])
 
-    if n == 0:
-        yield SetPartition(ground, ())
-        return
-    for s in rgs([0], 0):
-        blocks = {}
-        for x, v in zip(labels, s):
-            blocks.setdefault(v, []).append(x)
-        yield from_blocks(ground, blocks.values())
+    spare = n if max_arcs is None else max_arcs
+    if spare >= 0:
+        yield from scan(0, spare)
 
 
 def bell(n):

@@ -8,8 +8,46 @@ import pytest
 
 import utrestrict
 from utrestrict.oracle import mat_inverse_unipotent, mat_mul
-from utrestrict.scfcore import SuperclassFunction, superchar_value
-from utrestrict.setpart import enumerate_partitions
+from utrestrict.scfcore import (
+    SuperclassFunction, decompose_at_prime, superchar_value,
+)
+from utrestrict.setpart import arcs_of, enumerate_partitions, nst_points
+
+
+# --- arc-diagram references ----------------------------------------------------
+
+def blocks(lam):
+    """Classical set partition bl(lam) by transitive closure of the arcs,
+    with singletons."""
+    parent = {x: x for x in lam.ground}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in lam.arcs:
+        parent[find(i)] = find(j)
+    out = {}
+    for x in lam.ground:
+        out.setdefault(find(x), []).append(x)
+    return frozenset(frozenset(b) for b in out.values())
+
+
+def crs(lam):
+    """Number of crossing pairs i~k, j~l with i<j<k<l."""
+    return sum(1 for (i, k), (j, l) in itertools.combinations(
+        sorted(arcs_of(lam)), 2) if i < j < k < l)
+
+
+def closure_block_poset(lam):
+    """(min, max, wt) per block of a noncrossing partition, read off the
+    transitive closure: wt(b) counts the arcs over min(b)."""
+    if crs(lam):
+        raise ValueError("needs a noncrossing partition")
+    return tuple(sorted((min(b), max(b), nst_points(lam, [min(b)]))
+                        for b in blocks(lam)))
 
 
 def _nested_in(a, b):
@@ -25,7 +63,7 @@ def _nesting_above(lam):
     """Brute-force nesting order on the blocks of lam, built from the block
     sets and not from arc counts: maps the (min, max) of each block to the
     frozenset of (min, max) of the blocks above it."""
-    ends = {b: (min(b), max(b)) for b in lam.blocks()}
+    ends = {b: (min(b), max(b)) for b in blocks(lam)}
     return {ends[a]: frozenset(ends[b] for b in ends
                                if b != a and _nested_in(a, b))
             for a in ends}
@@ -51,6 +89,12 @@ def odot(f, h):
     assert f.ground == h.ground, "pointwise product needs one ground"
     return SuperclassFunction(f.ground,
                               {mu: v * h(mu) for mu, v in f.values.items()})
+
+
+def numeric_decompose(values, p, ground):
+    """Solve sum_nu c_nu chi^nu(u_mu)|q=p = values[mu] exactly over Q;
+    values maps each partition of `ground` to an int."""
+    return decompose_at_prime(SuperclassFunction(ground, values), p)
 
 
 def check_nonnegative_at(dec, qs=(2, 3)):

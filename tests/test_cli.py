@@ -6,7 +6,7 @@ import pytest
 from utrestrict.qcalc import QPoly, ZERO, qbinom
 from utrestrict.setpart import GroundSet, SetPartition, enumerate_partitions
 from utrestrict.scfcore import superchar_value
-from utrestrict.restrict import PsiKModule
+from utrestrict.restrict import PsiKModule, UtAlgebra
 from utrestrict import cli
 from utrestrict.cli import main, run, UsageError
 
@@ -53,6 +53,18 @@ BAD_INPUTS = [
     (["qbinom", "--chain", "3", "--k", "1", "--q", "2"], 1),
     (["show", "1-2", "--n", "2", "--format", "json"], 1),
     (["verify", "identities", "--m", "3"], 1),
+    # family parameters that the family does not read
+    (["decompose", "rainbow", "--n", "3", "--m", "1", "--k", "5", "--b", "9",
+      "--split", "x", "--cols", "1"], 1),
+    (["decompose", "peel", "--n", "3", "--split", "1,1,1", "--b", "0",
+      "--f", "1"], 1),
+    (["export", "psi", "--n", "3", "--target", "core"], 1),
+    # verify flags that the suite does not read
+    (["verify", "orbits", "--max", "3"], 1),
+    (["verify", "solver", "--max", "3"], 1),
+    (["verify", "identities", "--n", "4"], 1),
+    (["verify", "identities", "--q", "2"], 1),
+    (["verify", "identities", "--budget", "100"], 1),
     (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5",
       "--m", "2"], 1),
     # the known three-layer onion defect (see the strict xfail below) must
@@ -221,3 +233,29 @@ class TestVerify:
         code, out = capture(["verify", "solver", "--n", "2"])
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+    def test_solver_runs_the_traces_grid(self):
+        code, out = capture(["verify", "solver"])
+        assert code == 0
+        assert out.splitlines() == \
+            [f"PASS  solver n={n} p=2" for n in range(1, 6)] + \
+            [f"PASS  solver n={n} p=3" for n in range(1, 5)]
+
+    @pytest.mark.parametrize("family", ["psiK", "ut"])
+    def test_solver_negative_control(self, family, monkeypatch):
+        # one coefficient off by one must break the rebuild of the traces
+        cls = PsiKModule if family == "psiK" else UtAlgebra
+        name = ("decomposition" if family == "psiK"
+                else "superchar_decomposition")
+        real = getattr(cls, name)
+
+        def off_by_one(self):
+            dec = real(self)
+            lam = max(dec.coeffs, key=len)
+            dec.coeffs[lam] = dec.coeffs[lam] + 1
+            return dec
+
+        monkeypatch.setattr(cls, name, off_by_one)
+        code, out = capture(["verify", "solver", "--n", "3", "--q", "3"])
+        assert code == 2
+        assert f"FAIL  solver {family} n=" in out

@@ -3,13 +3,13 @@ from math import comb
 import pytest
 
 from utrestrict.qcalc import QPoly, qbinom, ZERO, ONE
-from utrestrict.setpart import (
-    GroundSet, parse_partition, enumerate_partitions, crs,
-)
+from utrestrict.setpart import GroundSet, parse_partition, enumerate_partitions
 from utrestrict.nestposet import (
     block_poset, poset_binom, poset_multinom,
     blocks_with_max_in, blocks_with_min_in,
 )
+
+from conftest import closure_block_poset, crs
 
 
 def from_weights(*ws):
@@ -43,10 +43,20 @@ class TestBlockPoset:
         lam = parse_partition("1-4 2-3", GroundSet.range(4))
         assert block_poset(lam) == ((1, 4, 0), (2, 3, 1))
 
-    def test_rejects_crossing(self):
+    def test_crossing_input_reads_its_uncrossing(self):
+        # 1-3 2-4 uncrosses to 1-4 2-3
         lam = parse_partition("1-3 2-4", GroundSet.range(4))
-        with pytest.raises(ValueError):
-            block_poset(lam)
+        assert block_poset(lam) == ((1, 4, 0), (2, 3, 1))
+        # every partition with n <= 7: the one stack scan equals the
+        # transitive-closure construction on the uncrossed partition
+        count = 0
+        for n in range(1, 8):
+            for lam in enumerate_partitions(GroundSet.range(n)):
+                u = lam.uncross()
+                assert block_poset(lam) == block_poset(u) \
+                    == closure_block_poset(u), lam
+                count += 1
+        assert count == 1155
 
     def test_always_pointed_forest(self, nesting_above):
         # every noncrossing partition with n <= 8, against the brute-force
@@ -118,7 +128,7 @@ class TestPosetBinom:
     def test_sum_at_q1(self):
         for n in range(1, 6):
             for lam in enumerate_partitions(GroundSet.range(n)):
-                P = block_poset(lam.uncross())
+                P = block_poset(lam)
                 total = sum(poset_binom(P, k)(1) for k in range(len(P) + 1))
                 assert total == 2 ** len(P)
 
@@ -154,13 +164,14 @@ class TestRecursions:
                 Pp = tuple((lo, hi, w - ((lo, hi) in under))
                            for lo, hi, w in P if (lo, hi, w) != a)
                 pool = frozenset(b for b in Pp if b[:2] in under)
+                rest = frozenset(Pp) - pool
                 for k in range(len(P) + 1):
                     total = ZERO
                     for j in range(k + 1):
                         with_a = poset_multinom(
-                            Pp, [(j, pool), (k - j - 1, None)])
+                            Pp, [(j, pool), (k - j - 1, rest)])
                         without = poset_multinom(
-                            Pp, [(j, pool), (k - j, None)])
+                            Pp, [(j, pool), (k - j, rest)])
                         total = total + \
                             (with_a.shift(a[2]) + without).shift(j)
                     assert total == poset_binom(P, k)
@@ -182,7 +193,8 @@ class TestMultinom:
         P = chain(4)
         for k in range(5):
             assert poset_multinom(P, [(k, P)]) == poset_binom(P, k)
-            assert poset_multinom(P, [(k, None)]) == poset_binom(P, k)
+            # a zero count on an empty pool is a factor of one
+            assert poset_multinom(P, [(k, P), (0, ())]) == poset_binom(P, k)
 
     def test_symmetry(self):
         lam = parse_partition("1-7 2-4 4-5", GroundSet.range(7))
@@ -191,13 +203,18 @@ class TestMultinom:
         A = frozenset(P[:2])
         B = frozenset(P[2:])
         for k in range(n + 1):
-            left = poset_multinom(P, [(k, A), (n - k, None)])
-            right = poset_multinom(P, [(n - k, B), (k, None)])
+            left = poset_multinom(P, [(k, A), (n - k, B)])
+            right = poset_multinom(P, [(n - k, B), (k, A)])
             assert left == right
+        # A and B split P, so the pool sums add up to the binomial
+        for j in range(n + 1):
+            assert sum((poset_multinom(P, [(k, A), (j - k, B)])
+                        for k in range(j + 1)), ZERO) == poset_binom(P, j)
 
     def test_zero_ks(self):
         P = chain(3)
-        assert poset_multinom(P, [(0, frozenset(P[:1])), (0, None)]) == ONE
+        assert poset_multinom(
+            P, [(0, frozenset(P[:1])), (0, frozenset(P[1:]))]) == ONE
 
     def test_overlap_rejected(self):
         P = chain(3)

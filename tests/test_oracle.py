@@ -11,16 +11,24 @@ from utrestrict.scfcore import superclass_size
 from utrestrict.restrict import psiK
 from utrestrict.oracle import (
     BudgetExceeded, superclass_orbits, borel_generators, module_trace,
-    numeric_decompose, u_mu_matrix, mat_mul, mat_inverse_unipotent, identity,
+    u_mu_matrix, mat_mul, mat_inverse_unipotent, identity,
 )
 
-from conftest import CyclotomicInt, add_identity, character_function, mat_dagger
+from conftest import (
+    CyclotomicInt, add_identity, character_function, mat_dagger,
+    numeric_decompose,
+)
 
 
 def subsets(n):
     labels = range(1, n + 1)
     return [frozenset(c) for r in range(n + 1)
             for c in itertools.combinations(labels, r)]
+
+
+def orbit_of(table):
+    """matrix -> orbit id over the oracle's orbit lists."""
+    return {x: oid for oid, orbit in enumerate(table.orbits) for x in orbit}
 
 
 def character_values(table):
@@ -112,7 +120,7 @@ class TestOrbits:
     def test_zero_orbit_is_singleton(self):
         table = superclass_orbits(3, 3)
         zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
-        oid = table.orbit_of[zero]
+        oid = orbit_of(table)[zero]
         assert table.orbits[oid] == [zero]
         assert table.reps[oid].arcs == frozenset()
 
@@ -125,10 +133,12 @@ class TestOrbits:
         # ties the row/column moves of the search to matrix products
         table = superclass_orbits(n, p)
         gens = borel_generators(n, p)
-        for x, oid in table.orbit_of.items():
+        index = orbit_of(table)
+        assert len(index) == p ** (n * (n - 1) // 2)
+        for x, oid in index.items():
             for g in gens:
-                assert table.orbit_of[mat_mul(g, x, p)] == oid, (x, g)
-                assert table.orbit_of[mat_mul(x, g, p)] == oid, (x, g)
+                assert index[mat_mul(g, x, p)] == oid, (x, g)
+                assert index[mat_mul(x, g, p)] == oid, (x, g)
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3), (4, 3)])
     def test_supercharacter_orthogonality(self, n, p):

@@ -436,7 +436,7 @@ class TestWorkedExample:
         g, union, K, P = self.setup_data()
         blR = blocks_with_max_in(P, K)
         blL = blocks_with_min_in(P, K)
-        pm = lambda k, pool: poset_multinom(P, [(k, pool), (0, None)])
+        pm = lambda k, pool: poset_multinom(P, [(k, pool)])
         assert pm(0, blR) == ONE and pm(0, blL) == ONE
         assert pm(1, blR) == QPoly.parse("q^4 + 3*q^3 + 2*q^2 + q")
         assert pm(2, blR) == QPoly.parse(
@@ -462,8 +462,8 @@ class TestWorkedExample:
             return out
 
         for k in range(4):
-            assert poset_multinom(P, [(k, blR), (0, None)]) == ptsum(poolR, k)
-            assert poset_multinom(P, [(k, blL), (0, None)]) == ptsum(poolL, k)
+            assert poset_multinom(P, [(k, blR)]) == ptsum(poolR, k)
+            assert poset_multinom(P, [(k, blL)]) == ptsum(poolL, k)
 
     def test_two_sided_sums_agree(self):
         g, union, K, P = self.setup_data()
@@ -479,8 +479,8 @@ class TestWorkedExample:
         left = ZERO
         right = ZERO
         for l in range(sz, ell + 1):
-            mult_r = poset_multinom(P, [(l - sz, blR), (0, None)])
-            mult_l = poset_multinom(P, [(l - sz, blL), (0, None)])
+            mult_r = poset_multinom(P, [(l - sz, blR)])
+            mult_l = poset_multinom(P, [(l - sz, blL)])
             left = left + (qphi(ell, l) * mult_r).shift((ell - l) * xl)
             right = right + (qphi(ell, l) * mult_l).shift((ell - l) * xr)
         assert left == right
@@ -508,8 +508,8 @@ class TestSymmetryIdentity:
         left = ZERO
         right = ZERO
         for l in range(len(lam), ell + 1):
-            mr = poset_multinom(P, [(l - len(lam), blR), (0, None)])
-            ml = poset_multinom(P, [(l - len(lam), blL), (0, None)])
+            mr = poset_multinom(P, [(l - len(lam), blR)])
+            ml = poset_multinom(P, [(l - len(lam), blL)])
             left = left + (qphi(ell, l) * mr).shift((ell - l) * xl)
             right = right + (qphi(ell, l) * ml).shift((ell - l) * xr)
         return left, right

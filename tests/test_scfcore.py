@@ -79,12 +79,12 @@ class TestTableAndSolver:
             solve_exact([[1, 1], [2, 2]], [1, 2])
 
     def test_table_invertible_at_primes(self):
-        for n in range(1, 5):
-            g = GroundSet.range(n)
-            for p in (2, 3):
-                parts, M = supercharacter_table(g, p)
-                # invertibility asserted through a successful solve
-                solve_exact(M, [0] * len(parts))
+        # the grid of `verify solver`, whose rebuild check needs this
+        grid = [(n, p) for n in range(1, 5) for p in (2, 3)] + [(5, 2)]
+        for n, p in grid:
+            parts, M = supercharacter_table(GroundSet.range(n), p)
+            # invertibility asserted through a successful solve
+            solve_exact(M, [0] * len(parts))
 
     def test_basis_vector_roundtrip(self):
         g = GroundSet.range(3)

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
-    parse_partition, nst, nst_points, crs, wt_up, region_select,
+    parse_partition, nst, nst_points, wt_up, region_select,
     enumerate_partitions, from_blocks, bell,
 )
+
+from conftest import blocks, crs
 
 N6 = GroundSet.range(6)
 RUNNING_LAM = parse_partition("1-5 2-4 4-6", N6)
@@ -41,17 +43,17 @@ class TestParsing:
 
 class TestBlocks:
     def test_running_example(self):
-        assert RUNNING_LAM.blocks() == frozenset({
+        assert blocks(RUNNING_LAM) == frozenset({
             frozenset({1, 5}), frozenset({2, 4, 6}), frozenset({3})})
 
     def test_empty(self):
         g = GroundSet.range(3)
-        assert parse_partition("", g).blocks() == frozenset(
+        assert blocks(parse_partition("", g)) == frozenset(
             {frozenset({1}), frozenset({2}), frozenset({3})})
 
     def test_single_arc(self):
         g = GroundSet.range(2)
-        assert parse_partition("1-2", g).blocks() == frozenset({frozenset({1, 2})})
+        assert blocks(parse_partition("1-2", g)) == frozenset({frozenset({1, 2})})
 
 
 class TestDagger:
@@ -202,7 +204,33 @@ class TestEnumeration:
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
         for lam in enumerate_partitions(g):
-            assert from_blocks(g, lam.blocks()) == lam
+            assert from_blocks(g, blocks(lam)) == lam
+
+    def test_every_arc_set_once(self):
+        # against every set of arcs with distinct left and distinct right
+        # endpoints, on n = 0..6 and on a ground with gaps
+        for g in [GroundSet.range(n) for n in range(7)] + \
+                [GroundSet((2, 3, 5, 8, 9))]:
+            pairs = list(itertools.combinations(g, 2))
+            want = set()
+            for r in range(len(g) + 1):
+                for arcs in itertools.combinations(pairs, r):
+                    if len({i for i, _ in arcs}) == len({j for _, j in arcs}) \
+                            == r:
+                        want.add(frozenset(arcs))
+            got = [lam.arcs for lam in enumerate_partitions(g)]
+            assert len(got) == len(set(got)) == bell(len(g))
+            assert set(got) == want
+
+    def test_arc_cap(self):
+        # the capped scan yields exactly the partitions with at most m arcs
+        for n in range(9):
+            g = GroundSet.range(n)
+            every = list(enumerate_partitions(g))
+            for m in range(-1, n + 1):
+                got = list(enumerate_partitions(g, m))
+                assert len(got) == len(set(got))
+                assert set(got) == {lam for lam in every if len(lam) <= m}
 
 
 @settings(max_examples=200)

@@ -7,12 +7,20 @@ literal that is a dotted identifier (the tracer names the functions it
 rebinds by strings such as "QPoly.shift").  Comments and docstrings do not
 count, and neither do the tests: code that only tests call belongs in
 tests/.
+
+The benchmark's tracer (bench/tracer.py) rebinds named functions and
+methods of every layer; installing it here makes a rename or deletion of
+one of them fail the tests, not only a traced benchmark run.
 """
 
 import ast
+import io
 import re
 import tokenize
+import types
 from pathlib import Path
+
+from utrestrict import cli, restrict, setpart
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "utrestrict"
@@ -84,3 +92,34 @@ def test_guard_sees_its_inputs():
     names = {name for path in SRC.glob("*.py")
              for name in definitions(ast.parse(path.read_text()))}
     assert {"module_trace", "QPoly.shift", "enumerate_partitions"} <= names
+
+
+def load_tracer():
+    """bench/tracer.py as a fresh module, compiled from its source so that
+    no bytecode cache is written under bench/."""
+    path = BENCH / "tracer.py"
+    module = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = load_tracer().Tracer()
+    originals = (setpart.enumerate_partitions, restrict.enumerate_partitions,
+                 restrict.CoreModule.__dict__["decomposition"])
+    try:
+        tracer.install()
+        # enumeration is traced as a generator: each yield is counted
+        assert restrict.enumerate_partitions is not originals[1]
+        cli.run(["decompose", "core", "--n", "4", "--k", "2"],
+                out=io.StringIO())
+        metrics = tracer.layer_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert (setpart.enumerate_partitions, restrict.enumerate_partitions,
+            restrict.CoreModule.__dict__["decomposition"]) == originals
+    # the partitions of [4] with at most 2 arcs: 1 + 6 + 7
+    assert metrics["setpart.partitions"] == 14
+    assert metrics["restrict.engine_calls"] == 1
+    assert metrics["nestposet.block_poset_calls"] == 14
+    assert metrics["setpart.uncross_calls"] == 0
