@@ -101,6 +101,8 @@ def _parse_ms(text):
 
 
 def _ground(args):
+    if args.labels is not None and args.n is not None:
+        raise UsageError("give --n or --labels, not both")
     if args.labels:
         labels = _parse_labels(args.labels)
         if labels != sorted(labels):
@@ -190,8 +192,8 @@ def _build_decomposition(args):
             raise UsageError("--cols must lie inside the ground set")
         return psiK(g, K).decomposition()
     if fam == "core":
-        if args.k is None:
-            raise UsageError("core needs --k")
+        if args.k is None or args.k < 0:
+            raise UsageError("core needs --k >= 0")
         return core(_ground(args), args.k).decomposition()
     if fam == "peel":
         if args.split is None:
@@ -251,6 +253,9 @@ def _run_qbinom(args, out):
         raise UsageError("qbinom wants exactly one of "
                          "--chain, --antichain, --partition")
     shape = shapes[0]
+    if shape != "partition" and (args.n is not None
+                                 or args.labels is not None):
+        raise UsageError(f"qbinom --{shape} does not read --n or --labels")
     if shape == "chain":
         n = args.chain
         if n < 0:

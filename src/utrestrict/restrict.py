@@ -15,7 +15,7 @@ from .qcalc import (
 )
 from .setpart import (
     GroundSet, SetPartition, ArcMultiset, DistinctEndpointViolation,
-    enumerate_partitions, nst, nst_points, wt_up, arcs_of, region_select,
+    enumerate_partitions, nst, nst_points, wt_up, arcs_of, region_counts,
 )
 from .nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -81,6 +81,14 @@ def _shift_signed(poly, e):
     return QPoly(poly.coeffs[-e:])
 
 
+def _superchars(ground, coeff, max_arcs=None):
+    """The supercharacter decomposition whose coefficient at each partition
+    lam of `ground` with at most max_arcs arcs is coeff(lam); every other
+    coefficient is zero."""
+    return Decomposition("supercharacter", {
+        lam: coeff(lam) for lam in enumerate_partitions(ground, max_arcs)})
+
+
 def _subsets(pool, size=None):
     pool = sorted(pool)
     if size is not None:
@@ -115,13 +123,14 @@ class PsiKModule:
         return QPoly.q_pow(wt_up(self.K, pool))
 
     def decomposition(self):
-        coeffs = {}
-        for lam in enumerate_partitions(self.ground):
-            if lam.left_endpoints() <= self.K:
-                extra = sorted(self.K - lam.left_endpoints())
-                e = nst(lam, lam) + nst_points(lam, extra)
-                coeffs[lam] = QPoly.q_pow(e)
-        return Decomposition("supercharacter", coeffs)
+        def coeff(lam):
+            L = lam.left_endpoints()
+            if not L <= self.K:
+                return ZERO
+            return QPoly.q_pow(nst(lam, lam) + nst_points(lam, self.K - L))
+
+        # L(lam) inside K allows at most |K| arcs
+        return _superchars(self.ground, coeff, len(self.K))
 
 
 def psiK(ground, K):
@@ -157,15 +166,14 @@ class CoreModule:
         return qbinom(n - len(mu), self.k).shift(comb(self.k, 2))
 
     def decomposition(self):
-        coeffs = {}
-        if self.k < 0 or self.k > len(self.ground):
-            return Decomposition("supercharacter", coeffs)
-        for lam in enumerate_partitions(self.ground, self.k):
-            P = block_poset(lam)
-            c = poset_binom(P, self.k - len(lam))
-            if not c.is_zero():
-                coeffs[lam] = c.shift(nst(lam, lam))
-        return Decomposition("supercharacter", coeffs)
+        def coeff(lam):
+            return poset_binom(block_poset(lam), self.k - len(lam)) \
+                .shift(nst(lam, lam))
+
+        if self.k > len(self.ground):
+            # the module is zero; a scan would only find zero coefficients
+            return Decomposition("supercharacter", {})
+        return _superchars(self.ground, coeff, self.k)
 
 
 def core(ground, k):
@@ -199,16 +207,14 @@ def rainbow(ground, m, target):
                 (Q_MINUS_1 ** m) * qphi(m, k)
         return Decomposition("core", coeffs)
     if target == "superchars":
-        coeffs = {}
-        for lam in enumerate_partitions(ground, m):
+        def coeff(lam):
             P = block_poset(lam)
             total = ZERO
             for k in range(len(lam), m + 1):
                 total = total + qphi(m, k) * poset_binom(P, k - len(lam))
-            if total.is_zero():
-                continue
-            coeffs[lam] = ((Q_MINUS_1 ** m) * total).shift(nst(lam, lam))
-        return Decomposition("supercharacter", coeffs)
+            return ((Q_MINUS_1 ** m) * total).shift(nst(lam, lam))
+
+        return _superchars(ground, coeff, m)
     raise ValueError(f"unknown rainbow target {target!r}")
 
 
@@ -279,13 +285,12 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         XL = nu.left_endpoints() & K
         npr = sum(1 for i, j in nu.arcs
                   if all(i < x < j for x in K))
-        subK = ground.subset(K)
-        coeffs = {}
-        for lam in enumerate_partitions(subK, ell):
+
+        def coeff(lam):
             try:
                 union = SetPartition(ground, set(nu.arcs) | lam.arcs)
             except DistinctEndpointViolation:
-                continue
+                return ZERO
             P = block_poset(union)
             blR = blocks_with_max_in(P, K)
             base = nst(union, lam)
@@ -297,10 +302,9 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                 term = qphi(ell, l) * mult
                 total = total + _shift_signed(
                     term, base + (ell - l) * len(XL) - l * npr)
-            if total.is_zero():
-                continue
-            coeffs[lam] = (Q_MINUS_1 ** ell) * total
-        return Decomposition("supercharacter", coeffs)
+            return (Q_MINUS_1 ** ell) * total
+
+        return _superchars(ground.subset(K), coeff, ell)
 
     raise ValueError(f"unknown interference mode {mode!r}")
 
@@ -318,18 +322,16 @@ def peel(split, b, f):
     a, c = len(split.n_lt), len(split.n_gt)
     if not (0 <= b <= min(a, c) and b <= f <= a + c):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
-    coeffs = {}
-    for nu in enumerate_partitions(split.inner, f):
-        if len(region_select(nu, split, "<", ">")) != b:
-            continue
-        if len(region_select(nu, split, "=", "=")) != 0:
-            continue
+
+    def coeff(nu):
+        counts = region_counts(nu, split)
+        if counts["<>"] != b or counts["=="]:
+            return ZERO
         P = block_poset(nu)
-        c_poly = poset_multinom(P, [(f - len(nu), _peel_pool(P, split))])
-        if c_poly.is_zero():
-            continue
-        coeffs[nu] = c_poly.shift(nst(nu, nu))
-    return Decomposition("supercharacter", coeffs)
+        return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]) \
+            .shift(nst(nu, nu))
+
+    return _superchars(split.inner, coeff, f)
 
 
 def _anchor_prefactor(split, m):
@@ -360,45 +362,33 @@ def double_rainbow(split, m, ell, target):
                     .shift(pre + (m - f) * b)
         return Decomposition("peel", coeffs)
 
+    def coeff(gam):
+        counts = region_counts(gam, split)
+        g_eq = counts["=="]
+        g_neq = len(gam) - g_eq
+        le_gt = counts["<>"] + counts["=>"]
+        P = block_poset(gam)
+        pool1 = _peel_pool(P, split)
+        pool2 = blocks_with_max_in(P, set(split.n_eq))
+        base = nst(gam, gam) + ell * counts["=>"]
+        total = ZERO
+        for f in range(g_neq, m + 1):
+            for l in range(g_eq, m - f + ell + 1):
+                mult = poset_multinom(
+                    P, [(f - g_neq, pool1), (l - g_eq, pool2)])
+                if mult.is_zero():
+                    continue
+                term = qphi(m, f) * qphi(m - f + ell, l) * mult
+                total = total + _shift_signed(term, base + (m - f - l) * le_gt)
+        return ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)
+
     if target == "superchars":
-        coeffs = {}
-        # more than m + ell arcs leave the f and l ranges below empty
-        for gam in enumerate_partitions(split.inner, m + ell):
-            g_eq = len(region_select(gam, split, "=", "="))
-            g_neq = len(gam) - g_eq
-            le_gt = len(region_select(gam, split, "<=", ">"))
-            eq_gt = len(region_select(gam, split, "=", ">"))
-            P = block_poset(gam)
-            pool1 = _peel_pool(P, split)
-            pool2 = blocks_with_max_in(P, set(split.n_eq))
-            base = nst(gam, gam)
-            total = ZERO
-            for f in range(g_neq, m + 1):
-                for l in range(g_eq, m - f + ell + 1):
-                    mult = poset_multinom(
-                        P, [(f - g_neq, pool1), (l - g_eq, pool2)])
-                    if mult.is_zero():
-                        continue
-                    term = qphi(m, f) * qphi(m - f + ell, l) * mult
-                    total = total + _shift_signed(
-                        term, base + (m - f - l) * le_gt + ell * eq_gt)
-            if total.is_zero():
-                continue
-            coeffs[gam] = ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)
-        return Decomposition("supercharacter", coeffs)
+        # more than m + ell arcs leave the f and l ranges of coeff empty
+        return _superchars(split.inner, coeff, m + ell)
 
     if target == "trivial_coeff":
-        n_eq = len(split.n_eq)
-        rest = len(split.inner) - n_eq
-        total = ZERO
-        for f in range(m + 1):
-            for l in range(m - f + ell + 1):
-                total = total + (qphi(m, f) * qphi(m - f + ell, l)) \
-                    * QPoly.const(comb(rest, f) * comb(n_eq, l))
         empty = SetPartition(split.inner, ())
-        return Decomposition(
-            "supercharacter",
-            {empty: ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)})
+        return Decomposition("supercharacter", {empty: coeff(empty)})
 
     raise ValueError(f"unknown double_rainbow target {target!r}")
 
@@ -520,34 +510,30 @@ class UtAlgebra:
         return Decomposition("rowK", coeffs)
 
     def superchar_decomposition(self):
-        n = len(self.ground)
-        labels = sorted(self.ground)
-        if n == 1:
-            empty = SetPartition(self.ground, ())
-            return Decomposition("supercharacter", {empty: ONE})
-        top = labels[-1]
-        coeffs = {}
-        for lam in enumerate_partitions(self.ground):
+        """The coefficient of lam sums, over the row sets A that contain
+        R(lam) and miss the top point, the product over x in A of
+        (q^w(x) - 1) q^(arcs of lam over x, for x outside R(lam)), where w(x)
+        counts the points right of x outside A.  One right-to-left pass:
+        by[w] sums the choices so far that leave w points outside A."""
+        *rest, top = self.ground
+
+        def coeff(lam):
             R = lam.right_endpoints()
             if top in R:
-                continue
-            inner = ZERO
-            for extra in _subsets(set(labels) - R - {top}):
-                A = R | extra
-                rest = [x for x in labels if x not in A]
-                poly = ONE
-                for x in A:
-                    w = sum(1 for c in rest if c > x)
-                    poly = poly * (QPoly.q_pow(w) - 1)
-                    if poly.is_zero():
-                        break
-                if poly.is_zero():
-                    continue
-                inner = inner + poly.shift(nst_points(lam, sorted(extra)))
-            if inner.is_zero():
-                continue
-            coeffs[lam] = inner.shift(nst(lam, lam))
-        return Decomposition("supercharacter", coeffs)
+                return ZERO
+            by = {1: ONE}
+            for x in reversed(rest):
+                step = {}
+                lift = 0 if x in R else nst_points(lam, (x,))
+                for w, poly in by.items():
+                    joined = (poly.shift(w) - poly).shift(lift)
+                    step[w] = step.get(w, ZERO) + joined
+                    if x not in R:
+                        step[w + 1] = step.get(w + 1, ZERO) + poly
+                by = step
+            return sum(by.values(), ZERO).shift(nst(lam, lam))
+
+        return _superchars(self.ground, coeff)
 
 
 def ut_algebra(ground):

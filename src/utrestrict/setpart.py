@@ -8,6 +8,8 @@ together with the region geometry used by the double-rainbow and onion
 engines.
 """
 
+from collections import Counter
+
 
 class DistinctEndpointViolation(ValueError):
     pass
@@ -218,7 +220,7 @@ class RegionSplit:
     """
 
     __slots__ = ("ambient", "inner", "n_mm", "n_m", "n_p", "n_pp",
-                 "n_lt", "n_eq", "n_gt")
+                 "n_lt", "n_eq", "n_gt", "region")
 
     def __init__(self, ambient, n_mm, n_m, n_p, n_pp):
         assert n_mm <= n_m <= n_p <= n_pp and n_mm < n_pp
@@ -234,6 +236,9 @@ class RegionSplit:
         self.n_lt = GroundSet(x for x in inner if x < n_m)
         self.n_eq = GroundSet(x for x in inner if n_m < x < n_p)
         self.n_gt = GroundSet(x for x in inner if x > n_p)
+        # the region tag of each point of N
+        self.region = {x: "<" if x < n_m else "=" if x < n_p else ">"
+                       for x in inner}
         # the anchor collapses are forced by the region emptiness
         assert len(self.n_lt) > 0 or n_m == n_mm
         assert len(self.n_gt) > 0 or n_p == n_pp
@@ -278,28 +283,11 @@ class RegionSplit:
         return ArcMultiset(self.ambient, arcs)
 
 
-def region_select(lam, split, alpha, beta):
-    """_alpha lam _beta: arcs with left endpoint in N_alpha, right in N_beta.
-
-    alpha/beta are region tags "<", "=", ">", or "<=" / "=>" style unions
-    written as strings of tags, e.g. "<=" means N_< union {n_-} union N_=.
-    """
-
-    def members(tag):
-        out = set()
-        if "<" in tag:
-            out |= set(split.n_lt)
-        if "=" in tag:
-            out |= set(split.n_eq)
-        if ">" in tag:
-            out |= set(split.n_gt)
-        return out
-
-    A, B = members(alpha), members(beta)
-    arcs = [a for a in arcs_of(lam) if a[0] in A and a[1] in B]
-    if isinstance(lam, SetPartition):
-        return SetPartition(lam.ground, arcs)
-    return ArcMultiset(lam.ground, arcs)
+def region_counts(lam, split):
+    """Arcs of lam by region: a Counter keyed by the tags of the two
+    endpoints, e.g. "<>" counts the arcs from N_< to N_>."""
+    region = split.region
+    return Counter(region[i] + region[j] for i, j in lam.arcs)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -314,8 +302,19 @@ def from_blocks(ground, blocks):
     return SetPartition(ground, arcs)
 
 
-# the largest ground set that enumerate_partitions sweeps (Bell(10) = 115975)
-MAX_GROUND = 10
+# the most partitions that one enumerate_partitions call may yield: Bell(10),
+# so every partition of a ground of up to 10 points
+MAX_PARTITIONS = 115975
+
+
+def _count_partitions(n, max_arcs):
+    """Partitions of n points with at most max_arcs arcs, that is with at
+    least n - max_arcs blocks: a sum of Stirling numbers of the second kind."""
+    row = [1]       # row[j] = S(i, j), the partitions of i points into j blocks
+    for i in range(1, n + 1):
+        row = [(j * row[j] if j < i else 0) + (row[j - 1] if j else 0)
+               for j in range(i + 1)]
+    return sum(row[max(n - max_arcs, 0):])
 
 
 def enumerate_partitions(ground, max_arcs=None):
@@ -328,8 +327,11 @@ def enumerate_partitions(ground, max_arcs=None):
     """
     labels = tuple(ground)
     n = len(labels)
-    if n > MAX_GROUND:
-        raise EnumerationBoundExceeded(f"|ground| = {n} > bound {MAX_GROUND}")
+    spare = n if max_arcs is None else max_arcs
+    count = _count_partitions(n, spare)
+    if count > MAX_PARTITIONS:
+        raise EnumerationBoundExceeded(
+            f"{count} partitions of {n} points > bound {MAX_PARTITIONS}")
     arcs = []
     opened = []     # left endpoints of the open arcs
 
@@ -351,7 +353,6 @@ def enumerate_partitions(ground, max_arcs=None):
             if c >= 0:
                 opened.insert(c, arcs.pop()[0])
 
-    spare = n if max_arcs is None else max_arcs
     if spare >= 0:
         yield from scan(0, spare)
 

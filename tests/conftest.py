@@ -2,12 +2,14 @@ import itertools
 import os
 import subprocess
 import sys
+from math import comb
 from types import SimpleNamespace
 
 import pytest
 
 import utrestrict
 from utrestrict.oracle import mat_inverse_unipotent, mat_mul
+from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qphi
 from utrestrict.scfcore import (
     SuperclassFunction, decompose_at_prime, superchar_value,
 )
@@ -95,6 +97,23 @@ def numeric_decompose(values, p, ground):
     """Solve sum_nu c_nu chi^nu(u_mu)|q=p = values[mu] exactly over Q;
     values maps each partition of `ground` to an int."""
     return decompose_at_prime(SuperclassFunction(ground, values), p)
+
+
+def dr_trivial_reference(split, m, ell):
+    """The double rainbow's coefficient at the trivial supercharacter, from
+    its explicit sum: (q-1)^(m+ell) q^pre times the sum over f, l of
+    phi^m_f phi^(m-f+ell)_l C(|N| - |N_=|, f) C(|N_=|, l).  The prefactor
+    pre is m per nonempty side region: each one puts an inner anchor
+    strictly inside the outer pair."""
+    n_eq = len(split.n_eq)
+    rest = len(split.inner) - n_eq
+    total = ZERO
+    for f in range(m + 1):
+        for l in range(m - f + ell + 1):
+            total = total + qphi(m, f) * qphi(m - f + ell, l) \
+                * QPoly.const(comb(rest, f) * comb(n_eq, l))
+    pre = m * ((len(split.n_lt) > 0) + (len(split.n_gt) > 0))
+    return ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)
 
 
 def check_nonnegative_at(dec, qs=(2, 3)):

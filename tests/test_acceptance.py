@@ -34,7 +34,7 @@ from utrestrict.restrict import (
     ut_algebra,
 )
 
-from conftest import numeric_decompose
+from conftest import dr_trivial_reference, numeric_decompose
 
 
 # --- criterion 1: superclass census ------------------------------------------
@@ -178,9 +178,12 @@ class TestDoubleRainbowAcceptance:
         empty = SetPartition(split.inner, ())
         for m in range(3):
             for ell in range(3):
+                # the explicit sum witnesses both targets
+                want = dr_trivial_reference(split, m, ell)
                 dec = double_rainbow(split, m, ell, "superchars")
-                want = double_rainbow(split, m, ell, "trivial_coeff")
-                assert dec[empty] == want[empty], (abc, m, ell)
+                triv = double_rainbow(split, m, ell, "trivial_coeff")
+                assert dec[empty] == want, (abc, m, ell)
+                assert triv[empty] == want, (abc, m, ell)
 
 
 class TestOnionAcceptance:

@@ -1,12 +1,14 @@
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from utrestrict.qcalc import QPoly, ZERO, qbinom
+from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import GroundSet, SetPartition, enumerate_partitions
 from utrestrict.scfcore import superchar_value
-from utrestrict.restrict import PsiKModule, UtAlgebra
+from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
 from utrestrict import cli
 from utrestrict.cli import main, run, UsageError
 
@@ -25,7 +27,9 @@ def capture(argv):
 
 # (argv, exit code): engine errors and out-of-range inputs
 BAD_INPUTS = [
-    (["decompose", "core", "--n", "12", "--k", "2"], 3),
+    # 183,074 partitions of [12] have at most 4 arcs, over the budget
+    (["decompose", "core", "--n", "12", "--k", "4"], 3),
+    (["decompose", "core", "--n", "3", "--k", "-1"], 1),
     (["decompose", "peel", "--split", "1,1,1", "--b", "5", "--f", "1"], 1),
     (["decompose", "double-rainbow", "--split", "1,1,1", "--m", "-1",
       "--ell", "1"], 1),
@@ -33,6 +37,7 @@ BAD_INPUTS = [
       "--ell", "-1"], 1),
     (["decompose", "rainbow", "--labels", "0,1", "--m", "1"], 1),
     (["decompose", "rainbow", "--labels", "3,1", "--m", "1"], 1),
+    (["decompose", "rainbow", "--n", "5", "--labels", "2,3", "--m", "1"], 1),
     (["decompose", "onion", "--n", "3", "--anchors", "0,5",
       "--m-list", "0"], 1),
     (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5",
@@ -51,6 +56,8 @@ BAD_INPUTS = [
       "--out", "/nonexistent/dir/x.json"], 1),
     # flags that no command reads are rejected, not ignored
     (["qbinom", "--chain", "3", "--k", "1", "--q", "2"], 1),
+    (["qbinom", "--chain", "3", "--k", "1", "--n", "5"], 1),
+    (["qbinom", "--antichain", "3", "--k", "1", "--labels", "1,2"], 1),
     (["show", "1-2", "--n", "2", "--format", "json"], 1),
     (["verify", "identities", "--m", "3"], 1),
     # family parameters that the family does not read
@@ -91,6 +98,21 @@ class TestExitCodes:
 
     def test_budget_exit(self):
         assert main(["verify", "orbits", "--budget", "5"]) == 3
+
+    def test_budget_counts_partitions_not_points(self):
+        # 1,772 partitions of [12] have at most 2 arcs: inside the budget
+        code, out = capture(["decompose", "rainbow", "--n", "12", "--m", "2"])
+        assert code == 0
+        assert out.startswith("basis: supercharacter\n")
+        # the expansion at the identity is the rainbow's degree,
+        # (q-1)^2 q^(2*12): two arcs over two anchors around the ground
+        g = GroundSet.range(12)
+        dec = rainbow(g, 2, "superchars")
+        assert len(out.splitlines()) == 1 + len(dec.coeffs)
+        one = SetPartition(g, ())
+        degree = sum((c * superchar_value(lam, one, g)
+                      for lam, c in dec.coeffs.items()), ZERO)
+        assert degree == (Q_MINUS_1 ** 2).shift(24)
 
     def test_verify_failure_exit(self, monkeypatch):
         # sabotage the closed form so the oracle comparison must disagree
@@ -259,3 +281,41 @@ class TestVerify:
         code, out = capture(["verify", "solver", "--n", "3", "--q", "3"])
         assert code == 2
         assert f"FAIL  solver {family} n=" in out
+
+
+# --- recorded benchmark digests ------------------------------------------------
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def _ground_size(key):
+    """Points of the ground of a digest key such as 'peel --split 1,2,1 ...'."""
+    words = key.split()
+    opts = dict(zip(words[1::2], words[2::2]))
+    if "--split" in opts:
+        return sum(int(x) for x in opts["--split"].split(","))
+    if "--labels" in opts:
+        return len(opts["--labels"].split(","))
+    return int(opts["--n"])
+
+
+class TestRecordedDigests:
+    def test_outputs_match_recorded_digests(self):
+        # bench/digests.json pins the JSON output of every base query in a
+        # basis with no independent check (core, peel, onion, trivial_coeff
+        # and the row-set modules).  Recompute the keys on at most 4 points
+        # and the engines-size ones (more than the sweep's 6 points).
+        recorded = json.loads(DIGESTS.read_text())
+        keys = [key for key in recorded if not 4 < _ground_size(key) <= 6]
+        assert len(keys) == 808
+        differ = []
+        for key in keys:
+            code, out = capture(["decompose", *key.split(), "--format",
+                                 "json"])
+            obj = json.loads(out)
+            rows = [[t["label"], t["coeff"]] for t in obj["terms"]]
+            blob = json.dumps([obj["basis"], rows], separators=(",", ":"))
+            if code or hashlib.sha256(blob.encode()).hexdigest()[:16] \
+                    != recorded[key]:
+                differ.append(key)
+        assert differ == []

@@ -9,7 +9,7 @@ from utrestrict.qcalc import (
 )
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
-    nst, nst_points, wt_up, parse_partition, RegionSplit, region_select,
+    nst, nst_points, wt_up, parse_partition, RegionSplit,
 )
 from utrestrict.nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -24,7 +24,7 @@ from utrestrict.restrict import (
     OnionLayer, onion, ut_algebra,
 )
 
-from conftest import check_nonnegative_at
+from conftest import check_nonnegative_at, dr_trivial_reference
 
 
 # the q at which multiplicities must be nonnegative
@@ -657,15 +657,17 @@ class TestDoubleRainbow:
                         (abc, m, ell, mu)
 
     def test_trivial_coefficient(self):
+        # both targets against the explicit sum, not against each other
         for abc in DR_GEOMETRIES:
             split = RegionSplit.from_sizes(*abc)
             empty = SetPartition(split.inner, ())
             for m in range(3):
                 for ell in range(3):
+                    want = dr_trivial_reference(split, m, ell)
                     full = double_rainbow(split, m, ell, "superchars")
                     triv = double_rainbow(split, m, ell, "trivial_coeff")
-                    assert full.coeffs.get(empty, ZERO) == \
-                        triv.coeffs.get(empty, ZERO), (abc, m, ell)
+                    assert full[empty] == want, (abc, m, ell)
+                    assert triv[empty] == want, (abc, m, ell)
 
     def test_trivial_coefficient_generic_prefactor(self):
         # with nonempty side regions the prefactor exponent is exactly 2m
@@ -681,6 +683,7 @@ class TestDoubleRainbow:
                     * QPoly.const(comb(rest, f) * comb(n_eq, l))
         want = ((Q_MINUS_1 ** (m + ell)) * total).shift(2 * m)
         assert triv.coeffs[empty] == want
+        assert dr_trivial_reference(split, m, ell) == want
 
     def test_rainbow_reduction(self):
         # no side regions: the double rainbow is a plain rainbow of m + ell

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
-    parse_partition, nst, nst_points, wt_up, region_select,
+    parse_partition, nst, nst_points, wt_up, region_counts,
     enumerate_partitions, from_blocks, bell,
 )
 
@@ -167,16 +167,16 @@ class TestRegions:
 
     def test_region_select(self):
         s = self.split()
-        g = s.ambient
-        gam = parse_partition("2-7 4-5", g)
-        assert region_select(gam, s, "<", ">").arcs == {(2, 7)}
-        assert region_select(gam, s, "=", "=").arcs == {(4, 5)}
-        assert region_select(gam, s, "<=", "=>").arcs == {(2, 7), (4, 5)}
+        gam = parse_partition("2-7 4-5", s.ambient)
+        # one arc from N_< to N_>, one inside N_=, none elsewhere
+        assert region_counts(gam, s) == {"<>": 1, "==": 1}
 
     def test_gamma_eq_empty(self):
         s = self.split()
         gam = parse_partition("2-7", s.ambient)
-        assert region_select(gam, s, "=", "=").arcs == frozenset()
+        counts = region_counts(gam, s)
+        assert counts["=="] == 0
+        assert counts == {"<>": 1}
 
     def test_from_sizes(self):
         s = RegionSplit.from_sizes(1, 2, 1)
@@ -198,8 +198,14 @@ class TestEnumeration:
             == [frozenset()]
 
     def test_bound(self):
+        # the budget counts partitions, not points: Bell(11) is over it,
+        # the 1,772 partitions of [12] with at most 2 arcs are not
         with pytest.raises(EnumerationBoundExceeded):
             list(enumerate_partitions(GroundSet.range(11)))
+        assert sum(1 for _ in enumerate_partitions(GroundSet.range(12), 2)) \
+            == 1772
+        with pytest.raises(EnumerationBoundExceeded):
+            next(enumerate_partitions(GroundSet.range(12), 4))
 
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
