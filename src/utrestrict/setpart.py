@@ -302,19 +302,23 @@ def from_blocks(ground, blocks):
     return SetPartition(ground, arcs)
 
 
-# the most partitions that one enumerate_partitions call may yield: Bell(10),
-# so every partition of a ground of up to 10 points
-MAX_PARTITIONS = 115975
+# a scan may yield at most Bell(10) partitions, all those of 10 points, and
+# run over at most 128 points: it nests one generator per point, and the 8,129
+# partitions of 128 points with at most one arc take less time to decompose
+# than the full scan of 10 points
+MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
 def _count_partitions(n, max_arcs):
-    """Partitions of n points with at most max_arcs arcs, that is with at
-    least n - max_arcs blocks: a sum of Stirling numbers of the second kind."""
-    row = [1]       # row[j] = S(i, j), the partitions of i points into j blocks
+    """Partitions of n points with at most max_arcs arcs, the sum of the
+    Stirling numbers S(n, n - k) over k <= max_arcs, or None above budget."""
+    diag = [1] + [0] * min(max_arcs, n)     # diag[k] = S(i, i - k)
     for i in range(1, n + 1):
-        row = [(j * row[j] if j < i else 0) + (row[j - 1] if j else 0)
-               for j in range(i + 1)]
-    return sum(row[max(n - max_arcs, 0):])
+        for k in range(len(diag) - 1, 0, -1):
+            diag[k] += (i - k) * diag[k - 1]
+        if sum(diag) > MAX_PARTITIONS:
+            return None     # the sum only grows with i
+    return sum(diag)
 
 
 def enumerate_partitions(ground, max_arcs=None):
@@ -328,10 +332,12 @@ def enumerate_partitions(ground, max_arcs=None):
     labels = tuple(ground)
     n = len(labels)
     spare = n if max_arcs is None else max_arcs
-    count = _count_partitions(n, spare)
-    if count > MAX_PARTITIONS:
+    if n > MAX_POINTS:
+        raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
+    if _count_partitions(n, spare) is None:
         raise EnumerationBoundExceeded(
-            f"{count} partitions of {n} points > bound {MAX_PARTITIONS}")
+            f"more than {MAX_PARTITIONS} partitions of {n} points have at "
+            f"most {spare} arcs")
     arcs = []
     opened = []     # left endpoints of the open arcs
 

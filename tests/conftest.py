@@ -99,12 +99,12 @@ def numeric_decompose(values, p, ground):
     return decompose_at_prime(SuperclassFunction(ground, values), p)
 
 
-def dr_trivial_reference(split, m, ell):
+def dr_trivial_reference(split, m, ell, pre=None):
     """The double rainbow's coefficient at the trivial supercharacter, from
     its explicit sum: (q-1)^(m+ell) q^pre times the sum over f, l of
     phi^m_f phi^(m-f+ell)_l C(|N| - |N_=|, f) C(|N_=|, l).  The prefactor
-    pre is m per nonempty side region: each one puts an inner anchor
-    strictly inside the outer pair."""
+    pre is m per nonempty side region unless given: each one puts an inner
+    anchor strictly inside the outer pair."""
     n_eq = len(split.n_eq)
     rest = len(split.inner) - n_eq
     total = ZERO
@@ -112,7 +112,8 @@ def dr_trivial_reference(split, m, ell):
         for l in range(m - f + ell + 1):
             total = total + qphi(m, f) * qphi(m - f + ell, l) \
                 * QPoly.const(comb(rest, f) * comb(n_eq, l))
-    pre = m * ((len(split.n_lt) > 0) + (len(split.n_gt) > 0))
+    if pre is None:
+        pre = m * ((len(split.n_lt) > 0) + (len(split.n_gt) > 0))
     return ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)
 
 

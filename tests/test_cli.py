@@ -29,6 +29,10 @@ def capture(argv):
 BAD_INPUTS = [
     # 183,074 partitions of [12] have at most 4 arcs, over the budget
     (["decompose", "core", "--n", "12", "--k", "4"], 3),
+    # a ground over 128 points exits at once, whatever the arc cap
+    (["decompose", "rainbow", "--n", "100000", "--m", "5"], 3),
+    (["decompose", "rainbow", "--n", "100000", "--m", "0"], 3),
+    (["decompose", "psi", "--n", "129"], 3),
     (["decompose", "core", "--n", "3", "--k", "-1"], 1),
     (["decompose", "peel", "--split", "1,1,1", "--b", "5", "--f", "1"], 1),
     (["decompose", "double-rainbow", "--split", "1,1,1", "--m", "-1",
@@ -312,10 +316,13 @@ class TestRecordedDigests:
         for key in keys:
             code, out = capture(["decompose", *key.split(), "--format",
                                  "json"])
+            if code:
+                differ.append(key)
+                continue
             obj = json.loads(out)
             rows = [[t["label"], t["coeff"]] for t in obj["terms"]]
             blob = json.dumps([obj["basis"], rows], separators=(",", ":"))
-            if code or hashlib.sha256(blob.encode()).hexdigest()[:16] \
+            if hashlib.sha256(blob.encode()).hexdigest()[:16] \
                     != recorded[key]:
                 differ.append(key)
         assert differ == []

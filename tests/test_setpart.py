@@ -206,6 +206,14 @@ class TestEnumeration:
             == 1772
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(GroundSet.range(12), 4))
+        # the scan nests one generator per point: 128 points is the most,
+        # even for the one partition with no arc
+        assert [p.arcs for p in enumerate_partitions(GroundSet.range(128),
+                                                     0)] == [frozenset()]
+        assert sum(1 for _ in enumerate_partitions(GroundSet.range(128),
+                                                   1)) == 1 + 128 * 127 // 2
+        with pytest.raises(EnumerationBoundExceeded):
+            next(enumerate_partitions(GroundSet.range(129), 0))
 
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
