@@ -12,6 +12,8 @@ cross a block, so the blocks above b are those with an arc strictly over
 min(b), one arc each: wt(b) is the number of arcs open at min(b).
 """
 
+from functools import cache
+
 from .qcalc import QPoly, ZERO, ONE
 
 
@@ -48,8 +50,11 @@ def blocks_with_min_in(P, K):
     return frozenset(b for b in P if b[0] in K)
 
 
+@cache
 def _e_k(weights, k):
-    """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum)."""
+    """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum).
+    Symmetric in the weights, so callers pass them as a sorted tuple: the
+    engines meet few distinct weight vectors across many partitions."""
     if k < 0 or k > len(weights):
         return ZERO
     # rows[j]: coefficients of e_j over the weights seen so far
@@ -66,7 +71,7 @@ def _e_k(weights, k):
 
 def poset_binom(P, k):
     """[P choose k]_q = sum over k-subsets A of q^{wt(A)}."""
-    return _e_k([b[2] for b in P], k)
+    return _e_k(tuple(sorted(b[2] for b in P)), k)
 
 
 def poset_multinom(P, constraints):
@@ -77,7 +82,7 @@ def poset_multinom(P, constraints):
         "constraint pools must be disjoint"
     out = ONE
     for (k, _), pool in zip(constraints, pools):
-        factor = _e_k([b[2] for b in P if b in pool], k)
+        factor = _e_k(tuple(sorted(b[2] for b in P if b in pool)), k)
         if factor.is_zero():
             return ZERO
         out = out * factor

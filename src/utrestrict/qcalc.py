@@ -251,6 +251,7 @@ def qbinom(n, k):
     return qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
 
 
+@cache
 def qphi(n, k):
     """phi^n_k = prod_{j=0}^{k-1} (q^(n-j) - 1)."""
     assert 0 <= k <= n, "qphi requires k <= n"

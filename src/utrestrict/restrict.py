@@ -14,8 +14,8 @@ from .qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
 )
 from .setpart import (
-    GroundSet, SetPartition, ArcMultiset, DistinctEndpointViolation,
-    enumerate_partitions, nst, nst_points, wt_up, arcs_of, region_counts,
+    GroundSet, SetPartition, ArcMultiset, enumerate_partitions, nst,
+    nst_points, wt_up, arcs_of, region_counts,
 )
 from .nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -81,12 +81,14 @@ def _shift_signed(poly, e):
     return QPoly(poly.coeffs[-e:])
 
 
-def _superchars(ground, coeff, max_arcs=None):
+def _superchars(ground, coeff, max_arcs=None, lefts=None, rights=None):
     """The supercharacter decomposition whose coefficient at each partition
-    lam of `ground` with at most max_arcs arcs is coeff(lam); every other
+    lam of `ground` with at most max_arcs arcs, left endpoints in lefts and
+    right endpoints in rights (None: anywhere) is coeff(lam); every other
     coefficient is zero."""
     return Decomposition("supercharacter", {
-        lam: coeff(lam) for lam in enumerate_partitions(ground, max_arcs)})
+        lam: coeff(lam)
+        for lam in enumerate_partitions(ground, max_arcs, lefts, rights)})
 
 
 def _subsets(pool, size=None):
@@ -124,13 +126,12 @@ class PsiKModule:
 
     def decomposition(self):
         def coeff(lam):
-            L = lam.left_endpoints()
-            if not L <= self.K:
-                return ZERO
-            return QPoly.q_pow(nst(lam, lam) + nst_points(lam, self.K - L))
+            return QPoly.q_pow(nst(lam, lam)
+                               + nst_points(lam, self.K - lam.left_endpoints()))
 
-        # L(lam) inside K allows at most |K| arcs
-        return _superchars(self.ground, coeff, len(self.K))
+        # the coefficient vanishes unless L(lam) lies inside K, so lam has
+        # at most |K| arcs
+        return _superchars(self.ground, coeff, len(self.K), lefts=self.K)
 
 
 def psiK(ground, K):
@@ -207,12 +208,17 @@ def rainbow(ground, m, target):
                 (Q_MINUS_1 ** m) * qphi(m, k)
         return Decomposition("core", coeffs)
     if target == "superchars":
+        sums = {}   # the sum below depends on lam through wt and |lam| only
+
         def coeff(lam):
             P = block_poset(lam)
-            total = ZERO
-            for k in range(len(lam), m + 1):
-                total = total + qphi(m, k) * poset_binom(P, k - len(lam))
-            return ((Q_MINUS_1 ** m) * total).shift(nst(lam, lam))
+            key = (tuple(sorted(b[2] for b in P)), len(lam))
+            if key not in sums:
+                total = ZERO
+                for k in range(len(lam), m + 1):
+                    total = total + qphi(m, k) * poset_binom(P, k - len(lam))
+                sums[key] = (Q_MINUS_1 ** m) * total
+            return sums[key].shift(nst(lam, lam))
 
         return _superchars(ground, coeff, m)
     raise ValueError(f"unknown rainbow target {target!r}")
@@ -287,10 +293,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                   if all(i < x < j for x in K))
 
         def coeff(lam):
-            try:
-                union = SetPartition(ground, set(nu.arcs) | lam.arcs)
-            except DistinctEndpointViolation:
-                return ZERO
+            union = SetPartition(ground, nu.arcs | lam.arcs)
             P = block_poset(union)
             blR = blocks_with_max_in(P, K)
             base = nst(union, lam)
@@ -304,7 +307,10 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                     term, base + (ell - l) * len(XL) - l * npr)
             return (Q_MINUS_1 ** ell) * total
 
-        return _superchars(ground.subset(K), coeff, ell)
+        # lam shares no endpoint with nu, so their union is a partition
+        return _superchars(ground.subset(K), coeff, ell,
+                           lefts=K - nu.left_endpoints(),
+                           rights=K - nu.right_endpoints())
 
     raise ValueError(f"unknown interference mode {mode!r}")
 
@@ -515,12 +521,10 @@ class UtAlgebra:
         (q^w(x) - 1) q^(arcs of lam over x, for x outside R(lam)), where w(x)
         counts the points right of x outside A.  One right-to-left pass:
         by[w] sums the choices so far that leave w points outside A."""
-        *rest, top = self.ground
+        rest = self.ground.labels[:-1]
 
         def coeff(lam):
             R = lam.right_endpoints()
-            if top in R:
-                return ZERO
             by = {1: ONE}
             for x in reversed(rest):
                 step = {}
@@ -533,7 +537,9 @@ class UtAlgebra:
                 by = step
             return sum(by.values(), ZERO).shift(nst(lam, lam))
 
-        return _superchars(self.ground, coeff)
+        # A holds R(lam) and misses the top point: an arc of lam ending
+        # there makes the coefficient zero
+        return _superchars(self.ground, coeff, rights=frozenset(rest))
 
 
 def ut_algebra(ground):

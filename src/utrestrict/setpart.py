@@ -92,6 +92,15 @@ class SetPartition:
         self.ground = ground
         self.arcs = arcs
 
+    @classmethod
+    def _trusted(cls, ground, arcs):
+        """A partition from (i, j) int pairs already known to be inside
+        ground, with i < j and distinct endpoints: no checks."""
+        out = cls.__new__(cls)
+        out.ground = ground
+        out.arcs = frozenset(arcs)
+        return out
+
     def __len__(self):
         return len(self.arcs)
 
@@ -321,13 +330,16 @@ def _count_partitions(n, max_arcs):
     return sum(diag)
 
 
-def enumerate_partitions(ground, max_arcs=None):
+def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
-    None), each once.
+    None), each once; with `lefts` (`rights`) given, only those whose left
+    (right) endpoints all lie in it.
 
     A left-to-right scan of the arc diagram: each point may close one open
-    arc and may open one.  A branch stops when its arcs would exceed
-    max_arcs, or when more arcs are open than points are left to close them.
+    arc if it is in rights, and may open one if it is in lefts.  A branch
+    stops when its arcs would exceed max_arcs, or when more arcs are open
+    than points are left to close them.  The budget counts the partitions
+    with at most max_arcs arcs whatever the endpoint constraints.
     """
     labels = tuple(ground)
     n = len(labels)
@@ -338,21 +350,27 @@ def enumerate_partitions(ground, max_arcs=None):
         raise EnumerationBoundExceeded(
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
             f"most {spare} arcs")
+    opens = [lefts is None or x in lefts for x in labels]
+    closes = [rights is None or x in rights for x in labels]
+    # closers[i]: points after the i-th that may close an arc
+    closers = [0] * n
+    for i in range(n - 2, -1, -1):
+        closers[i] = closers[i + 1] + closes[i + 1]
     arcs = []
     opened = []     # left endpoints of the open arcs
 
     def scan(i, spare):
         # spare: arcs that may still be opened
         if i == n:
-            yield SetPartition(ground, arcs)
+            yield SetPartition._trusted(ground, arcs)
             return
-        x, rest = labels[i], n - i - 1
-        for c in range(-1, len(opened)):
+        x, rest = labels[i], closers[i]
+        for c in range(-1, len(opened) if closes[i] else 0):
             if c >= 0:
                 arcs.append((opened.pop(c), x))
             if len(opened) <= rest:
                 yield from scan(i + 1, spare)
-            if spare > 0 and len(opened) < rest:
+            if spare > 0 and opens[i] and len(opened) < rest:
                 opened.append(x)
                 yield from scan(i + 1, spare - 1)
                 opened.pop()

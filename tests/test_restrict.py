@@ -7,9 +7,10 @@ import pytest
 from utrestrict.qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qint,
 )
+from utrestrict import nestposet, restrict
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
-    nst, nst_points, wt_up, parse_partition, RegionSplit,
+    nst, nst_points, wt_up, parse_partition, RegionSplit, bell,
 )
 from utrestrict.nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -854,3 +855,40 @@ class TestNonnegativity:
         check_nonnegative_at(core(g, 2).decomposition(), QS)
         split = RegionSplit.from_sizes(2, 1, 1)
         check_nonnegative_at(peel(split, 1, 2), QS)
+
+
+class TestWorkCounts:
+    """Deterministic work of the engines: the partitions the scan yields,
+    the coefficients they keep, and the distinct poset binomials computed.
+    A regression in the scan's constraints or the e_k memo moves these
+    counts; wall time is not gated."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        count = [0]
+        scan = restrict.enumerate_partitions
+
+        def counted(*args, **kwargs):
+            for lam in scan(*args, **kwargs):
+                count[0] += 1
+                yield lam
+
+        monkeypatch.setattr(restrict, "enumerate_partitions", counted)
+        return count
+
+    def test_ut_algebra_scans_bell_n_minus_1(self, scanned):
+        # no arc may end at the top point: Bell(7) partitions of [8]
+        dec = ut_algebra(GroundSet.range(8)).superchar_decomposition()
+        assert scanned[0] == len(dec.coeffs) == bell(7) == 877
+
+    def test_psiK_scans_left_endpoints_in_K(self, scanned):
+        dec = psiK(GroundSet.range(9), {2, 3, 6, 8}).decomposition()
+        assert scanned[0] == len(dec.coeffs) == 250
+
+    def test_core_computes_each_binomial_once(self, scanned):
+        nestposet._e_k.cache_clear()
+        dec = core(GroundSet.range(10), 5).decomposition()
+        info = nestposet._e_k.cache_info()
+        # one e_k per partition of [10] with at most 5 arcs, 128 distinct
+        assert scanned[0] == len(dec.coeffs) == 72028
+        assert (info.misses, info.hits + info.misses) == (128, 72028)

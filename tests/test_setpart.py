@@ -246,6 +246,43 @@ class TestEnumeration:
                 assert len(got) == len(set(got))
                 assert set(got) == {lam for lam in every if len(lam) <= m}
 
+    def test_endpoint_constraints(self):
+        # the scan with lefts/rights yields exactly the partitions of the
+        # full scan whose left endpoints lie in lefts and right endpoints in
+        # rights (None: anywhere), under every arc cap, each once, and each
+        # equal to the validated partition on the same arcs; every pair of
+        # constraints on n <= 5 points and a gapped ground, a seeded sample
+        # of pairs on 6 points
+        rng = random.Random(6)
+        for g in [GroundSet.range(n) for n in range(7)] + \
+                [GroundSet((2, 3, 5, 8, 9))]:
+            every = list(enumerate_partitions(g))
+            sides = [None] + [frozenset(s) for r in range(len(g) + 1)
+                              for s in itertools.combinations(g, r)]
+            pairs = list(itertools.product(sides, repeat=2))
+            if len(g) == 6:
+                pairs = rng.sample(pairs, 300)
+            for lefts, rights in pairs:
+                kept = [lam for lam in every
+                        if (lefts is None or lam.left_endpoints() <= lefts)
+                        and (rights is None
+                             or lam.right_endpoints() <= rights)]
+                for m in [None, *range(-1, len(g) + 1)]:
+                    got = list(enumerate_partitions(g, m, lefts, rights))
+                    assert len(got) == len(set(got))
+                    assert set(got) == {lam for lam in kept
+                                        if m is None or len(lam) <= m}
+                    for lam in got:
+                        checked = SetPartition(g, lam.arcs)
+                        assert lam == checked
+                        assert hash(lam) == hash(checked)
+
+    def test_endpoint_constraints_keep_the_budget(self):
+        # the budget counts the unconstrained scan: Bell(11) is over it even
+        # when no point may close an arc
+        with pytest.raises(EnumerationBoundExceeded):
+            next(enumerate_partitions(GroundSet.range(11), None, None, ()))
+
 
 @settings(max_examples=200)
 @given(st.integers(2, 9), st.data())
