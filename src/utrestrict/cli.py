@@ -14,11 +14,12 @@ from math import comb
 
 from .qcalc import QPoly, ZERO, qbinom, qphi
 from .setpart import (
-    GroundSet, RegionSplit, EnumerationBoundExceeded, parse_partition, bell,
+    GroundSet, RegionSplit, EnumerationBoundExceeded, parse_partition,
 )
 from .nestposet import block_poset, poset_binom
 from .oracle import (
-    BudgetExceeded, superclass_orbits, module_trace, u_mu_matrix,
+    BudgetExceeded, DEFAULT_BUDGET, OracleInvariantError, superclass_orbits,
+    module_trace, u_mu_matrix,
 )
 from .scfcore import supercharacter_table
 from .restrict import (
@@ -47,11 +48,26 @@ class _Parser(argparse.ArgumentParser):
 
 # --- shared flag parsing -----------------------------------------------------
 
-def _parse_labels(text):
+def _ints(words, what):
+    """The integers in `words`; a word that is not one is a usage error."""
     try:
-        labels = [int(x) for x in text.replace(",", " ").split()]
+        return [int(x) for x in words]
     except ValueError:
-        raise UsageError(f"bad label list {text!r}")
+        raise UsageError(f"bad {what}") from None
+
+
+def _reject_unread(args, what, reads):
+    """A flag that `what` does not read is a usage error, not ignored."""
+    unread = [f"--{dest.replace('_', '-')}"
+              for dest, value in sorted(vars(args).items())
+              if value is not None and dest not in reads
+              and dest not in ("command", "family", "suite")]
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
+
+
+def _parse_labels(text):
+    labels = _ints(text.replace(",", " ").split(), f"label list {text!r}")
     if not labels or len(set(labels)) != len(labels):
         raise UsageError(f"labels must be distinct and nonempty: {text!r}")
     if min(labels) < 1:
@@ -63,10 +79,7 @@ def _parse_split(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--split wants three sizes a,b,c")
-    try:
-        a, b, c = (int(x) for x in parts)
-    except ValueError:
-        raise UsageError(f"bad --split {text!r}")
+    a, b, c = _ints(parts, f"--split {text!r}")
     if min(a, b, c) < 0 or a + b + c == 0:
         raise UsageError("--split sizes must be nonnegative, not all zero")
     return RegionSplit.from_sizes(a, b, c)
@@ -78,10 +91,7 @@ def _parse_anchor_pairs(text):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise UsageError("--anchors wants pairs 'lo,hi' joined by ';'")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise UsageError(f"bad anchor pair {chunk!r}")
+        lo, hi = _ints(parts, f"anchor pair {chunk!r}")
         if lo >= hi:
             raise UsageError(f"anchor pair {chunk!r} is not increasing")
         if lo < 1:
@@ -91,10 +101,7 @@ def _parse_anchor_pairs(text):
 
 
 def _parse_ms(text):
-    try:
-        ms = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad --m-list {text!r}")
+    ms = _ints(text.split(","), f"--m-list {text!r}")
     if min(ms) < 1:
         raise UsageError(f"--m-list entries must be positive: {text!r}")
     return ms
@@ -117,7 +124,7 @@ def _ground(args):
 
 # --- decompose ---------------------------------------------------------------
 
-# the parameters each family reads; passing any other one is a usage error
+# the parameters each family reads besides --format, --q and --out
 _FAMILY_FLAGS = {
     "rainbow": ("n", "labels", "m", "target"),
     "double-rainbow": ("split", "m", "ell", "target"),
@@ -131,12 +138,7 @@ _FAMILY_FLAGS = {
 
 def _build_decomposition(args):
     fam = args.family
-    unread = [f"--{flag.replace('_', '-')}"
-              for flag in sorted(set().union(*_FAMILY_FLAGS.values()))
-              if flag not in _FAMILY_FLAGS[fam]
-              and getattr(args, flag) is not None]
-    if unread:
-        raise UsageError(f"{fam} does not read {', '.join(unread)}")
+    _reject_unread(args, fam, ("format", "q", "out") + _FAMILY_FLAGS[fam])
     if fam == "rainbow":
         target = args.target or "superchars"
         if target not in ("superchars", "core"):
@@ -253,9 +255,9 @@ def _run_qbinom(args, out):
         raise UsageError("qbinom wants exactly one of "
                          "--chain, --antichain, --partition")
     shape = shapes[0]
-    if shape != "partition" and (args.n is not None
-                                 or args.labels is not None):
-        raise UsageError(f"qbinom --{shape} does not read --n or --labels")
+    _reject_unread(args, f"qbinom --{shape}",
+                   ("k", shape, "n", "labels") if shape == "partition"
+                   else ("k", shape))
     if shape == "chain":
         n = args.chain
         if n < 0:
@@ -316,74 +318,71 @@ def _run_show(args, out):
 
 # --- verify ------------------------------------------------------------------
 
-def _verify_orbits(bounds, budget, report):
-    grid = [(n, p) for p in (2, 3) for n in range(1, bounds[p] + 1)]
-    for n, p in grid:
-        table = superclass_orbits(n, p, budget=budget)
-        ok = len(table.orbits) == bell(n)
-        report(f"orbits n={n} p={p}", ok,
-               None if ok else (f"expected {bell(n)} orbits, "
-                                f"got {len(table.orbits)}"))
+def _verify_grid(suites, bounds, budget, report):
+    """The orbits, traces and solver suites in one walk over the grid.
 
+    Each orbit table is built once, and each oracle trace (psiK for every
+    column set K, then the algebra, at each u_mu) once.  The trace must
+    equal the closed-form value at q = p (traces) and the closed-form
+    coefficients at q = p rebuilt through the supercharacter table
+    (solver); the table is invertible at p, so a matching rebuild proves
+    the coefficients unique.  Each suite stops at its first failure.
+    """
+    live = [s for s in ("orbits", "traces", "solver") if s in suites]
 
-def _verify_traces(bounds, budget, report):
+    def fail(suite, name, detail):
+        report(f"{suite} {name}", detail)
+        live.remove(suite)
+
     for p in (2, 3):
         for n in range(1, bounds[p] + 1):
-            table = superclass_orbits(n, p, budget=budget)
+            if not live:
+                return
+            at = f"n={n} p={p}"
+            try:
+                table = superclass_orbits(n, p, budget=budget)
+            except OracleInvariantError as exc:
+                for suite in list(live):
+                    fail(suite, at, exc)
+                return
+            checks = [s for s in ("traces", "solver") if s in live]
+            if "orbits" in live:
+                report(f"orbits {at}")
+            if not checks:
+                continue
             g = GroundSet.range(n)
+            reps = [(mu, u_mu_matrix(mu, n)) for mu in table.reps]
+            if "solver" in checks:
+                parts, values = supercharacter_table(g, p)
+                rows = dict(zip(parts, values))
+            modules = []
             for r in range(n + 1):
-                for K in itertools.combinations(g, r):
-                    K = frozenset(K)
+                for K in map(frozenset, itertools.combinations(g, r)):
                     mod = psiK(g, K)
-                    for mu in table.reps:
-                        u = u_mu_matrix(mu, n)
-                        got = module_trace(("psiK", K), u, p, n)
-                        want = mod.value(mu)(p)
-                        if got != want:
-                            report(f"traces psiK n={n} p={p}", False,
-                                   f"K={sorted(K)} mu={mu.label()} q={p} "
-                                   f"oracle={got} formula={want}")
-                            return
-            mod = ut_algebra(g)
-            for mu in table.reps:
-                u = u_mu_matrix(mu, n)
-                got = module_trace(("utAlgebra",), u, p, n)
-                want = mod.trace(mu)(p)
-                if got != want:
-                    report(f"traces ut n={n} p={p}", False,
-                           f"mu={mu.label()} q={p} oracle={got} "
-                           f"formula={want}")
-                    return
-            report(f"traces n={n} p={p}", True, None)
-
-
-def _verify_solver(bounds, budget, report):
-    # the closed-form coefficients at q = p must rebuild the oracle traces
-    # through the supercharacter table; the table is invertible at p, so a
-    # rebuild that matches proves they are the unique solution
-    for p in (2, 3):
-        for n in range(1, bounds[p] + 1):
-            table = superclass_orbits(n, p, budget=budget)
-            g = GroundSet.range(n)
-            parts, values = supercharacter_table(g, p)
-            rows = dict(zip(parts, values))
-            checks = [(f"psiK n={n} p={p}", f"K={sorted(K)} ", ("psiK", K),
-                       psiK(g, K).decomposition())
-                      for r in range(n + 1)
-                      for K in map(frozenset, itertools.combinations(g, r))]
-            checks.append((f"ut n={n} p={p}", "", ("utAlgebra",),
-                           ut_algebra(g).superchar_decomposition()))
-            for name, what, spec, dec in checks:
-                coeffs = [dec[nu](p) for nu in parts]
-                for mu in table.reps:
-                    got = sum(c * chi for c, chi in zip(coeffs, rows[mu]))
-                    want = module_trace(spec, u_mu_matrix(mu, n), p, n)
-                    if got != want:
-                        report(f"solver {name}", False,
-                               f"{what}mu={mu.label()} q={p} oracle={want} "
-                               f"rebuilt={got}")
-                        return
-            report(f"solver n={n} p={p}", True, None)
+                    modules.append(("psiK", f"K={sorted(K)} ", ("psiK", K),
+                                    mod.value, mod.decomposition))
+            alg = ut_algebra(g)
+            modules.append(("ut", "", ("utAlgebra",), alg.trace,
+                            alg.superchar_decomposition))
+            for kind, what, spec, value, decomposition in modules:
+                name = f"{kind} {at}"
+                if "solver" in live:
+                    dec = decomposition()
+                    coeffs = [dec[nu](p) for nu in parts]
+                for mu, u in reps:
+                    trace = module_trace(spec, u, p, n)
+                    case = f"{what}mu={mu.label()} q={p} oracle={trace}"
+                    if "traces" in live:
+                        want = value(mu)(p)
+                        if want != trace:
+                            fail("traces", name, f"{case} formula={want}")
+                    if "solver" in live:
+                        got = sum(c * chi for c, chi in zip(coeffs, rows[mu]))
+                        if got != trace:
+                            fail("solver", name, f"{case} rebuilt={got}")
+            for suite in checks:
+                if suite in live:
+                    report(f"{suite} {at}")
 
 
 def _verify_identities(nmax, report):
@@ -394,12 +393,11 @@ def _verify_identities(nmax, report):
             for k in range(ell, m + 1):
                 total = total + (qphi(m - ell, k - ell) * qbinom(ell, k - ell)
                                  ).shift(comb(k - ell, 2))
-            ok = total == QPoly.q_pow((m - ell) * ell)
-            if not ok:
-                report("identities phi-telescoping", False,
+            if total != QPoly.q_pow((m - ell) * ell):
+                report("identities phi-telescoping",
                        f"m={m} ell={ell} got={total}")
                 return
-    report("identities phi-telescoping", True, None)
+    report("identities phi-telescoping")
     # core tensor product as the equivalent Gaussian-binomial identity
     for n in range(nmax + 1):
         for k in range(n + 1):
@@ -413,11 +411,11 @@ def _verify_identities(nmax, report):
                         rhs = rhs + c * qbinom(n - l, k + m) \
                             .shift(comb(k + m, 2))
                     if lhs != rhs:
-                        report("identities core-tensor", False,
+                        report("identities core-tensor",
                                f"n={n} j={j} k={k} l={l} "
                                f"lhs={lhs} rhs={rhs}")
                         return
-    report("identities core-tensor", True, None)
+    report("identities core-tensor")
     # rainbow core/superchars consistency on small grounds
     for n in range(1, min(nmax, 5) + 1):
         g = GroundSet.range(n)
@@ -433,26 +431,25 @@ def _verify_identities(nmax, report):
                 a = expanded.get(lam, ZERO)
                 b = direct.coeffs.get(lam, ZERO)
                 if a != b:
-                    report("identities rainbow-consistency", False,
+                    report("identities rainbow-consistency",
                            f"n={n} m={m} lam={lam.label()} "
                            f"via-core={a} direct={b}")
                     return
-    report("identities rainbow-consistency", True, None)
+    report("identities rainbow-consistency")
+
+
+# the flags each verify suite reads
+_SUITE_FLAGS = {"identities": ("max",), "all": ("n", "q", "budget", "max")}
 
 
 def _run_verify(args, out):
     suite = args.suite
-    unread = (["max"] if suite in ("orbits", "traces", "solver") else
-              ["n", "q", "budget"] if suite == "identities" else [])
-    for flag in unread:
-        if getattr(args, flag) is not None:
-            raise UsageError(f"verify {suite} does not read --{flag}")
+    _reject_unread(args, f"verify {suite}",
+                   _SUITE_FLAGS.get(suite, ("n", "q", "budget")))
     for flag in ("n", "max", "budget"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise UsageError(f"--{flag} must be positive")
-    budget = args.budget if args.budget else 10 ** 7
-    nmax = args.max if args.max else None
     # the oracle grid: p=2 up to n=5, p=3 up to n=4
     caps = {2: 5, 3: 4}
     if args.q is not None and args.q not in caps:
@@ -463,27 +460,27 @@ def _run_verify(args, out):
                          + (f" with --q {args.q}" if args.q else ""))
     bounds = {p: min(args.n or cap, cap) if args.q in (None, p) else 0
               for p, cap in caps.items()}
-    failures = []
-    lines = []
+    suites = (("orbits", "traces", "solver", "identities") if suite == "all"
+              else (suite,))
+    # one buffer per suite, printed in suite order
+    lines = {s: [] for s in suites}
 
-    def report(name, ok, detail):
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append((name, detail))
-            lines.append(f"      first counterexample: {detail}")
+    def report(name, detail=None):
+        """A PASS line for `name`, or with a detail a FAIL line."""
+        buf = lines[name.split()[0]]
+        if detail is None:
+            buf.append(f"PASS  {name}")
+        else:
+            buf += [f"FAIL  {name}", f"      first counterexample: {detail}"]
 
-    if suite in ("orbits", "all"):
-        _verify_orbits(bounds, budget, report)
-    if suite in ("traces", "all"):
-        _verify_traces(bounds, budget, report)
-    if suite in ("solver", "all"):
-        _verify_solver(bounds, budget, report)
-    if suite in ("identities", "all"):
-        _verify_identities(nmax or 8, report)
-    for line in lines:
-        out.write(line + "\n")
+    _verify_grid(suites, bounds, args.budget or DEFAULT_BUDGET, report)
+    if "identities" in suites:
+        _verify_identities(args.max or 8, report)
+    lines = [line for s in suites for line in lines[s]]
+    out.writelines(line + "\n" for line in lines)
+    failures = sum(line.startswith("FAIL") for line in lines)
     if failures:
-        raise VerifyFailure(f"{len(failures)} check(s) failed")
+        raise VerifyFailure(f"{failures} check(s) failed")
 
 
 # --- argument surface --------------------------------------------------------
@@ -505,24 +502,24 @@ def build_parser():
     qb.add_argument("--antichain", type=int, default=None)
     qb.add_argument("--partition", default=None)
 
-    for name in ("decompose", "export"):
-        dp = sub.add_parser(name, description="decomposition coefficients")
-        dp.add_argument("family", choices=tuple(_FAMILY_FLAGS))
-        add_ground(dp)
-        dp.add_argument("--format", choices=("text", "json", "csv"),
-                        default=None)
-        dp.add_argument("--q", type=int, default=None)
-        dp.add_argument("--m", type=int, default=None)
-        dp.add_argument("--ell", type=int, default=None)
-        dp.add_argument("--split", default=None)
-        dp.add_argument("--anchors", default=None)
-        dp.add_argument("--target", default=None)
-        dp.add_argument("--cols", default=None)
-        dp.add_argument("--k", type=int, default=None)
-        dp.add_argument("--b", type=int, default=None)
-        dp.add_argument("--f", type=int, default=None)
-        dp.add_argument("--m-list", dest="m_list", default=None)
-        dp.add_argument("--out", default=None)
+    # export is decompose with JSON as the default format
+    dp = sub.add_parser("decompose", aliases=["export"],
+                        description="decomposition coefficients")
+    dp.add_argument("family", choices=tuple(_FAMILY_FLAGS))
+    add_ground(dp)
+    dp.add_argument("--format", choices=("text", "json", "csv"), default=None)
+    dp.add_argument("--q", type=int, default=None)
+    dp.add_argument("--m", type=int, default=None)
+    dp.add_argument("--ell", type=int, default=None)
+    dp.add_argument("--split", default=None)
+    dp.add_argument("--anchors", default=None)
+    dp.add_argument("--target", default=None)
+    dp.add_argument("--cols", default=None)
+    dp.add_argument("--k", type=int, default=None)
+    dp.add_argument("--b", type=int, default=None)
+    dp.add_argument("--f", type=int, default=None)
+    dp.add_argument("--m-list", dest="m_list", default=None)
+    dp.add_argument("--out", default=None)
 
     sh = sub.add_parser("show", description="ASCII arc diagram")
     add_ground(sh)

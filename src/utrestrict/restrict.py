@@ -57,9 +57,6 @@ class ModuleLabel:
         if self.kind == "hook":
             cols, rows = self.payload
             return f"V^[{self._set_text(cols)}<-{self._set_text(rows)}]"
-        if self.kind == "peel":
-            b, f = self.payload
-            return f"V^({b};{f})"
         if self.kind == "peel_rainbow":
             b, f, mm = self.payload
             return f"V^({b};{f})xRainbow({mm})"

@@ -17,7 +17,9 @@ has supercharacter coefficients
 one exact division in Z[q] per coefficient.  The solver then rebuilds f from
 the coefficients at every superclass; the table is invertible over Q(q), so
 a rebuild that matches proves the coefficients are the unique ones.  The
-numeric solve at a fixed prime (`decompose_at_prime`) serves the oracle.
+numeric Gauss-Jordan solve at a fixed prime (`decompose_at_prime`) is not on
+any CLI path: only the tests' `numeric_decompose` and the benchmark tracer
+call it.  `verify solver` rebuilds oracle traces through the table instead.
 """
 
 from fractions import Fraction

@@ -9,7 +9,7 @@ from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import GroundSet, SetPartition, enumerate_partitions
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
-from utrestrict import cli
+from utrestrict import cli, oracle
 from utrestrict.cli import main, run, UsageError
 
 
@@ -231,6 +231,21 @@ class TestDecompose:
         assert obj["basis"] == "supercharacter"
         assert obj["terms"]
 
+    @pytest.mark.parametrize("argv", [
+        ["core", "--n", "4", "--k", "2"],
+        ["double-rainbow", "--split", "1,1,1", "--m", "2", "--ell", "1"],
+        ["psi", "--n", "3", "--cols", "1,3", "--q", "3"],
+        ["core", "--n", "3", "--k", "1", "--format", "csv"],
+    ])
+    def test_export_is_decompose_with_json_default(self, argv):
+        code, out = capture(["export", *argv])
+        assert code == 0
+        if "--format" in argv:
+            assert out.startswith("label,coeff\n")
+        else:
+            argv = [*argv, "--format", "json"]
+        assert out == capture(["decompose", *argv])[1]
+
     def test_onion_cli_geometry(self):
         code, out = capture([
             "decompose", "onion", "--labels", "2,3,4,5,6,7,8,9",
@@ -269,6 +284,42 @@ class TestVerify:
         assert out.splitlines() == \
             [f"PASS  solver n={n} p=2" for n in range(1, 6)] + \
             [f"PASS  solver n={n} p=3" for n in range(1, 5)]
+
+    def test_all_is_the_four_suites_in_order(self):
+        code, out = capture(["verify", "all"])
+        assert code == 0
+        assert out == "".join(
+            capture(["verify", suite])[1]
+            for suite in ("orbits", "traces", "solver", "identities"))
+
+    @pytest.mark.parametrize("suite", ["all", "traces"])
+    def test_one_grid_walk(self, suite, monkeypatch):
+        # the three grid suites share each orbit table and each oracle
+        # trace: 9 grid points, and (2^n + 1) Bell(n) traces at each
+        calls = {"orbits": 0, "traces": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "superclass_orbits",
+                            counted("orbits", cli.superclass_orbits))
+        monkeypatch.setattr(cli, "module_trace",
+                            counted("traces", cli.module_trace))
+        code, _ = capture(["verify", suite])
+        assert code == 0
+        assert calls == {"orbits": 9, "traces": 2342}
+
+    def test_oracle_invariant_failure(self, monkeypatch, capsys):
+        # a broken orbit census is a verification failure, not a traceback
+        monkeypatch.setattr(oracle, "bell", lambda n: 99)
+        assert main(["verify", "orbits", "--n", "2", "--q", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "FAIL  orbits n=1 p=2"
+        assert "expected Bell(1) = 99" in out
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("family", ["psiK", "ut"])
     def test_solver_negative_control(self, family, monkeypatch):
