@@ -78,14 +78,43 @@ def _shift_signed(poly, e):
     return QPoly(poly.coeffs[-e:])
 
 
-def _superchars(ground, coeff, max_arcs=None, lefts=None, rights=None):
+def _laurent_sum(terms):
+    """(poly, e) with q^e poly the sum of q^e_i p_i over the (p_i, e_i) in
+    terms; e is the least e_i of a nonzero p_i and may be negative."""
+    terms = [(p, e) for p, e in terms if not p.is_zero()]
+    if not terms:
+        return ZERO, 0
+    low = min(e for _, e in terms)
+    return sum((p.shift(e - low) for p, e in terms), ZERO), low
+
+
+def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
+                split=None):
     """The supercharacter decomposition whose coefficient at each partition
     lam of `ground` with at most max_arcs arcs, left endpoints in lefts and
-    right endpoints in rights (None: anywhere) is coeff(lam); every other
-    coefficient is zero."""
-    return Decomposition("supercharacter", {
-        lam: coeff(lam)
-        for lam in enumerate_partitions(ground, max_arcs, lefts, rights)})
+    right endpoints in rights (None: anywhere) is q^nst(lam, lam) times
+    q^e poly, where (poly, e) = base(lam); every other coefficient is zero.
+
+    base may read lam only through L(lam) and R(lam), and, given a
+    RegionSplit `split`, through its arc counts by region.  It runs once
+    per endpoint skeleton of the scan, and with `split` once per skeleton
+    and number of arcs inside N_=: with L(lam) and R(lam) fixed, that
+    number fixes every region count (arcs into N_= start in N_< or N_=,
+    arcs out of N_= end in N_= or N_>, and arcs into N_< start there)."""
+    memo = {}
+    coeffs = {}
+    for lam, nest, key in enumerate_partitions(ground, max_arcs, lefts,
+                                               rights):
+        if split is not None:
+            key = (key, sum(1 for i, j in lam.arcs
+                            if split.n_m < i and j < split.n_p))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = base(lam)
+        poly, e = got
+        if not poly.is_zero():
+            coeffs[lam] = _shift_signed(poly, e + nest)
+    return Decomposition("supercharacter", coeffs)
 
 
 def _subsets(pool, size=None):
@@ -121,14 +150,14 @@ class PsiKModule:
         pool = [x for x in self.ground if x not in L]
         return QPoly.q_pow(wt_up(self.K, pool))
 
-    def decomposition(self):
-        def coeff(lam):
-            return QPoly.q_pow(nst(lam, lam)
-                               + nst_points(lam, self.K - lam.left_endpoints()))
+    def _base(self, lam):
+        return ONE, nst_points(lam, self.K - lam.left_endpoints())
 
+    def decomposition(self):
         # the coefficient vanishes unless L(lam) lies inside K, so lam has
         # at most |K| arcs
-        return _superchars(self.ground, coeff, len(self.K), lefts=self.K)
+        return _superchars(self.ground, self._base, len(self.K),
+                           lefts=self.K)
 
 
 def psiK(ground, K):
@@ -141,9 +170,12 @@ def psi_hook(ground, K, J):
     K, J = frozenset(K), frozenset(J)
     if not (all(x in ground for x in K) and all(x in ground for x in J)):
         raise ValueError("hook parameters must sit inside the ground set")
-    coeffs = PsiKModule(ground, K).decomposition().coeffs
+    # the psiK coefficients of the partitions with R(lam) = J: those with
+    # R(lam) inside J and |J| arcs
+    dec = _superchars(ground, PsiKModule(ground, K)._base, len(J),
+                      lefts=K, rights=J)
     return Decomposition("supercharacter", {
-        lam: c for lam, c in coeffs.items() if lam.right_endpoints() == J})
+        lam: c for lam, c in dec.coeffs.items() if len(lam) == len(J)})
 
 
 # --- core modules -----------------------------------------------------------
@@ -164,14 +196,13 @@ class CoreModule:
         return qbinom(n - len(mu), self.k).shift(comb(self.k, 2))
 
     def decomposition(self):
-        def coeff(lam):
-            return poset_binom(block_poset(lam), self.k - len(lam)) \
-                .shift(nst(lam, lam))
+        def base(lam):
+            return poset_binom(block_poset(lam), self.k - len(lam)), 0
 
         if self.k > len(self.ground):
             # the module is zero; a scan would only find zero coefficients
             return Decomposition("supercharacter", {})
-        return _superchars(self.ground, coeff, self.k)
+        return _superchars(self.ground, base, self.k)
 
 
 def core(ground, k):
@@ -205,19 +236,20 @@ def rainbow(ground, m, target):
                 (Q_MINUS_1 ** m) * qphi(m, k)
         return Decomposition("core", coeffs)
     if target == "superchars":
+        sign = Q_MINUS_1 ** m
         sums = {}   # the sum below depends on lam through wt and |lam| only
 
-        def coeff(lam):
+        def base(lam):
             P = block_poset(lam)
             key = (tuple(sorted(b[2] for b in P)), len(lam))
             if key not in sums:
                 total = ZERO
                 for k in range(len(lam), m + 1):
                     total = total + qphi(m, k) * poset_binom(P, k - len(lam))
-                sums[key] = (Q_MINUS_1 ** m) * total
-            return sums[key].shift(nst(lam, lam))
+                sums[key] = sign * total
+            return sums[key], 0
 
-        return _superchars(ground, coeff, m)
+        return _superchars(ground, base, m)
     raise ValueError(f"unknown rainbow target {target!r}")
 
 
@@ -288,24 +320,25 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         XL = nu.left_endpoints() & K
         npr = sum(1 for i, j in nu.arcs
                   if all(i < x < j for x in K))
+        sign = Q_MINUS_1 ** ell
 
-        def coeff(lam):
+        def base(lam):
+            # nst(nu, lam) reads L(lam) and R(lam) only: no arc of nu has
+            # both ends in K, so one nests over all arcs of lam, none, those
+            # opened after its left end in K, or those closed before its
+            # right end in K
             union = SetPartition(ground, nu.arcs | lam.arcs)
             P = block_poset(union)
             blR = blocks_with_max_in(P, K)
-            base = nst(union, lam)
-            total = ZERO
-            for l in range(len(lam), ell + 1):
-                mult = poset_multinom(P, [(l - len(lam), blR)])
-                if mult.is_zero():
-                    continue
-                term = qphi(ell, l) * mult
-                total = total + _shift_signed(
-                    term, base + (ell - l) * len(XL) - l * npr)
-            return (Q_MINUS_1 ** ell) * total
+            outer = nst(nu, lam)
+            poly, e = _laurent_sum(
+                (qphi(ell, l) * poset_multinom(P, [(l - len(lam), blR)]),
+                 outer + (ell - l) * len(XL) - l * npr)
+                for l in range(len(lam), ell + 1))
+            return sign * poly, e
 
         # lam shares no endpoint with nu, so their union is a partition
-        return _superchars(ground.subset(K), coeff, ell,
+        return _superchars(ground.subset(K), base, ell,
                            lefts=K - nu.left_endpoints(),
                            rights=K - nu.right_endpoints())
 
@@ -326,15 +359,14 @@ def peel(split, b, f):
     if not (0 <= b <= min(a, c) and b <= f <= a + c):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
 
-    def coeff(nu):
+    def base(nu):
         counts = region_counts(nu, split)
         if counts["<>"] != b or counts["=="]:
-            return ZERO
+            return ZERO, 0
         P = block_poset(nu)
-        return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]) \
-            .shift(nst(nu, nu))
+        return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]), 0
 
-    return _superchars(split.inner, coeff, f)
+    return _superchars(split.inner, base, f, split=split)
 
 
 def _anchor_prefactor(split, m):
@@ -365,7 +397,9 @@ def double_rainbow(split, m, ell, target):
                     .shift(pre + (m - f) * b)
         return Decomposition("peel", coeffs)
 
-    def coeff(gam):
+    sign = Q_MINUS_1 ** (m + ell)
+
+    def base(gam):
         counts = region_counts(gam, split)
         g_eq = counts["=="]
         g_neq = len(gam) - g_eq
@@ -373,25 +407,23 @@ def double_rainbow(split, m, ell, target):
         P = block_poset(gam)
         pool1 = _peel_pool(P, split)
         pool2 = blocks_with_max_in(P, set(split.n_eq))
-        base = nst(gam, gam) + ell * counts["=>"]
-        total = ZERO
-        for f in range(g_neq, m + 1):
-            for l in range(g_eq, m - f + ell + 1):
-                mult = poset_multinom(
-                    P, [(f - g_neq, pool1), (l - g_eq, pool2)])
-                if mult.is_zero():
-                    continue
-                term = qphi(m, f) * qphi(m - f + ell, l) * mult
-                total = total + _shift_signed(term, base + (m - f - l) * le_gt)
-        return ((Q_MINUS_1 ** (m + ell)) * total).shift(pre)
+        poly, e = _laurent_sum(
+            (qphi(m, f) * qphi(m - f + ell, l) * poset_multinom(
+                P, [(f - g_neq, pool1), (l - g_eq, pool2)]),
+             ell * counts["=>"] + (m - f - l) * le_gt)
+            for f in range(g_neq, m + 1)
+            for l in range(g_eq, m - f + ell + 1))
+        return sign * poly, e + pre
 
     if target == "superchars":
-        # more than m + ell arcs leave the f and l ranges of coeff empty
-        return _superchars(split.inner, coeff, m + ell)
+        # more than m + ell arcs leave the f and l ranges of base empty
+        return _superchars(split.inner, base, m + ell, split=split)
 
     if target == "trivial_coeff":
         empty = SetPartition(split.inner, ())
-        return Decomposition("supercharacter", {empty: coeff(empty)})
+        poly, e = base(empty)
+        return Decomposition("supercharacter",
+                             {empty: _shift_signed(poly, e)})
 
     raise ValueError(f"unknown double_rainbow target {target!r}")
 
@@ -513,14 +545,15 @@ class UtAlgebra:
         return Decomposition("rowK", coeffs)
 
     def superchar_decomposition(self):
-        """The coefficient of lam sums, over the row sets A that contain
-        R(lam) and miss the top point, the product over x in A of
-        (q^w(x) - 1) q^(arcs of lam over x, for x outside R(lam)), where w(x)
-        counts the points right of x outside A.  One right-to-left pass:
+        """The coefficient of lam is q^nst(lam, lam) times the sum, over
+        the row sets A that contain R(lam) and miss the top point, of the
+        product over x in A of (q^w(x) - 1) q^(arcs of lam over x, for x
+        outside R(lam)), where w(x) counts the points right of x outside A.
+        The sum reads L(lam) and R(lam) only.  One right-to-left pass:
         by[w] sums the choices so far that leave w points outside A."""
         rest = self.ground.labels[:-1]
 
-        def coeff(lam):
+        def base(lam):
             R = lam.right_endpoints()
             by = {1: ONE}
             for x in reversed(rest):
@@ -532,11 +565,11 @@ class UtAlgebra:
                     if x not in R:
                         step[w + 1] = step.get(w + 1, ZERO) + poly
                 by = step
-            return sum(by.values(), ZERO).shift(nst(lam, lam))
+            return sum(by.values(), ZERO), 0
 
         # A holds R(lam) and misses the top point: an arc of lam ending
         # there makes the coefficient zero
-        return _superchars(self.ground, coeff, rights=frozenset(rest))
+        return _superchars(self.ground, base, rights=frozenset(rest))
 
 
 def ut_algebra(ground):

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .qcalc import ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact
 from .setpart import (
-    SetPartition, arcs_of, nst, nst_points, enumerate_partitions,
+    SetPartition, arcs_of, arcs_label, nst, nst_points, enumerate_partitions,
 )
 
 
@@ -94,7 +94,7 @@ class SuperclassFunction:
     def __init__(self, ground, values):
         self.ground = ground
         self.values = dict(values)
-        want = set(enumerate_partitions(ground))
+        want = {mu for mu, _, _ in enumerate_partitions(ground)}
         assert set(self.values) == want, "value map must be total on S_K"
 
     def __call__(self, mu):
@@ -110,7 +110,7 @@ def restrict_values(lam, sub):
     ambient = lam.ground
     assert all(x in ambient for x in sub)
     values = {}
-    for mu in enumerate_partitions(sub):
+    for mu, _, _ in enumerate_partitions(sub):
         mu_big = SetPartition(ambient, mu.arcs)
         values[mu] = superchar_value(lam, mu_big, ambient)
     return SuperclassFunction(sub, values)
@@ -136,20 +136,21 @@ class Decomposition:
         return (isinstance(other, Decomposition)
                 and self.basis == other.basis and self.coeffs == other.coeffs)
 
-    def items_sorted(self):
-        def key(kv):
-            label = kv[0]
-            if isinstance(label, SetPartition):
-                return (0, partition_sort_key(label))
-            return (1, str(label))
-        return sorted(self.coeffs.items(), key=key)
-
     def labels_text(self):
-        out = []
-        for label, coeff in self.items_sorted():
-            text = label.label() if isinstance(label, SetPartition) else str(label)
-            out.append((text, coeff))
-        return out
+        """(label text, coeff) pairs: partitions first, by arc count and
+        then sorted arcs, then the other labels by text."""
+        rows = []
+        for label, coeff in self.coeffs.items():
+            if isinstance(label, SetPartition):
+                arcs = sorted(label.arcs)
+                text = arcs_label(arcs)
+                key = (0, len(arcs), arcs)   # as partition_sort_key
+            else:
+                text = str(label)
+                key = (1, text)
+            rows.append((key, text, coeff))
+        rows.sort(key=lambda row: row[0])
+        return [(text, coeff) for _, text, coeff in rows]
 
 
 def solve_exact(matrix, rhs):
@@ -177,7 +178,8 @@ def solve_exact(matrix, rhs):
 def supercharacter_table(ground, q=None):
     """Matrix [chi^nu(u_mu)], rows mu, cols nu, in the deterministic
     partition order: QPoly entries, or integers when q is given."""
-    parts = sorted(enumerate_partitions(ground), key=partition_sort_key)
+    parts = sorted((mu for mu, _, _ in enumerate_partitions(ground)),
+                   key=partition_sort_key)
     table = [[superchar_value(nu, mu, ground) for nu in parts]
              for mu in parts]
     if q is not None:

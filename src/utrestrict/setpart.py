@@ -119,7 +119,7 @@ class SetPartition:
 
     def label(self):
         """Canonical text form: whitespace-separated i-j tokens."""
-        return " ".join(f"{i}-{j}" for i, j in sorted(self.arcs)) or "()"
+        return arcs_label(sorted(self.arcs))
 
     def left_endpoints(self):
         return frozenset(i for i, _ in self.arcs)
@@ -188,6 +188,11 @@ def arcs_of(lam):
     if isinstance(lam, SetPartition):
         return sorted(lam.arcs)
     return list(lam.arcs)
+
+
+def arcs_label(arcs):
+    """The text form of SetPartition.label from its sorted arcs."""
+    return " ".join(f"{i}-{j}" for i, j in arcs) or "()"
 
 
 def parse_partition(text, ground):
@@ -333,13 +338,20 @@ def _count_partitions(n, max_arcs):
 def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
     None), each once; with `lefts` (`rights`) given, only those whose left
-    (right) endpoints all lie in it.
+    (right) endpoints all lie in it.  Yields (lam, nest, skeleton): nest is
+    nst(lam, lam), and skeleton is an int with bit 2i set when the i-th
+    point is a left endpoint and bit 2i + 1 when it is a right endpoint, so
+    two partitions share a skeleton exactly when they share L(.) and R(.).
 
     A left-to-right scan of the arc diagram: each point may close one open
     arc if it is in rights, and may open one if it is in lefts.  A branch
     stops when its arcs would exceed max_arcs, or when more arcs are open
     than points are left to close them.  The budget counts the partitions
     with at most max_arcs arcs whatever the endpoint constraints.
+
+    Closing the arc (l, x) nests it over the closed arcs opened after l
+    (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
+    still open cross it instead.
     """
     labels = tuple(ground)
     n = len(labels)
@@ -357,28 +369,37 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     for i in range(n - 2, -1, -1):
         closers[i] = closers[i + 1] + closes[i + 1]
     arcs = []
-    opened = []     # left endpoints of the open arcs
+    # the open arcs in scan order: (left endpoint, arcs opened before it)
+    opened = []
 
-    def scan(i, spare):
+    def scan(i, spare, nest, skeleton):
         # spare: arcs that may still be opened
         if i == n:
-            yield SetPartition._trusted(ground, arcs)
+            yield SetPartition._trusted(ground, arcs), nest, skeleton
             return
         x, rest = labels[i], closers[i]
         for c in range(-1, len(opened) if closes[i] else 0):
+            nest_x, skeleton_x = nest, skeleton
             if c >= 0:
-                arcs.append((opened.pop(c), x))
+                # with o arcs open, len(arcs) + o - before - 1 arcs were
+                # opened after l, and o - c - 1 of them are still open
+                l, before = opened.pop(c)
+                nest_x += len(arcs) - before + c
+                arcs.append((l, x))
+                skeleton_x |= 2 << 2 * i
             if len(opened) <= rest:
-                yield from scan(i + 1, spare)
+                yield from scan(i + 1, spare, nest_x, skeleton_x)
             if spare > 0 and opens[i] and len(opened) < rest:
-                opened.append(x)
-                yield from scan(i + 1, spare - 1)
+                opened.append((x, len(arcs) + len(opened)))
+                yield from scan(i + 1, spare - 1, nest_x,
+                                skeleton_x | 1 << 2 * i)
                 opened.pop()
             if c >= 0:
-                opened.insert(c, arcs.pop()[0])
+                opened.insert(c, (l, before))
+                arcs.pop()
 
     if spare >= 0:
-        yield from scan(0, spare)
+        yield from scan(0, spare, 0, 0)
 
 
 def bell(n):

@@ -83,7 +83,7 @@ def character_function(lam, ground):
     return SuperclassFunction(
         ground,
         {mu: superchar_value(lam, mu, ground)
-         for mu in enumerate_partitions(ground)})
+         for mu, _, _ in enumerate_partitions(ground)})
 
 
 def odot(f, h):
@@ -322,18 +322,28 @@ def brute_force():
         unitriangular=_unitriangular)
 
 
-# --- python -O ---------------------------------------------------------------
+# --- subprocesses ------------------------------------------------------------
 
-def _run_optimized(script, *args):
-    """Run a Python script under `python -O` (asserts stripped) with this
-    checkout's package importable."""
+def _run_python(*argv):
+    """Run the Python interpreter on argv with this checkout's package
+    importable."""
     src = os.path.dirname(os.path.dirname(utrestrict.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-O", "-c", script, *args],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def _run_optimized(script, *args):
+    """Run a Python script under `python -O` (asserts stripped)."""
+    return _run_python("-O", "-c", script, *args)
+
+
+@pytest.fixture
+def run_python():
+    return _run_python
 
 
 @pytest.fixture

@@ -92,6 +92,12 @@ class TestExitCodes:
     def test_success(self):
         assert main(["qbinom", "--chain", "4", "--k", "2"]) == 0
 
+    def test_python_m(self, run_python):
+        proc = run_python("-m", "utrestrict", "qbinom", "--chain", "4",
+                          "--k", "2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"{qbinom(4, 2)}\n", "")
+
     def test_usage_errors(self):
         assert main(["decompose", "rainbow"]) == 1
         assert main(["decompose", "rainbow", "--n", "3"]) == 1
@@ -202,11 +208,11 @@ class TestDecompose:
         from utrestrict.setpart import ArcMultiset
         mult = ArcMultiset(ambient, [(1, 5)] * 2)
         coeffs = {t["label"]: QPoly.parse(t["coeff"]) for t in obj["terms"]}
-        for mu in enumerate_partitions(inner):
+        for mu, _, _ in enumerate_partitions(inner):
             lhs = superchar_value(mult, SetPartition(ambient, mu.arcs),
                                   ambient)(2)
             rhs = 0
-            for lam in enumerate_partitions(inner):
+            for lam, _, _ in enumerate_partitions(inner):
                 label = " ".join(f"{i - 1}-{j - 1}"
                                  for i, j in sorted(lam.arcs)) or "()"
                 c = coeffs.get(label, ZERO)

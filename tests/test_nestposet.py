@@ -51,7 +51,7 @@ class TestBlockPoset:
         # transitive-closure construction on the uncrossed partition
         count = 0
         for n in range(1, 8):
-            for lam in enumerate_partitions(GroundSet.range(n)):
+            for lam, _, _ in enumerate_partitions(GroundSet.range(n)):
                 u = lam.uncross()
                 assert block_poset(lam) == block_poset(u) \
                     == closure_block_poset(u), lam
@@ -64,7 +64,7 @@ class TestBlockPoset:
         count = 0
         shapes = set()
         for n in range(1, 9):
-            for lam in enumerate_partitions(GroundSet.range(n)):
+            for lam, _, _ in enumerate_partitions(GroundSet.range(n)):
                 if crs(lam):
                     continue
                 count += 1
@@ -127,7 +127,7 @@ class TestPosetBinom:
 
     def test_sum_at_q1(self):
         for n in range(1, 6):
-            for lam in enumerate_partitions(GroundSet.range(n)):
+            for lam, _, _ in enumerate_partitions(GroundSet.range(n)):
                 P = block_poset(lam)
                 total = sum(poset_binom(P, k)(1) for k in range(len(P) + 1))
                 assert total == 2 ** len(P)
@@ -142,7 +142,7 @@ class TestRecursions:
     @staticmethod
     def all_posets(max_n, nesting_above):
         for n in range(1, max_n + 1):
-            for lam in enumerate_partitions(GroundSet.range(n)):
+            for lam, _, _ in enumerate_partitions(GroundSet.range(n)):
                 u = lam.uncross()
                 yield block_poset(u), nesting_above(u)
 

@@ -36,7 +36,7 @@ def character_values(table):
     g = GroundSet.range(table.n)
     return {lam: {mu: character_function(lam, g)(mu)(table.p)
                   for mu in table.reps}
-            for lam in enumerate_partitions(g)}
+            for lam, _, _ in enumerate_partitions(g)}
 
 
 def orthogonality_failures(table, values):
@@ -104,7 +104,8 @@ class TestOrbits:
         sizes = sum(len(o) for o in table.orbits)
         assert sizes == p ** (n * (n - 1) // 2)
         labels = sorted(r.label() for r in table.reps)
-        want = sorted(mu.label() for mu in enumerate_partitions(GroundSet.range(n)))
+        want = sorted(mu.label() for mu, _, _
+                      in enumerate_partitions(GroundSet.range(n)))
         assert labels == want
 
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)]
@@ -334,9 +335,9 @@ class TestNumericDecompose:
     def test_character_indicator(self):
         g = GroundSet.range(3)
         p = 2
-        for lam in enumerate_partitions(g):
+        for lam, _, _ in enumerate_partitions(g):
             f = character_function(lam, g)
-            values = {mu: f(mu)(p) for mu in enumerate_partitions(g)}
+            values = {mu: f(mu)(p) for mu, _, _ in enumerate_partitions(g)}
             sol = numeric_decompose(values, p, g)
             for nu, c in sol.items():
                 assert c == (1 if nu == lam else 0)
@@ -350,7 +351,7 @@ class TestNumericDecompose:
             for K in itertools.combinations(labels, r):
                 K = frozenset(K)
                 values = {}
-                for mu in enumerate_partitions(g):
+                for mu, _, _ in enumerate_partitions(g):
                     u = u_mu_matrix(mu, n)
                     values[mu] = module_trace(("psiK", K), u, p, n)
                 sol = numeric_decompose(values, p, g)

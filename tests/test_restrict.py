@@ -96,7 +96,7 @@ class TestPsiK:
             for K in itertools.combinations(labels, r):
                 mod = psiK(g, K)
                 dec = mod.decomposition()
-                for mu in enumerate_partitions(g):
+                for mu, _, _ in enumerate_partitions(g):
                     assert expand_value(dec, mu, g) == mod.value(mu), (K, mu)
 
     def test_values_n5_spot(self):
@@ -104,7 +104,7 @@ class TestPsiK:
         for K in [{2, 4}, {1, 2, 3, 4, 5}, set()]:
             mod = psiK(g, K)
             dec = mod.decomposition()
-            for mu in enumerate_partitions(g):
+            for mu, _, _ in enumerate_partitions(g):
                 assert expand_value(dec, mu, g) == mod.value(mu)
 
     def test_trivial_and_regular(self):
@@ -159,7 +159,7 @@ class TestCore:
         for k in range(n + 1):
             mod = core(g, k)
             dec = mod.decomposition()
-            for mu in enumerate_partitions(g):
+            for mu, _, _ in enumerate_partitions(g):
                 assert expand_value(dec, mu, g) == mod.value(mu), (k, mu)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -204,7 +204,7 @@ class TestCoreTensor:
         for k in range(n + 1):
             for j in range(k + 1):
                 cmap = core_tensor(j, k, n)
-                for mu in enumerate_partitions(g):
+                for mu, _, _ in enumerate_partitions(g):
                     lhs = core(g, j).value(mu) * core(g, k).value(mu)
                     rhs = ZERO
                     for m, c in cmap.items():
@@ -234,7 +234,7 @@ class TestRainbow:
         inner = GroundSet(range(2, n + 2))
         big = ArcMultiset(ambient, [(1, n + 2)] * m)
         dec = rainbow(inner, m, "superchars")
-        for mu in enumerate_partitions(inner):
+        for mu, _, _ in enumerate_partitions(inner):
             mu_big = SetPartition(ambient, mu.arcs)
             assert superchar_value(big, mu_big, ambient) == \
                 expand_value(dec, mu, inner), mu
@@ -304,7 +304,7 @@ class TestInterferencePsi:
                 dec = interference(ambient, k_minus, k_plus, K, ell, "psi",
                                    nu=nu)
                 big_rb = ArcMultiset(ambient, rb_arcs * ell)
-                for mu in enumerate_partitions(gK):
+                for mu, _, _ in enumerate_partitions(gK):
                     mu_big = SetPartition(ambient, mu.arcs)
                     nuval = superchar_value(nu, mu_big, ambient)
                     lhs = nuval * superchar_value(big_rb, mu_big, ambient)
@@ -328,7 +328,7 @@ class TestInterferenceHooks:
                 for J in itertools.combinations(sorted(K), s):
                     dec = interference(ambient, k_minus, k_plus, K, 0,
                                        "superchars_a", nu=nu, J=frozenset(J))
-                    for mu in enumerate_partitions(gK):
+                    for mu, _, _ in enumerate_partitions(gK):
                         mu_big = SetPartition(ambient, mu.arcs)
                         nuval = superchar_value(nu, mu_big, ambient)
                         lhs = nuval * psiK(gK, J).value(mu)
@@ -348,7 +348,7 @@ def proof_style_coefficients(ambient, K, nu, ell):
     XL = nu.left_endpoints() & K
     XR = nu.right_endpoints() & K
     out = {}
-    for lam in enumerate_partitions(gK):
+    for lam, _, _ in enumerate_partitions(gK):
         if len(lam) > ell:
             continue
         try:
@@ -396,7 +396,7 @@ class TestInterferenceSuperchars:
                 dec = interference(ambient, k_minus, k_plus, K, ell,
                                    "superchars_b", nu=nu)
                 big_rb = ArcMultiset(ambient, [(k_minus, k_plus)] * ell)
-                for mu in enumerate_partitions(gK):
+                for mu, _, _ in enumerate_partitions(gK):
                     mu_big = SetPartition(ambient, mu.arcs)
                     nuval = superchar_value(nu, mu_big, ambient)
                     lhs = nuval * superchar_value(big_rb, mu_big, ambient)
@@ -533,7 +533,7 @@ class TestSymmetryIdentity:
         K = {3, 4}
         gK, nus = self.admissible(ground, K)
         for nu in nus:
-            for lam in enumerate_partitions(gK):
+            for lam, _, _ in enumerate_partitions(gK):
                 try:
                     SetPartition(ground, set(nu.arcs) | lam.arcs)
                 except ValueError:
@@ -564,7 +564,7 @@ class TestSymmetryIdentity:
                 if len(nu_arcs) == 3:
                     break
             nu = SetPartition(ground, nu_arcs)
-            lams = [lam for lam in enumerate_partitions(gK)
+            lams = [lam for lam, _, _ in enumerate_partitions(gK)
                     if self._compatible(ground, nu, lam)]
             lam = rng.choice(lams)
             ell = rng.randint(len(lam), len(lam) + 3)
@@ -648,7 +648,7 @@ class TestDoubleRainbow:
     @pytest.mark.parametrize("abc", DR_GEOMETRIES)
     def test_superchars_end_to_end(self, abc):
         split = RegionSplit.from_sizes(*abc)
-        parts = list(enumerate_partitions(split.inner))
+        parts = [lam for lam, _, _ in enumerate_partitions(split.inner)]
         for m in range(3):
             for ell in range(3):
                 dec = double_rainbow(split, m, ell, "superchars")
@@ -776,7 +776,7 @@ class TestUtAlgebra:
         amb = GroundSet([1] + [x for j in range(1, n + 1)
                                for x in (2 * j, 2 * j + 1)])
         mod = ut_algebra(g)
-        for mu in enumerate_partitions(g):
+        for mu, _, _ in enumerate_partitions(g):
             mu_big = SetPartition(amb, mu.arcs)
             prod = ONE
             for j in range(1, n):
@@ -794,7 +794,7 @@ class TestUtAlgebra:
                                for x in (2 * j, 2 * j + 1)])
         mod = ut_algebra(g)
         dec = mod.core_style()
-        for mu in enumerate_partitions(g):
+        for mu, _, _ in enumerate_partitions(g):
             mu_big = SetPartition(amb, mu.arcs)
             prod = ONE
             for j in range(1, n + 1):
@@ -810,7 +810,7 @@ class TestUtAlgebra:
             g = GroundSet.range(n)
             mod = ut_algebra(g)
             f = SuperclassFunction(
-                g, {mu: mod.trace(mu) for mu in enumerate_partitions(g)})
+                g, {mu: mod.trace(mu) for mu, _, _ in enumerate_partitions(g)})
             dec = decompose_exact(f, comb(n, 2) + 2)
             assert dec.coeffs == mod.superchar_decomposition().coeffs
 
@@ -819,7 +819,7 @@ class TestUtAlgebra:
         g = GroundSet.range(n)
         mod = ut_algebra(g)
         dec = mod.superchar_decomposition()
-        for mu in enumerate_partitions(g):
+        for mu, _, _ in enumerate_partitions(g):
             assert expand_value(dec, mu, g) == mod.trace(mu), mu
 
     def test_n1_special_case(self):
@@ -859,9 +859,10 @@ class TestNonnegativity:
 
 class TestWorkCounts:
     """Deterministic work of the engines: the partitions the scan yields,
-    the coefficients they keep, and the distinct poset binomials computed.
-    A regression in the scan's constraints or the e_k memo moves these
-    counts; wall time is not gated."""
+    the coefficients they keep, the coefficient bases computed (one per
+    endpoint skeleton) and the distinct poset binomials computed.  A
+    regression in the scan's constraints, the skeleton memo or the e_k memo
+    moves these counts; wall time is not gated."""
 
     @pytest.fixture
     def scanned(self, monkeypatch):
@@ -869,17 +870,38 @@ class TestWorkCounts:
         scan = restrict.enumerate_partitions
 
         def counted(*args, **kwargs):
-            for lam in scan(*args, **kwargs):
+            for item in scan(*args, **kwargs):
                 count[0] += 1
-                yield lam
+                yield item
 
         monkeypatch.setattr(restrict, "enumerate_partitions", counted)
+        return count
+
+    @pytest.fixture
+    def bases(self, monkeypatch):
+        # the coefficient bases each engine call computes
+        count = [0]
+        superchars = restrict._superchars
+
+        def counted(ground, base, *args, **kwargs):
+            def tallied(lam):
+                count[0] += 1
+                return base(lam)
+            return superchars(ground, tallied, *args, **kwargs)
+
+        monkeypatch.setattr(restrict, "_superchars", counted)
         return count
 
     def test_ut_algebra_scans_bell_n_minus_1(self, scanned):
         # no arc may end at the top point: Bell(7) partitions of [8]
         dec = ut_algebra(GroundSet.range(8)).superchar_decomposition()
         assert scanned[0] == len(dec.coeffs) == bell(7) == 877
+
+    def test_ut_algebra_passes_once_per_skeleton(self, scanned, bases):
+        # one right-to-left pass per (L, R) of the 877 partitions: the
+        # noncrossing partitions of [7], Catalan(7)
+        dec = ut_algebra(GroundSet.range(8)).superchar_decomposition()
+        assert (scanned[0], len(dec.coeffs), bases[0]) == (877, 877, 429)
 
     def test_psiK_scans_left_endpoints_in_K(self, scanned):
         dec = psiK(GroundSet.range(9), {2, 3, 6, 8}).decomposition()
@@ -889,6 +911,7 @@ class TestWorkCounts:
         nestposet._e_k.cache_clear()
         dec = core(GroundSet.range(10), 5).decomposition()
         info = nestposet._e_k.cache_info()
-        # one e_k per partition of [10] with at most 5 arcs, 128 distinct
+        # 72,028 partitions of [10] with at most 5 arcs; one e_k per
+        # endpoint skeleton (the noncrossing ones), 128 distinct
         assert scanned[0] == len(dec.coeffs) == 72028
-        assert (info.misses, info.hits + info.misses) == (128, 72028)
+        assert (info.misses, info.hits + info.misses) == (128, 13690)

@@ -81,7 +81,7 @@ class TestUncross:
         assert lam.uncross().arcs == {(2, 4), (4, 5), (1, 6)}
 
     def test_fixed_point_on_noncrossing(self):
-        for lam in enumerate_partitions(GroundSet.range(5)):
+        for lam, _, _ in enumerate_partitions(GroundSet.range(5)):
             if crs(lam) == 0:
                 assert lam.uncross() == lam
 
@@ -91,7 +91,7 @@ class TestUncross:
 
     def test_idempotent_and_preserves_endpoints(self):
         for n in range(1, 8):
-            for lam in enumerate_partitions(GroundSet.range(n)):
+            for lam, _, _ in enumerate_partitions(GroundSet.range(n)):
                 u = lam.uncross()
                 assert crs(u) == 0
                 assert u.uncross() == u
@@ -101,7 +101,7 @@ class TestUncross:
     def test_image_is_all_noncrossing(self):
         for n in range(1, 7):
             g = GroundSet.range(n)
-            all_parts = list(enumerate_partitions(g))
+            all_parts = [lam for lam, _, _ in enumerate_partitions(g)]
             image = {lam.uncross() for lam in all_parts}
             noncrossing = {lam for lam in all_parts if crs(lam) == 0}
             assert image == noncrossing
@@ -122,7 +122,7 @@ class TestStats:
         for n in range(1, 7):
             g = GroundSet.range(n)
             points = list(g)
-            for lam in enumerate_partitions(g):
+            for lam, _, _ in enumerate_partitions(g):
                 L, R = lam.left_endpoints(), lam.right_endpoints()
                 for r in range(n + 1):
                     for A in itertools.combinations(points, r):
@@ -135,7 +135,7 @@ class TestStats:
         for n in range(1, 7):
             g = GroundSet.range(n)
             points = list(g)
-            for lam in enumerate_partitions(g):
+            for lam, _, _ in enumerate_partitions(g):
                 u = lam.uncross()
                 for r in range(n + 1):
                     for A in itertools.combinations(points, r):
@@ -186,16 +186,37 @@ class TestRegions:
         assert list(c.n_eq) == [2]
 
 
+def constraint_grid():
+    """(ground, [(lefts, rights)]): every pair of endpoint constraints
+    (None: anywhere) on n <= 5 points and a gapped ground, a seeded sample
+    of 300 pairs on 6 points."""
+    rng = random.Random(6)
+    for g in [GroundSet.range(n) for n in range(7)] + \
+            [GroundSet((2, 3, 5, 8, 9))]:
+        sides = [None] + [frozenset(s) for r in range(len(g) + 1)
+                          for s in itertools.combinations(g, r)]
+        pairs = list(itertools.product(sides, repeat=2))
+        if len(g) == 6:
+            pairs = rng.sample(pairs, 300)
+        yield g, pairs
+
+
+def caps(g):
+    """Every arc cap of a scan of g: none, and -1 to |g|."""
+    return [None, *range(-1, len(g) + 1)]
+
+
 class TestEnumeration:
     def test_bell_counts(self):
         for n in range(1, 7):
-            parts = list(enumerate_partitions(GroundSet.range(n)))
+            parts = [lam for lam, _, _
+                     in enumerate_partitions(GroundSet.range(n))]
             assert len(parts) == bell(n)
             assert len(set(parts)) == len(parts)
 
     def test_n1(self):
-        assert [p.arcs for p in enumerate_partitions(GroundSet.range(1))] \
-            == [frozenset()]
+        assert [p.arcs for p, _, _
+                in enumerate_partitions(GroundSet.range(1))] == [frozenset()]
 
     def test_bound(self):
         # the budget counts partitions, not points: Bell(11) is over it,
@@ -208,8 +229,9 @@ class TestEnumeration:
             next(enumerate_partitions(GroundSet.range(12), 4))
         # the scan nests one generator per point: 128 points is the most,
         # even for the one partition with no arc
-        assert [p.arcs for p in enumerate_partitions(GroundSet.range(128),
-                                                     0)] == [frozenset()]
+        assert [p.arcs for p, _, _
+                in enumerate_partitions(GroundSet.range(128), 0)] \
+            == [frozenset()]
         assert sum(1 for _ in enumerate_partitions(GroundSet.range(128),
                                                    1)) == 1 + 128 * 127 // 2
         with pytest.raises(EnumerationBoundExceeded):
@@ -217,7 +239,7 @@ class TestEnumeration:
 
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
-        for lam in enumerate_partitions(g):
+        for lam, _, _ in enumerate_partitions(g):
             assert from_blocks(g, blocks(lam)) == lam
 
     def test_every_arc_set_once(self):
@@ -232,7 +254,7 @@ class TestEnumeration:
                     if len({i for i, _ in arcs}) == len({j for _, j in arcs}) \
                             == r:
                         want.add(frozenset(arcs))
-            got = [lam.arcs for lam in enumerate_partitions(g)]
+            got = [lam.arcs for lam, _, _ in enumerate_partitions(g)]
             assert len(got) == len(set(got)) == bell(len(g))
             assert set(got) == want
 
@@ -240,9 +262,9 @@ class TestEnumeration:
         # the capped scan yields exactly the partitions with at most m arcs
         for n in range(9):
             g = GroundSet.range(n)
-            every = list(enumerate_partitions(g))
+            every = [lam for lam, _, _ in enumerate_partitions(g)]
             for m in range(-1, n + 1):
-                got = list(enumerate_partitions(g, m))
+                got = [lam for lam, _, _ in enumerate_partitions(g, m)]
                 assert len(got) == len(set(got))
                 assert set(got) == {lam for lam in every if len(lam) <= m}
 
@@ -250,25 +272,18 @@ class TestEnumeration:
         # the scan with lefts/rights yields exactly the partitions of the
         # full scan whose left endpoints lie in lefts and right endpoints in
         # rights (None: anywhere), under every arc cap, each once, and each
-        # equal to the validated partition on the same arcs; every pair of
-        # constraints on n <= 5 points and a gapped ground, a seeded sample
-        # of pairs on 6 points
-        rng = random.Random(6)
-        for g in [GroundSet.range(n) for n in range(7)] + \
-                [GroundSet((2, 3, 5, 8, 9))]:
-            every = list(enumerate_partitions(g))
-            sides = [None] + [frozenset(s) for r in range(len(g) + 1)
-                              for s in itertools.combinations(g, r)]
-            pairs = list(itertools.product(sides, repeat=2))
-            if len(g) == 6:
-                pairs = rng.sample(pairs, 300)
+        # equal to the validated partition on the same arcs, on every
+        # ground and constraint pair of constraint_grid
+        for g, pairs in constraint_grid():
+            every = [lam for lam, _, _ in enumerate_partitions(g)]
             for lefts, rights in pairs:
                 kept = [lam for lam in every
                         if (lefts is None or lam.left_endpoints() <= lefts)
                         and (rights is None
                              or lam.right_endpoints() <= rights)]
-                for m in [None, *range(-1, len(g) + 1)]:
-                    got = list(enumerate_partitions(g, m, lefts, rights))
+                for m in caps(g):
+                    got = [lam for lam, _, _
+                           in enumerate_partitions(g, m, lefts, rights)]
                     assert len(got) == len(set(got))
                     assert set(got) == {lam for lam in kept
                                         if m is None or len(lam) <= m}
@@ -276,6 +291,22 @@ class TestEnumeration:
                         checked = SetPartition(g, lam.arcs)
                         assert lam == checked
                         assert hash(lam) == hash(checked)
+
+    def test_nest_and_skeleton(self):
+        # on the grid above, each yield carries nst(lam, lam), and a
+        # skeleton that every scan of the ground gives exactly the
+        # partitions with the same L(lam) and R(lam)
+        for g, pairs in constraint_grid():
+            skeletons = {}      # (L, R) -> skeleton
+            for lefts, rights in pairs:
+                for m in caps(g):
+                    for lam, nest, skeleton in enumerate_partitions(
+                            g, m, lefts, rights):
+                        assert nest == nst(lam, lam)
+                        ends = (lam.left_endpoints(), lam.right_endpoints())
+                        assert skeletons.setdefault(ends, skeleton) \
+                            == skeleton
+            assert len(set(skeletons.values())) == len(skeletons)
 
     def test_endpoint_constraints_keep_the_budget(self):
         # the budget counts the unconstrained scan: Bell(11) is over it even
