@@ -7,9 +7,11 @@ exceeded.  All output is deterministic for fixed inputs.
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
+from argparse import ArgumentTypeError
 from math import comb
 
 from .qcalc import QPoly, ZERO, qbinom, qphi
@@ -37,7 +39,7 @@ class VerifyFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # one spelling per flag: no prefix abbreviations (verify --m would
+    # one spelling per flag: no prefix abbreviations (verify all --m would
     # otherwise read as --max)
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -46,172 +48,135 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# --- shared flag parsing -----------------------------------------------------
+# --- flag values -------------------------------------------------------------
+# type= converters: a bad value raises ArgumentTypeError, which argparse turns
+# into a usage error that names the flag
 
 def _ints(words, what):
-    """The integers in `words`; a word that is not one is a usage error."""
+    """The integers in `words`; a word that is not one is a bad value."""
     try:
         return [int(x) for x in words]
     except ValueError:
-        raise UsageError(f"bad {what}") from None
+        raise ArgumentTypeError(f"bad {what}") from None
 
 
-def _reject_unread(args, what, reads):
-    """A flag that `what` does not read is a usage error, not ignored."""
-    unread = [f"--{dest.replace('_', '-')}"
-              for dest, value in sorted(vars(args).items())
-              if value is not None and dest not in reads
-              and dest not in ("command", "family", "suite")]
-    if unread:
-        raise UsageError(f"{what} does not read {', '.join(unread)}")
+def _at_least(lo):
+    """The converter of an integer flag whose value must be at least lo."""
+    def convert(text):
+        [n] = _ints([text], f"integer {text!r}")
+        if n < lo:
+            raise ArgumentTypeError(f"must be at least {lo}: {n}")
+        return n
+    return convert
 
 
-def _parse_labels(text):
+def _labels(text):
     labels = _ints(text.replace(",", " ").split(), f"label list {text!r}")
-    if not labels or len(set(labels)) != len(labels):
-        raise UsageError(f"labels must be distinct and nonempty: {text!r}")
-    if min(labels) < 1:
-        raise UsageError(f"labels must be positive: {text!r}")
+    if not labels or len(set(labels)) != len(labels) or min(labels) < 1:
+        raise ArgumentTypeError(
+            f"labels must be distinct, positive and nonempty: {text!r}")
     return labels
 
 
-def _parse_split(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError("--split wants three sizes a,b,c")
-    a, b, c = _ints(parts, f"--split {text!r}")
-    if min(a, b, c) < 0 or a + b + c == 0:
-        raise UsageError("--split sizes must be nonnegative, not all zero")
-    return RegionSplit.from_sizes(a, b, c)
+def _ground_labels(text):
+    labels = _labels(text)
+    if labels != sorted(labels):
+        raise ArgumentTypeError(f"labels must be increasing: {text!r}")
+    return GroundSet(labels)
 
 
-def _parse_anchor_pairs(text):
+def _ground_size(text):
+    return GroundSet.range(_at_least(1)(text))
+
+
+def _cols(text):
+    # --cols "" is the empty column set
+    return _labels(text) if text else []
+
+
+def _split(text):
+    sizes = _ints(text.split(","), f"split {text!r}")
+    if len(sizes) != 3 or min(sizes) < 0 or sum(sizes) == 0:
+        raise ArgumentTypeError("wants three sizes a,b,c, nonnegative and "
+                                f"not all zero: {text!r}")
+    return RegionSplit.from_sizes(*sizes)
+
+
+def _anchor_pairs(text):
     pairs = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise UsageError("--anchors wants pairs 'lo,hi' joined by ';'")
-        lo, hi = _ints(parts, f"anchor pair {chunk!r}")
-        if lo >= hi:
-            raise UsageError(f"anchor pair {chunk!r} is not increasing")
-        if lo < 1:
-            raise UsageError(f"anchor pair {chunk!r} is not positive")
-        pairs.append((lo, hi))
+        pair = _ints(chunk.split(","), f"anchor pair {chunk!r}")
+        if len(pair) != 2 or not 1 <= pair[0] < pair[1]:
+            raise ArgumentTypeError("wants pairs 'lo,hi', 1 <= lo < hi, "
+                                    f"joined by ';': {chunk!r}")
+        pairs.append(tuple(pair))
     return pairs
 
 
-def _parse_ms(text):
-    ms = _ints(text.split(","), f"--m-list {text!r}")
+def _m_list(text):
+    ms = _ints(text.split(","), f"m list {text!r}")
     if min(ms) < 1:
-        raise UsageError(f"--m-list entries must be positive: {text!r}")
+        raise ArgumentTypeError(f"entries must be positive: {text!r}")
     return ms
-
-
-def _ground(args):
-    if args.labels is not None and args.n is not None:
-        raise UsageError("give --n or --labels, not both")
-    if args.labels:
-        labels = _parse_labels(args.labels)
-        if labels != sorted(labels):
-            raise UsageError(f"--labels must be increasing: {args.labels!r}")
-        return GroundSet(labels)
-    if args.n is None:
-        raise UsageError("need --n or --labels")
-    if args.n < 1:
-        raise UsageError("--n must be positive")
-    return GroundSet.range(args.n)
 
 
 # --- decompose ---------------------------------------------------------------
 
-# the parameters each family reads besides --format, --q and --out
-_FAMILY_FLAGS = {
-    "rainbow": ("n", "labels", "m", "target"),
-    "double-rainbow": ("split", "m", "ell", "target"),
-    "onion": ("n", "labels", "anchors", "m_list"),
-    "psi": ("n", "labels", "cols"),
-    "core": ("n", "labels", "k"),
-    "peel": ("split", "b", "f"),
-    "ut-algebra": ("n", "labels", "target"),
-}
+def _build_onion(args):
+    pairs, ms, outer = args.anchors, args.m_list, args.ground
+    if len(ms) != len(pairs):
+        raise UsageError("--anchors and --m-list disagree in length")
+    all_anchors = {x for p in pairs for x in p}
+    if not all(pairs[0][0] < x < pairs[0][1] for x in outer):
+        raise UsageError(
+            "the ground set must lie between the outermost --anchors")
+    for (plo, phi), (lo, hi) in zip(pairs, pairs[1:]):
+        if not plo <= lo < hi <= phi:
+            raise UsageError("each --anchors pair must nest inside the "
+                             "one before it")
+    layers = []
+    ground = outer
+    for j, (lo, hi) in enumerate(pairs):
+        if j > 0:
+            inner = [x for x in ground
+                     if lo < x < hi and x not in all_anchors]
+            if not inner:
+                raise UsageError(f"--anchors layer {j + 1} has empty ground")
+            ground = GroundSet(inner)
+        layers.append(OnionLayer(ground, lo, hi))
+    return onion(layers, ms)
 
 
-def _build_decomposition(args):
-    fam = args.family
-    _reject_unread(args, fam, ("format", "q", "out") + _FAMILY_FLAGS[fam])
-    if fam == "rainbow":
-        target = args.target or "superchars"
-        if target not in ("superchars", "core"):
-            raise UsageError("rainbow --target must be superchars or core")
-        if args.m is None or args.m < 0:
-            raise UsageError("rainbow needs --m >= 0")
-        return rainbow(_ground(args), args.m, target)
-    if fam == "double-rainbow":
-        if args.split is None:
-            raise UsageError("double-rainbow needs --split a,b,c")
-        target = args.target or "superchars"
-        if target not in ("superchars", "peel", "trivial_coeff"):
-            raise UsageError(
-                "double-rainbow --target must be superchars, peel "
-                "or trivial_coeff")
-        if args.m is None or args.ell is None:
-            raise UsageError("double-rainbow needs --m and --ell")
-        if args.m < 0 or args.ell < 0:
-            raise UsageError("double-rainbow needs --m >= 0 and --ell >= 0")
-        return double_rainbow(_parse_split(args.split), args.m, args.ell,
-                              target)
-    if fam == "onion":
-        if args.anchors is None or args.m_list is None:
-            raise UsageError("onion needs --anchors and --m-list")
-        pairs = _parse_anchor_pairs(args.anchors)
-        ms = _parse_ms(args.m_list)
-        if len(ms) != len(pairs):
-            raise UsageError("--anchors and the m list disagree in length")
-        outer = _ground(args)
-        all_anchors = {x for p in pairs for x in p}
-        if not all(pairs[0][0] < x < pairs[0][1] for x in outer):
-            raise UsageError(
-                "the ground set must lie between the outermost anchors")
-        for (plo, phi), (lo, hi) in zip(pairs, pairs[1:]):
-            if not plo <= lo < hi <= phi:
-                raise UsageError("each anchor pair must nest inside the "
-                                 "one before it")
-        layers = []
-        ground = outer
-        for j, (lo, hi) in enumerate(pairs):
-            if j > 0:
-                inner = [x for x in ground
-                         if lo < x < hi and x not in all_anchors]
-                if not inner:
-                    raise UsageError(f"layer {j + 1} has empty ground")
-                ground = GroundSet(inner)
-            layers.append(OnionLayer(ground, lo, hi))
-        return onion(layers, ms)
-    if fam == "psi":
-        g = _ground(args)
-        K = _parse_labels(args.cols) if args.cols else []
-        if not set(K) <= set(g):
-            raise UsageError("--cols must lie inside the ground set")
-        return psiK(g, K).decomposition()
-    if fam == "core":
-        if args.k is None or args.k < 0:
-            raise UsageError("core needs --k >= 0")
-        return core(_ground(args), args.k).decomposition()
-    if fam == "peel":
-        if args.split is None:
-            raise UsageError("peel needs --split a,b,c")
-        if args.b is None or args.f is None:
-            raise UsageError("peel needs --b and --f")
-        return peel(_parse_split(args.split), args.b, args.f)
-    if fam == "ut-algebra":
-        target = args.target or "superchars"
-        mod = ut_algebra(_ground(args))
-        if target == "superchars":
-            return mod.superchar_decomposition()
-        if target == "core":
-            return mod.core_style()
-        raise UsageError("ut-algebra --target must be superchars or core")
-    raise UsageError(f"unknown family {fam!r}")
+def _build_psi(args):
+    if not set(args.cols) <= set(args.ground):
+        raise UsageError("--cols must lie inside the ground set")
+    return psiK(args.ground, args.cols).decomposition()
+
+
+def _build_ut_algebra(args):
+    mod = ut_algebra(args.ground)
+    if args.target == "core":
+        return mod.core_style()
+    return mod.superchar_decomposition()
+
+
+def _run_decompose(args, out):
+    if args.command == "export" and args.format is None:
+        args.format = "json"
+    try:
+        dec = args.build(args)
+    except ValueError as exc:
+        # engines reject out-of-range parameters with ValueError
+        raise UsageError(str(exc)) from None
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                _emit_decomposition(dec, args, fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: "
+                             f"{exc.strerror}") from None
+    else:
+        _emit_decomposition(dec, args, out)
 
 
 def _coeff_text(coeff, q):
@@ -247,35 +212,21 @@ def _emit_decomposition(dec, args, out):
 # --- qbinom ------------------------------------------------------------------
 
 def _run_qbinom(args, out):
-    if args.k is None or args.k < 0:
-        raise UsageError("qbinom needs --k >= 0")
-    shapes = [s for s in ("chain", "antichain", "partition")
-              if getattr(args, s) is not None]
-    if len(shapes) != 1:
-        raise UsageError("qbinom wants exactly one of "
-                         "--chain, --antichain, --partition")
-    shape = shapes[0]
-    _reject_unread(args, f"qbinom --{shape}",
-                   ("k", shape, "n", "labels") if shape == "partition"
-                   else ("k", shape))
-    if shape == "chain":
-        n = args.chain
-        if n < 0:
-            raise UsageError("--chain size must be nonnegative")
-        out.write(str(qbinom(n, args.k)) + "\n")
+    # argparse cannot say that only --partition reads a ground set
+    if (args.ground is None) != (args.partition is None):
+        raise UsageError("--n or --labels goes with --partition, and only "
+                         "with it")
+    if args.chain is not None:
+        out.write(str(qbinom(args.chain, args.k)) + "\n")
         return
-    if shape == "antichain":
-        n = args.antichain
-        if n < 0:
-            raise UsageError("--antichain size must be nonnegative")
-        blocks = [(x, x, 0) for x in range(1, n + 1)]
+    if args.antichain is not None:
+        blocks = [(x, x, 0) for x in range(1, args.antichain + 1)]
         out.write(str(poset_binom(blocks, args.k)) + "\n")
         return
-    g = _ground(args)
     try:
-        lam = parse_partition(args.partition, g)
-    except Exception as exc:
-        raise UsageError(f"bad partition: {exc}")
+        lam = parse_partition(args.partition, args.ground)
+    except ValueError as exc:
+        raise UsageError(f"bad --partition: {exc}")
     out.write(str(poset_binom(block_poset(lam), args.k)) + "\n")
 
 
@@ -308,10 +259,9 @@ def render_arcs(lam):
 
 
 def _run_show(args, out):
-    g = _ground(args)
     try:
-        lam = parse_partition(" ".join(args.arcs), g)
-    except Exception as exc:
+        lam = parse_partition(" ".join(args.arcs), args.ground)
+    except ValueError as exc:
         raise UsageError(f"bad partition: {exc}")
     out.write(render_arcs(lam) + "\n")
 
@@ -438,30 +388,17 @@ def _verify_identities(nmax, report):
     report("identities rainbow-consistency")
 
 
-# the flags each verify suite reads
-_SUITE_FLAGS = {"identities": ("max",), "all": ("n", "q", "budget", "max")}
-
-
 def _run_verify(args, out):
-    suite = args.suite
-    _reject_unread(args, f"verify {suite}",
-                   _SUITE_FLAGS.get(suite, ("n", "q", "budget")))
-    for flag in ("n", "max", "budget"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise UsageError(f"--{flag} must be positive")
     # the oracle grid: p=2 up to n=5, p=3 up to n=4
     caps = {2: 5, 3: 4}
-    if args.q is not None and args.q not in caps:
-        raise UsageError("verify oracle suites support --q 2 or 3")
     top = caps[args.q] if args.q else max(caps.values())
     if args.n is not None and args.n > top:
         raise UsageError(f"verify --n must be at most {top}"
                          + (f" with --q {args.q}" if args.q else ""))
     bounds = {p: min(args.n or cap, cap) if args.q in (None, p) else 0
               for p, cap in caps.items()}
-    suites = (("orbits", "traces", "solver", "identities") if suite == "all"
-              else (suite,))
+    suites = (("orbits", "traces", "solver", "identities")
+              if args.suite == "all" else (args.suite,))
     # one buffer per suite, printed in suite order
     lines = {s: [] for s in suites}
 
@@ -473,9 +410,9 @@ def _run_verify(args, out):
         else:
             buf += [f"FAIL  {name}", f"      first counterexample: {detail}"]
 
-    _verify_grid(suites, bounds, args.budget or DEFAULT_BUDGET, report)
+    _verify_grid(suites, bounds, args.budget, report)
     if "identities" in suites:
-        _verify_identities(args.max or 8, report)
+        _verify_identities(args.max, report)
     lines = [line for s in suites for line in lines[s]]
     out.writelines(line + "\n" for line in lines)
     failures = sum(line.startswith("FAIL") for line in lines)
@@ -485,87 +422,100 @@ def _run_verify(args, out):
 
 # --- argument surface --------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The whole command line, each flag declared by the one (sub)parser
+    that reads it.  Built once per process, on first use: importing the
+    module does not pay for it."""
     p = _Parser(prog="utrestrict",
                 description="Exact restriction calculus for unitriangular "
                             "supercharacters")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
-    def add_ground(sp):
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--labels", default=None)
+    def add_ground(sp, required=True):
+        group = sp.add_mutually_exclusive_group(required=required)
+        group.add_argument("--n", dest="ground", metavar="N",
+                           type=_ground_size)
+        group.add_argument("--labels", dest="ground", metavar="LABELS",
+                           type=_ground_labels)
 
     qb = sub.add_parser("qbinom", description="poset binomial coefficients")
-    add_ground(qb)
-    qb.add_argument("--k", type=int, default=None)
-    qb.add_argument("--chain", type=int, default=None)
-    qb.add_argument("--antichain", type=int, default=None)
-    qb.add_argument("--partition", default=None)
+    qb.set_defaults(run=_run_qbinom)
+    add_ground(qb, required=False)
+    qb.add_argument("--k", type=_at_least(0), required=True)
+    shape = qb.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--chain", type=_at_least(0))
+    shape.add_argument("--antichain", type=_at_least(0))
+    shape.add_argument("--partition")
 
     # export is decompose with JSON as the default format
     dp = sub.add_parser("decompose", aliases=["export"],
                         description="decomposition coefficients")
-    dp.add_argument("family", choices=tuple(_FAMILY_FLAGS))
-    add_ground(dp)
-    dp.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    dp.add_argument("--q", type=int, default=None)
-    dp.add_argument("--m", type=int, default=None)
-    dp.add_argument("--ell", type=int, default=None)
-    dp.add_argument("--split", default=None)
-    dp.add_argument("--anchors", default=None)
-    dp.add_argument("--target", default=None)
-    dp.add_argument("--cols", default=None)
-    dp.add_argument("--k", type=int, default=None)
-    dp.add_argument("--b", type=int, default=None)
-    dp.add_argument("--f", type=int, default=None)
-    dp.add_argument("--m-list", dest="m_list", default=None)
-    dp.add_argument("--out", default=None)
+    dp.set_defaults(run=_run_decompose)
+    families = dp.add_subparsers(dest="family", required=True)
+
+    def family(name, build, ground=True):
+        fp = families.add_parser(name)
+        fp.set_defaults(build=build)
+        if ground:
+            add_ground(fp)
+        fp.add_argument("--format", choices=("text", "json", "csv"))
+        fp.add_argument("--q", type=int)
+        fp.add_argument("--out")
+        return fp
+
+    fp = family("rainbow", lambda a: rainbow(a.ground, a.m, a.target))
+    fp.add_argument("--m", type=_at_least(0), required=True)
+    fp.add_argument("--target", choices=("superchars", "core"),
+                    default="superchars")
+    fp = family("double-rainbow", lambda a: double_rainbow(
+        a.split, a.m, a.ell, a.target), ground=False)
+    fp.add_argument("--split", type=_split, required=True)
+    fp.add_argument("--m", type=_at_least(0), required=True)
+    fp.add_argument("--ell", type=_at_least(0), required=True)
+    fp.add_argument("--target", choices=("superchars", "peel",
+                                         "trivial_coeff"),
+                    default="superchars")
+    fp = family("onion", _build_onion)
+    fp.add_argument("--anchors", type=_anchor_pairs, required=True)
+    fp.add_argument("--m-list", type=_m_list, required=True)
+    fp = family("psi", _build_psi)
+    fp.add_argument("--cols", type=_cols, default=())
+    fp = family("core", lambda a: core(a.ground, a.k).decomposition())
+    fp.add_argument("--k", type=_at_least(0), required=True)
+    fp = family("peel", lambda a: peel(a.split, a.b, a.f), ground=False)
+    fp.add_argument("--split", type=_split, required=True)
+    fp.add_argument("--b", type=int, required=True)
+    fp.add_argument("--f", type=int, required=True)
+    fp = family("ut-algebra", _build_ut_algebra)
+    fp.add_argument("--target", choices=("superchars", "core"),
+                    default="superchars")
 
     sh = sub.add_parser("show", description="ASCII arc diagram")
+    sh.set_defaults(run=_run_show)
     add_ground(sh)
     sh.add_argument("arcs", nargs="*")
 
     vf = sub.add_parser("verify", description="oracle verification suites")
-    vf.add_argument("suite", choices=(
-        "identities", "orbits", "traces", "solver", "all"))
-    vf.add_argument("--n", type=int, default=None)
-    vf.add_argument("--q", type=int, default=None)
-    vf.add_argument("--max", type=int, default=None)
-    vf.add_argument("--budget", type=int, default=None)
+    vf.set_defaults(run=_run_verify)
+    suites = vf.add_subparsers(dest="suite", required=True)
+    for name in ("identities", "orbits", "traces", "solver", "all"):
+        sp = suites.add_parser(name)
+        # defaults, also of the flags that the suite does not read
+        sp.set_defaults(n=None, q=None, budget=DEFAULT_BUDGET, max=8)
+        if name != "identities":
+            sp.add_argument("--n", type=_at_least(1))
+            sp.add_argument("--q", type=int, choices=(2, 3))
+            sp.add_argument("--budget", type=_at_least(1))
+        if name in ("identities", "all"):
+            sp.add_argument("--max", type=_at_least(1))
     return p
 
 
 def run(argv, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        raise UsageError("missing subcommand")
-    if args.command == "qbinom":
-        _run_qbinom(args, out)
-    elif args.command in ("decompose", "export"):
-        if args.command == "export" and args.format is None:
-            args.format = "json"
-        try:
-            dec = _build_decomposition(args)
-        except EnumerationBoundExceeded:
-            raise
-        except ValueError as exc:
-            # engines reject out-of-range parameters with ValueError
-            raise UsageError(str(exc)) from None
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    _emit_decomposition(dec, args, fh)
-            except OSError as exc:
-                raise UsageError(f"cannot write --out {args.out!r}: "
-                                 f"{exc.strerror}") from None
-        else:
-            _emit_decomposition(dec, args, out)
-    elif args.command == "show":
-        _run_show(args, out)
-    elif args.command == "verify":
-        _run_verify(args, out)
+    args = build_parser().parse_args(argv)
+    args.run(args, out)
     return 0
 
 

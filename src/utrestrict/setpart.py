@@ -19,7 +19,7 @@ class GroundViolation(ValueError):
     pass
 
 
-class EnumerationBoundExceeded(ValueError):
+class EnumerationBoundExceeded(Exception):
     pass
 
 
@@ -259,37 +259,13 @@ class RegionSplit:
 
     @staticmethod
     def from_sizes(a, b, c):
-        """Geometry with |N_<| = a, |N_=| = b, |N_>| = c on consecutive labels.
-
-        n_- collapses onto n_-- exactly when a = 0 (the geometry forces it),
-        similarly on the right.
-        """
-        labels = []
-        x = 1
-        if a > 0:
-            n_mm = x
-            labels.append(x)
-            x += 1
-        labels += list(range(x, x + a))
-        x += a
-        n_m = x
-        labels.append(x)
-        x += 1
-        if a == 0:
-            n_mm = n_m
-        labels += list(range(x, x + b))
-        x += b
-        n_p = x
-        labels.append(x)
-        x += 1
-        labels += list(range(x, x + c))
-        x += c
-        if c == 0:
-            n_pp = n_p
-        else:
-            n_pp = x
-            labels.append(x)
-        return RegionSplit(GroundSet(labels), n_mm, n_m, n_p, n_pp)
+        """Geometry with |N_<| = a, |N_=| = b, |N_>| = c on the labels
+        1..n_++.  n_- collapses onto n_-- exactly when a = 0 (the geometry
+        forces it), similarly on the right."""
+        n_m = a + 1 + (a > 0)
+        n_p = n_m + b + 1
+        n_pp = n_p + c + (c > 0)
+        return RegionSplit(GroundSet.range(n_pp), 1, n_m, n_p, n_pp)
 
     def anchor_multiset(self, m, ell):
         """The double-rainbow multiset over the ambient ground set."""
@@ -323,16 +299,42 @@ def from_blocks(ground, blocks):
 MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
-def _count_partitions(n, max_arcs):
-    """Partitions of n points with at most max_arcs arcs, the sum of the
-    Stirling numbers S(n, n - k) over k <= max_arcs, or None above budget."""
-    diag = [1] + [0] * min(max_arcs, n)     # diag[k] = S(i, i - k)
-    for i in range(1, n + 1):
-        for k in range(len(diag) - 1, 0, -1):
-            diag[k] += (i - k) * diag[k - 1]
-        if sum(diag) > MAX_PARTITIONS:
-            return None     # the sum only grows with i
-    return sum(diag)
+def _scan_shape(labels, lefts, rights):
+    """The scan's arrays: whether each point may open an arc, whether it
+    may close one, and how many points after it may close one."""
+    opens = [lefts is None or x in lefts for x in labels]
+    closes = [rights is None or x in rights for x in labels]
+    closers = [0] * len(labels)
+    for i in range(len(labels) - 2, -1, -1):
+        closers[i] = closers[i + 1] + closes[i + 1]
+    return opens, closes, closers
+
+
+def count_scan(ground, max_arcs=None, lefts=None, rights=None):
+    """How many partitions enumerate_partitions(ground, max_arcs, lefts,
+    rights) yields, or None when that is more than MAX_PARTITIONS.
+
+    A forward count of the scan's live branches, keyed by (open arcs, arcs
+    left to open), under the scan's own rules.  Every live branch yields at
+    least once (it may close an open arc at each later closer), so the
+    running total never falls, and the count stops once it passes the
+    budget."""
+    opens, closes, closers = _scan_shape(tuple(ground), lefts, rights)
+    spare = len(closers) if max_arcs is None else max_arcs
+    live = Counter({(0, spare): 1} if spare >= 0 else {})
+    for i, rest in enumerate(closers):
+        step = Counter()
+        for (o, s), ways in live.items():
+            # close none of the o open arcs, or at a closer any one of them
+            for k, w in ((o, ways), (o - 1, o * ways * closes[i])):
+                if w and k <= rest:
+                    step[k, s] += w
+                if w and s > 0 and opens[i] and k < rest:
+                    step[k + 1, s - 1] += w
+        live = step
+        if sum(live.values()) > MAX_PARTITIONS:
+            return None
+    return sum(live.values())
 
 
 def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
@@ -347,7 +349,7 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     arc if it is in rights, and may open one if it is in lefts.  A branch
     stops when its arcs would exceed max_arcs, or when more arcs are open
     than points are left to close them.  The budget counts the partitions
-    with at most max_arcs arcs whatever the endpoint constraints.
+    that this scan yields.
 
     Closing the arc (l, x) nests it over the closed arcs opened after l
     (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
@@ -358,16 +360,11 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     spare = n if max_arcs is None else max_arcs
     if n > MAX_POINTS:
         raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
-    if _count_partitions(n, spare) is None:
+    if count_scan(ground, max_arcs, lefts, rights) is None:
         raise EnumerationBoundExceeded(
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
             f"most {spare} arcs")
-    opens = [lefts is None or x in lefts for x in labels]
-    closes = [rights is None or x in rights for x in labels]
-    # closers[i]: points after the i-th that may close an arc
-    closers = [0] * n
-    for i in range(n - 2, -1, -1):
-        closers[i] = closers[i + 1] + closes[i + 1]
+    opens, closes, closers = _scan_shape(labels, lefts, rights)
     arcs = []
     # the open arcs in scan order: (left endpoint, arcs opened before it)
     opened = []

@@ -1,15 +1,20 @@
+import argparse
 import hashlib
 import io
+import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
-from utrestrict.setpart import GroundSet, SetPartition, enumerate_partitions
+from utrestrict.setpart import (
+    GroundSet, SetPartition, enumerate_partitions, count_scan, bell,
+)
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
-from utrestrict import cli, oracle
+from utrestrict import cli, oracle, restrict
 from utrestrict.cli import main, run, UsageError
 
 
@@ -29,9 +34,9 @@ def capture(argv):
 BAD_INPUTS = [
     # 183,074 partitions of [12] have at most 4 arcs, over the budget
     (["decompose", "core", "--n", "12", "--k", "4"], 3),
-    # only Bell(10) partitions of [11] have no arc ending at the top point,
-    # but the budget counts the unconstrained scan, Bell(11)
-    (["decompose", "ut-algebra", "--n", "11"], 3),
+    # the algebra scans the partitions of [12] with no arc ending at the top
+    # point, Bell(11) of them: over the budget, refused before any scan
+    (["decompose", "ut-algebra", "--n", "12"], 3),
     # a ground over 128 points exits at once, whatever the arc cap
     (["decompose", "rainbow", "--n", "100000", "--m", "5"], 3),
     (["decompose", "rainbow", "--n", "100000", "--m", "0"], 3),
@@ -81,6 +86,9 @@ BAD_INPUTS = [
     (["verify", "identities", "--budget", "100"], 1),
     (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5",
       "--m", "2"], 1),
+    # flags come after the family or suite
+    (["decompose", "--n", "3", "rainbow", "--m", "1"], 1),
+    (["verify", "--n", "2", "orbits"], 1),
     # the known three-layer onion defect (see the strict xfail below) must
     # fail cleanly, not print a wrong table
     (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",
@@ -126,6 +134,30 @@ class TestExitCodes:
         degree = sum((c * superchar_value(lam, one, g)
                       for lam, c in dec.coeffs.items()), ZERO)
         assert degree == (Q_MINUS_1 ** 2).shift(24)
+
+    def test_budget_counts_the_constrained_scan(self, monkeypatch):
+        # the algebra on [11] scans the Bell(10) partitions with no arc
+        # ending at the top point: within the budget.  The query takes
+        # seconds, so only the scan it asks for is counted.
+        class Scanned(Exception):
+            pass
+
+        asked = []
+
+        def stop(*args):
+            asked.append(args)
+            raise Scanned
+
+        monkeypatch.setattr(restrict, "enumerate_partitions", stop)
+        with pytest.raises(Scanned):
+            run(["decompose", "ut-algebra", "--n", "11"], out=io.StringIO())
+        assert count_scan(*asked[0]) == bell(10) == 115975
+        monkeypatch.undo()
+        # psi keeps the partitions with left endpoints in the columns
+        code, out = capture(["decompose", "psi", "--n", "12",
+                             "--cols", "3,6,9,12"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 211
 
     def test_verify_failure_exit(self, monkeypatch):
         # sabotage the closed form so the oracle comparison must disagree
@@ -218,6 +250,12 @@ class TestDecompose:
                 c = coeffs.get(label, ZERO)
                 rhs += c(2) * superchar_value(lam, mu, inner)(2)
             assert lhs == rhs, mu
+
+    def test_empty_cols_is_the_empty_column_set(self):
+        code, out = capture(["decompose", "psi", "--n", "3", "--cols", ""])
+        assert code == 0
+        assert out == capture(["decompose", "psi", "--n", "3"])[1]
+        assert out == "basis: supercharacter\n()  1\n"
 
     def test_csv_and_q_evaluation(self):
         _, out = capture(["decompose", "psi", "--n", "3", "--cols", "1,2",
@@ -345,6 +383,72 @@ class TestVerify:
         code, out = capture(["verify", "solver", "--n", "3", "--q", "3"])
         assert code == 2
         assert f"FAIL  solver {family} n=" in out
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch):
+        built = []
+        real = cli._Parser.__init__
+
+        def counted(self, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, **kwargs)
+
+        argv = ["qbinom", "--chain", "2", "--k", "1"]
+        run(argv, out=io.StringIO())
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        run(argv, out=io.StringIO())
+        run(argv, out=io.StringIO())
+        assert built == []
+
+    def test_readme_tables_match_the_parser(self):
+        # README's flag tables against the flags each subparser declares
+        commands = subparsers(cli.build_parser())
+        table = readme_table("| Command | Flags |")
+        assert set(table) == set(commands)
+        for name in ("qbinom", "show"):
+            assert table[name] == flags(commands[name])
+        assert table["export"] == table["decompose"]
+        families = subparsers(commands["decompose"])
+        family_table = readme_table("| Family | Parameters |")
+        assert set(family_table) == set(families)
+        for name, parser in families.items():
+            assert table["decompose"] | family_table[name] == flags(parser)
+        suites = subparsers(commands["verify"])
+        suite_table = readme_table("| Suite | Flags |")
+        assert set(suite_table) == set(suites)
+        for name, parser in suites.items():
+            assert suite_table[name] == flags(parser)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def subparsers(parser):
+    """{name: subparser} for each subcommand of parser, aliases included."""
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def flags(parser):
+    return {s for a in parser._actions for s in a.option_strings} \
+        - {"-h", "--help"}
+
+
+def readme_table(header):
+    """{name: flags} for each row of the README table whose header line is
+    `header`: the backquoted names of the first column, each with the
+    backquoted --flags of the second."""
+    lines = README.read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])
+    table = {}
+    for row in rows:
+        _, names, rest = row.split("|", 2)
+        for name in re.findall(r"`([\w-]+)", names):
+            table[name] = set(re.findall(r"`(--[\w-]+)", rest))
+    return table
 
 
 # --- recorded benchmark digests ------------------------------------------------

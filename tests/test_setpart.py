@@ -8,7 +8,7 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
     parse_partition, nst, nst_points, wt_up, region_counts,
-    enumerate_partitions, from_blocks, bell,
+    enumerate_partitions, count_scan, from_blocks, bell,
 )
 
 from conftest import blocks, crs
@@ -184,6 +184,16 @@ class TestRegions:
         c = RegionSplit.from_sizes(0, 1, 0)
         assert c.n_mm == c.n_m and c.n_p == c.n_pp
         assert list(c.n_eq) == [2]
+        # consecutive labels from 1, regions of the asked sizes, and an
+        # anchor collapse exactly at an empty outer region
+        for a, b, c in itertools.product(range(4), repeat=3):
+            if a + b + c == 0:
+                continue
+            s = RegionSplit.from_sizes(a, b, c)
+            assert list(s.ambient) == list(range(1, s.n_pp + 1))
+            assert (len(s.n_lt), len(s.n_eq), len(s.n_gt)) == (a, b, c)
+            assert s.n_mm == 1
+            assert (s.n_m == s.n_mm, s.n_p == s.n_pp) == (a == 0, c == 0)
 
 
 def constraint_grid():
@@ -308,11 +318,24 @@ class TestEnumeration:
                             == skeleton
             assert len(set(skeletons.values())) == len(skeletons)
 
-    def test_endpoint_constraints_keep_the_budget(self):
-        # the budget counts the unconstrained scan: Bell(11) is over it even
-        # when no point may close an arc
+    def test_budget_counts_the_constrained_scan(self):
+        # the budget counts what the scan yields: Bell(11) is over it, but
+        # when no point may close an arc the scan of 11 points yields the
+        # one partition with no arc
+        g = GroundSet.range(11)
+        assert count_scan(g) is None
         with pytest.raises(EnumerationBoundExceeded):
-            next(enumerate_partitions(GroundSet.range(11), None, None, ()))
+            next(enumerate_partitions(g))
+        assert count_scan(g, None, None, ()) == 1
+        assert [lam.arcs for lam, _, _
+                in enumerate_partitions(g, None, None, ())] == [frozenset()]
+
+    def test_count_scan_is_the_yield_count(self):
+        for g, pairs in constraint_grid():
+            for lefts, rights in pairs:
+                for m in caps(g):
+                    assert count_scan(g, m, lefts, rights) == sum(
+                        1 for _ in enumerate_partitions(g, m, lefts, rights))
 
 
 @settings(max_examples=200)
