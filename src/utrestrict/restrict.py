@@ -15,7 +15,7 @@ from .qcalc import (
 )
 from .setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions, nst,
-    nst_points, wt_up, arcs_of, region_counts,
+    nst_points, wt_up, region_counts,
 )
 from .nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -274,7 +274,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         nu = ArcMultiset(ground, ())
 
     if mode == "psi":
-        if any(i in kbar and j in kbar for i, j in arcs_of(nu)):
+        if any(i in kbar and j in kbar for i, j in nu.arcs):
             raise ValueError("nu may not have arcs inside the anchor interval")
         XL = nu.left_endpoints() & K
         pref = ell * len(kbar - K)
@@ -291,7 +291,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         J = frozenset(J)
         if kbar != K:
             raise ValueError("anchor interval must be exactly K here")
-        if any(i in K and j in K for i, j in arcs_of(nu)):
+        if any(i in K and j in K for i, j in nu.arcs):
             raise ValueError("nu may not have arcs inside K")
         XR = nu.right_endpoints() & K
         coeffs = {}

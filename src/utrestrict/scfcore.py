@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .qcalc import ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact
 from .setpart import (
-    SetPartition, arcs_of, arcs_label, nst, nst_points, enumerate_partitions,
+    SetPartition, arcs_label, nst, nst_points, enumerate_partitions,
 )
 
 
@@ -48,7 +48,7 @@ def superchar_value(lam, mu, ambient):
     if isinstance(lam, SetPartition):
         return _single_partition_value(lam, mu, ambient)
     out = ONE
-    for arc in arcs_of(lam):
+    for arc in lam.arcs:
         one = SetPartition(ambient, [arc])
         out = out * _single_partition_value(one, mu, ambient)
         if out.is_zero():

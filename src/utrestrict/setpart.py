@@ -104,9 +104,6 @@ class SetPartition:
     def __len__(self):
         return len(self.arcs)
 
-    def __iter__(self):
-        return iter(sorted(self.arcs))
-
     def __eq__(self, other):
         return (isinstance(other, SetPartition)
                 and self.ground == other.ground and self.arcs == other.arcs)
@@ -163,9 +160,6 @@ class ArcMultiset:
     def __len__(self):
         return len(self.arcs)
 
-    def __iter__(self):
-        return iter(self.arcs)
-
     def __eq__(self, other):
         return (isinstance(other, ArcMultiset)
                 and self.ground == other.ground and self.arcs == other.arcs)
@@ -181,13 +175,6 @@ class ArcMultiset:
 
     def right_endpoints(self):
         return frozenset(j for _, j in self.arcs)
-
-
-def arcs_of(lam):
-    """Arc list with multiplicity for either partition flavor."""
-    if isinstance(lam, SetPartition):
-        return sorted(lam.arcs)
-    return list(lam.arcs)
 
 
 def arcs_label(arcs):
@@ -207,14 +194,13 @@ def parse_partition(text, ground):
 
 def nst(lam, mu):
     """nst^lam_mu = #{(i~l in lam, j~k in mu) : i<j<k<l}, with multiplicity."""
-    mu_arcs = arcs_of(mu)
-    return sum(1 for (i, l) in arcs_of(lam) for (j, k) in mu_arcs
+    return sum(1 for (i, l) in lam.arcs for (j, k) in mu.arcs
                if i < j and k < l)
 
 
 def nst_points(lam, points):
     """nst^lam_A = #{(i~l in lam, j in A) : i<j<l}, with multiplicity."""
-    return sum(1 for (i, l) in arcs_of(lam) for j in points if i < j < l)
+    return sum(1 for (i, l) in lam.arcs for j in points if i < j < l)
 
 
 def wt_up(A, C):
@@ -293,9 +279,9 @@ def from_blocks(ground, blocks):
 
 
 # a scan may yield at most Bell(10) partitions, all those of 10 points, and
-# run over at most 128 points: it nests one generator per point, and the 8,129
-# partitions of 128 points with at most one arc take less time to decompose
-# than the full scan of 10 points
+# run over at most 128 points: the work per partition grows with the ground,
+# and the 8,129 partitions of 128 points with at most one arc take less time
+# to decompose than the full scan of 10 points
 MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
@@ -345,11 +331,12 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     point is a left endpoint and bit 2i + 1 when it is a right endpoint, so
     two partitions share a skeleton exactly when they share L(.) and R(.).
 
-    A left-to-right scan of the arc diagram: each point may close one open
-    arc if it is in rights, and may open one if it is in lefts.  A branch
-    stops when its arcs would exceed max_arcs, or when more arcs are open
-    than points are left to close them.  The budget counts the partitions
-    that this scan yields.
+    A left-to-right scan of the arc diagram, one level of partial states
+    per point: each point may close one open arc if it is in rights, and
+    may open one if it is in lefts.  A state is dropped when its arcs would
+    exceed max_arcs, or when more arcs are open than points are left to
+    close them.  The states left after the last point are the partitions;
+    the budget counts them before the scan starts.
 
     Closing the arc (l, x) nests it over the closed arcs opened after l
     (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
@@ -365,38 +352,40 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
             f"most {spare} arcs")
     opens, closes, closers = _scan_shape(labels, lefts, rights)
-    arcs = []
-    # the open arcs in scan order: (left endpoint, arcs opened before it)
-    opened = []
-
-    def scan(i, spare, nest, skeleton):
-        # spare: arcs that may still be opened
-        if i == n:
-            yield SetPartition._trusted(ground, arcs), nest, skeleton
-            return
-        x, rest = labels[i], closers[i]
-        for c in range(-1, len(opened) if closes[i] else 0):
-            nest_x, skeleton_x = nest, skeleton
-            if c >= 0:
-                # with o arcs open, len(arcs) + o - before - 1 arcs were
-                # opened after l, and o - c - 1 of them are still open
-                l, before = opened.pop(c)
-                nest_x += len(arcs) - before + c
-                arcs.append((l, x))
-                skeleton_x |= 2 << 2 * i
-            if len(opened) <= rest:
-                yield from scan(i + 1, spare, nest_x, skeleton_x)
-            if spare > 0 and opens[i] and len(opened) < rest:
-                opened.append((x, len(arcs) + len(opened)))
-                yield from scan(i + 1, spare - 1, nest_x,
-                                skeleton_x | 1 << 2 * i)
-                opened.pop()
-            if c >= 0:
-                opened.insert(c, (l, before))
-                arcs.pop()
-
-    if spare >= 0:
-        yield from scan(0, spare, 0, 0)
+    # the partial states after each point: (arcs, the open arcs in scan
+    # order as (left endpoint, arcs opened before it), arcs that may still
+    # be opened, nest, skeleton)
+    level = [((), (), spare, 0, 0)] if spare >= 0 else []
+    for i, x in enumerate(labels):
+        rest, close_bit, open_bit = closers[i], 2 << 2 * i, 1 << 2 * i
+        may_open, may_close = opens[i], closes[i]
+        step = []
+        for state in level:
+            arcs, opened, spare, nest, skeleton = state
+            o = len(opened)
+            # an arc opened at x comes after all len(arcs) + o arcs opened
+            # so far, whether or not x closes one
+            new = ((x, len(arcs) + o),) if spare > 0 and may_open else None
+            if o <= rest:
+                step.append(state)
+            if new and o < rest:
+                step.append((arcs, opened + new, spare - 1, nest,
+                             skeleton | open_bit))
+            for c, (l, before) in enumerate(opened if may_close else ()):
+                # len(arcs) + o - before - 1 arcs were opened after l, and
+                # o - c - 1 of them are still open
+                arcs_x = arcs + ((l, x),)
+                opened_x = opened[:c] + opened[c + 1:]
+                nest_x = nest + len(arcs) - before + c
+                if o - 1 <= rest:
+                    step.append((arcs_x, opened_x, spare, nest_x,
+                                 skeleton | close_bit))
+                if new and o - 1 < rest:
+                    step.append((arcs_x, opened_x + new, spare - 1, nest_x,
+                                 skeleton | close_bit | open_bit))
+        level = step
+    for arcs, _, _, nest, skeleton in level:
+        yield SetPartition._trusted(ground, arcs), nest, skeleton
 
 
 def bell(n):

@@ -13,7 +13,7 @@ from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qphi
 from utrestrict.scfcore import (
     SuperclassFunction, decompose_at_prime, superchar_value,
 )
-from utrestrict.setpart import arcs_of, enumerate_partitions, nst_points
+from utrestrict.setpart import enumerate_partitions, nst_points
 
 
 # --- arc-diagram references ----------------------------------------------------
@@ -40,7 +40,7 @@ def blocks(lam):
 def crs(lam):
     """Number of crossing pairs i~k, j~l with i<j<k<l."""
     return sum(1 for (i, k), (j, l) in itertools.combinations(
-        sorted(arcs_of(lam)), 2) if i < j < k < l)
+        sorted(lam.arcs), 2) if i < j < k < l)
 
 
 def closure_block_poset(lam):

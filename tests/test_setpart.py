@@ -237,8 +237,8 @@ class TestEnumeration:
             == 1772
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(GroundSet.range(12), 4))
-        # the scan nests one generator per point: 128 points is the most,
-        # even for the one partition with no arc
+        # the work per partition grows with the ground: 128 points is the
+        # most, even for the one partition with no arc
         assert [p.arcs for p, _, _
                 in enumerate_partitions(GroundSet.range(128), 0)] \
             == [frozenset()]
@@ -246,6 +246,18 @@ class TestEnumeration:
                                                    1)) == 1 + 128 * 127 // 2
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(GroundSet.range(129), 0))
+
+    def test_scan_does_not_recurse_per_point(self, run_python):
+        # the scan steps through the points in one loop, so 128 points fit
+        # in a stack far shallower than the ground
+        proc = run_python("-c", "\n".join([
+            "import sys",
+            "from utrestrict.setpart import GroundSet, enumerate_partitions",
+            "sys.setrecursionlimit(60)",
+            "print(sum(1 for _ in enumerate_partitions("
+            "GroundSet.range(128), 1)))"]))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "8129\n", "")
 
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
