@@ -25,8 +25,8 @@ from .oracle import (
 )
 from .scfcore import supercharacter_table
 from .restrict import (
-    psiK, core, core_tensor, rainbow, peel, double_rainbow,
-    OnionLayer, onion, ut_algebra,
+    psiK, core, core_tensor, rainbow, peel, double_rainbow, onion,
+    ut_algebra,
 )
 
 
@@ -121,37 +121,6 @@ def _m_list(text):
 
 
 # --- decompose ---------------------------------------------------------------
-
-def _build_onion(args):
-    pairs, ms, outer = args.anchors, args.m_list, args.ground
-    if len(ms) != len(pairs):
-        raise UsageError("--anchors and --m-list disagree in length")
-    all_anchors = {x for p in pairs for x in p}
-    if not all(pairs[0][0] < x < pairs[0][1] for x in outer):
-        raise UsageError(
-            "the ground set must lie between the outermost --anchors")
-    for (plo, phi), (lo, hi) in zip(pairs, pairs[1:]):
-        if not plo <= lo < hi <= phi:
-            raise UsageError("each --anchors pair must nest inside the "
-                             "one before it")
-    layers = []
-    ground = outer
-    for j, (lo, hi) in enumerate(pairs):
-        if j > 0:
-            inner = [x for x in ground
-                     if lo < x < hi and x not in all_anchors]
-            if not inner:
-                raise UsageError(f"--anchors layer {j + 1} has empty ground")
-            ground = GroundSet(inner)
-        layers.append(OnionLayer(ground, lo, hi))
-    return onion(layers, ms)
-
-
-def _build_psi(args):
-    if not set(args.cols) <= set(args.ground):
-        raise UsageError("--cols must lie inside the ground set")
-    return psiK(args.ground, args.cols).decomposition()
-
 
 def _build_ut_algebra(args):
     mod = ut_algebra(args.ground)
@@ -476,10 +445,10 @@ def build_parser():
     fp.add_argument("--target", choices=("superchars", "peel",
                                          "trivial_coeff"),
                     default="superchars")
-    fp = family("onion", _build_onion)
+    fp = family("onion", lambda a: onion(a.ground, a.anchors, a.m_list))
     fp.add_argument("--anchors", type=_anchor_pairs, required=True)
     fp.add_argument("--m-list", type=_m_list, required=True)
-    fp = family("psi", _build_psi)
+    fp = family("psi", lambda a: psiK(a.ground, a.cols).decomposition())
     fp.add_argument("--cols", type=_cols, default=())
     fp = family("core", lambda a: core(a.ground, a.k).decomposition())
     fp.add_argument("--k", type=_at_least(0), required=True)

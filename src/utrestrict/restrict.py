@@ -14,8 +14,8 @@ from .qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
 )
 from .setpart import (
-    GroundSet, SetPartition, ArcMultiset, enumerate_partitions, nst,
-    nst_points, wt_up, region_counts,
+    SetPartition, ArcMultiset, enumerate_partitions, nst, nst_points, wt_up,
+    region_counts,
 )
 from .nestposet import (
     block_poset, poset_binom, poset_multinom,
@@ -369,12 +369,12 @@ def peel(split, b, f):
     return _superchars(split.inner, base, f, split=split)
 
 
-def _anchor_prefactor(split, m):
-    """Exponent contributed by the inner anchor spots: m per anchor of the
-    inner pair lying strictly inside the outer pair."""
-    spots = {a for a in (split.n_m, split.n_p)
-             if split.n_mm < a < split.n_pp}
-    return m * len(spots)
+def _anchor_prefactor(pairs, ms):
+    """Exponent of the anchors nested under the rainbows: m_j for each
+    anchor lying strictly inside anchor pair j."""
+    anchors = {x for pair in pairs for x in pair}
+    return sum(m * sum(1 for x in anchors if lo < x < hi)
+               for (lo, hi), m in zip(pairs, ms))
 
 
 def double_rainbow(split, m, ell, target):
@@ -386,7 +386,8 @@ def double_rainbow(split, m, ell, target):
     """
     assert m >= 0 and ell >= 0
     a, c = len(split.n_lt), len(split.n_gt)
-    pre = _anchor_prefactor(split, m)
+    pre = _anchor_prefactor(
+        [(split.n_mm, split.n_pp), (split.n_m, split.n_p)], [m, ell])
 
     if target == "peel":
         coeffs = {}
@@ -428,75 +429,63 @@ def double_rainbow(split, m, ell, target):
     raise ValueError(f"unknown double_rainbow target {target!r}")
 
 
-class OnionLayer:
-    """One layer of the iterated geometry: a ground set with its two
-    anchors just outside it."""
-
-    __slots__ = ("ground", "n_minus", "n_plus")
-
-    def __init__(self, ground, n_minus, n_plus):
-        assert all(n_minus < x < n_plus for x in ground)
-        self.ground = ground
-        self.n_minus = n_minus
-        self.n_plus = n_plus
-
-
-def _layer_side_sizes(layer, inner_layer):
-    """Sizes of the two side regions of one layer relative to the next one
-    inside it; the deeper anchors themselves belong to neither region."""
-    pts = set(layer.ground) - {inner_layer.n_minus, inner_layer.n_plus}
-    a = sum(1 for x in pts if x < inner_layer.n_minus)
-    c = sum(1 for x in pts if x > inner_layer.n_plus)
-    return a, c
-
-
-def onion(layers, ms):
+def onion(ground, anchors, ms):
     """Coefficients of the onion modules in the iterated restriction of
-    nested rainbow multisets (m_j arcs at layer j)."""
-    k = len(layers)
-    assert k == len(ms) and all(mj >= 1 for mj in ms)
-    for outer, inner in zip(layers, layers[1:]):
-        assert set(inner.ground) <= set(outer.ground)
-        assert outer.n_minus <= inner.n_minus < inner.n_plus <= outer.n_plus
-    # literal prefactor: anchors of deeper layers nested under outer arcs
-    anchors = set()
-    arcs = []
-    for layer, mj in zip(layers, ms):
-        anchors |= {layer.n_minus, layer.n_plus}
-        arcs += [(layer.n_minus, layer.n_plus)] * mj
-    ambient = GroundSet(sorted(set(layers[0].ground) | anchors))
-    mu = ArcMultiset(ambient, arcs)
-    pre = nst_points(mu, sorted(anchors))
-
-    sides = [_layer_side_sizes(layers[j], layers[j + 1]) for j in range(k - 1)]
-
-    def valid(j, b, f):
-        if j == k - 1:
-            return b == 0 and f <= len(layers[j].ground)
-        a, c = sides[j]
-        return b <= min(a, c) and f <= a + c
-
+    nested rainbow multisets: m_j arcs on the j-th (lo, hi) pair of
+    `anchors`.  Layer 0 is `ground`, strictly inside the outermost pair;
+    layer j is the points of layer j-1 strictly inside pair j, less every
+    anchor.  Raises ValueError when the pairs do not nest or a layer is
+    empty."""
+    k = len(anchors)
+    if not k or len(ms) != k:
+        raise ValueError("wants one m per anchor pair, and at least one pair")
+    if min(ms) < 1:
+        raise ValueError(f"every m must be at least 1: {list(ms)}")
+    lo, hi = anchors[0]
+    if not all(lo < x < hi for x in ground):
+        raise ValueError("the ground set must lie strictly inside the "
+                         "outermost anchor pair")
+    for (plo, phi), (lo, hi) in zip(anchors, anchors[1:]):
+        if not plo <= lo < hi <= phi:
+            raise ValueError("each anchor pair must nest inside the one "
+                             "before it")
+    every = {x for pair in anchors for x in pair}
+    layers = [list(ground)]
+    for lo, hi in anchors[1:]:
+        layers.append([x for x in layers[-1]
+                       if lo < x < hi and x not in every])
+    for j, layer in enumerate(layers):
+        if not layer:
+            raise ValueError(f"anchor layer {j + 1} has empty ground")
+    # (b cap, f cap) of each layer: the side regions of a layer around the
+    # next pair bound the crossing rank b and the rank f; the innermost
+    # layer has b = 0
+    caps = []
+    for layer, (lo, hi) in zip(layers, anchors[1:]):
+        a = sum(1 for x in layer if x < lo)
+        c = sum(1 for x in layer if x > hi)
+        caps.append((min(a, c), a + c))
+    caps.append((0, len(layers[-1])))
+    sign = (Q_MINUS_1 ** sum(ms)).shift(_anchor_prefactor(anchors, ms))
     coeffs = {}
-    total_m = sum(ms)
 
-    def rec(j, bs, fs, used):
+    def rec(j, top, bs, fs, tops):
+        # top: the arcs reaching layer j, the m's so far less the f's
+        # peeled off before
         if j == k:
             bsum = list(itertools.accumulate(reversed(bs)))[::-1]
-            poly = ONE
-            for i in range(k):
-                top = sum(ms[:i + 1]) - sum(fs[:i])
-                poly = poly * qphi(top, fs[i]).shift((ms[i] - fs[i]) * bsum[i])
-            label = ModuleLabel("onion", (tuple(bs), tuple(fs)))
-            coeffs[label] = ((Q_MINUS_1 ** total_m) * poly).shift(pre)
+            poly = sign
+            for m, f, t, b in zip(ms, fs, tops, bsum):
+                poly = poly * qphi(t, f).shift((m - f) * b)
+            coeffs[ModuleLabel("onion", (bs, fs))] = poly
             return
-        cap = sum(ms[:j + 1]) - used
-        for f in range(cap + 1):
-            bmax = 0 if j == k - 1 else f
-            for b in range(bmax + 1):
-                if valid(j, b, f):
-                    rec(j + 1, bs + [b], fs + [f], used + f)
+        top += ms[j]
+        bcap, fcap = caps[j]
+        for f in range(min(top, fcap) + 1):
+            for b in range(min(f, bcap) + 1):
+                rec(j + 1, top - f, bs + (b,), fs + (f,), tops + (top,))
 
-    rec(0, [], [], 0)
+    rec(0, 0, (), (), ())
     return Decomposition("onion", coeffs)
 
 

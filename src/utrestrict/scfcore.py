@@ -25,10 +25,8 @@ call it.  `verify solver` rebuilds oracle traces through the table instead.
 from fractions import Fraction
 from itertools import combinations
 
-from .qcalc import ZERO, ONE, Q_MINUS_1, InexactDivision, divide_exact
-from .setpart import (
-    SetPartition, arcs_label, nst, nst_points, enumerate_partitions,
-)
+from .qcalc import ZERO, Q_MINUS_1, InexactDivision, divide_exact
+from .setpart import SetPartition, arcs_label, enumerate_partitions
 
 
 class DecompositionError(ArithmeticError):
@@ -43,29 +41,27 @@ class SingularSystem(Exception):
 
 
 def superchar_value(lam, mu, ambient):
-    """chi^lam(u_mu) as a QPoly; lam may be a SetPartition or ArcMultiset,
-    mu must be a SetPartition; both read over the `ambient` ground set."""
-    if isinstance(lam, SetPartition):
-        return _single_partition_value(lam, mu, ambient)
-    out = ONE
-    for arc in lam.arcs:
-        one = SetPartition(ambient, [arc])
-        out = out * _single_partition_value(one, mu, ambient)
-        if out.is_zero():
-            return ZERO
-    return out
-
-
-def _single_partition_value(lam, mu, ambient):
-    mu_arcs = set(mu.arcs)
+    """chi^lam(u_mu) as a QPoly, one factor per arc of lam; lam may be a
+    SetPartition or an ArcMultiset, mu must be a SetPartition; both read
+    over the `ambient` ground set.  An arc i~k gives 0 when mu has an arc
+    i~j or j~k with i<j<k; otherwise q^(points inside - arcs of mu inside)
+    times q-1 when mu lacks the arc, and times -1 when mu has it."""
+    meet = e = 0
     for i, k in lam.arcs:
-        for j in ambient:
-            if i < j < k and ((i, j) in mu_arcs or (j, k) in mu_arcs):
-                return ZERO
-    diff = len(lam.arcs - mu_arcs)
-    meet = len(lam.arcs & mu_arcs)
-    e = nst_points(lam, list(ambient)) - nst(lam, mu)
-    val = (Q_MINUS_1 ** diff).shift(e)
+        # an arc of mu that shares one end with i~k and lies under it kills
+        # the value; i~k itself is a meet; one strictly inside lowers e
+        for j, l in mu.arcs:
+            if j == i:
+                if l < k:
+                    return ZERO
+                meet += l == k
+            elif l == k:
+                if j > i:
+                    return ZERO
+            elif i < j and l < k:
+                e -= 1
+        e += sum(1 for x in ambient if i < x < k)
+    val = (Q_MINUS_1 ** (len(lam.arcs) - meet)).shift(e)
     return val if meet % 2 == 0 else -val
 
 
@@ -117,7 +113,7 @@ def restrict_values(lam, sub):
 
 
 def partition_sort_key(lam):
-    return (len(lam.arcs), tuple(sorted(lam.arcs)))
+    return len(lam.arcs), sorted(lam.arcs)
 
 
 class Decomposition:
@@ -142,9 +138,8 @@ class Decomposition:
         rows = []
         for label, coeff in self.coeffs.items():
             if isinstance(label, SetPartition):
-                arcs = sorted(label.arcs)
-                text = arcs_label(arcs)
-                key = (0, len(arcs), arcs)   # as partition_sort_key
+                key = (0, *partition_sort_key(label))
+                text = arcs_label(key[2])
             else:
                 text = str(label)
                 key = (1, text)

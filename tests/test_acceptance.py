@@ -30,8 +30,7 @@ from utrestrict.oracle import (
 )
 from utrestrict import cli
 from utrestrict.restrict import (
-    psiK, core_tensor, rainbow, double_rainbow, OnionLayer, onion,
-    ut_algebra,
+    psiK, core_tensor, rainbow, double_rainbow, onion, ut_algebra,
 )
 
 from conftest import dr_trivial_reference, numeric_decompose
@@ -193,13 +192,12 @@ class TestOnionAcceptance:
         split = RegionSplit.from_sizes(*abc)
         if len(split.n_eq) == 0:
             pytest.skip("inner layer needs a nonempty ground")
-        layers = [OnionLayer(split.inner, split.n_mm, split.n_pp),
-                  OnionLayer(split.n_eq, split.n_m, split.n_p)]
+        pairs = [(split.n_mm, split.n_pp), (split.n_m, split.n_p)]
         n_eq = len(split.n_eq)
         for m in (1, 2):
             for ell in (1, 2):
-                got = {lab.payload: c
-                       for lab, c in onion(layers, [m, ell]).coeffs.items()}
+                got = onion(split.inner, pairs, [m, ell])
+                got = {lab.payload: c for lab, c in got.coeffs.items()}
                 dr = double_rainbow(split, m, ell, "peel")
                 derived = {}
                 for lab, c in dr.coeffs.items():

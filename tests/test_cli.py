@@ -58,6 +58,11 @@ BAD_INPUTS = [
       "--m-list", "1"], 1),
     (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",
       "--anchors", "1,12;2,20", "--m-list", "1,1"], 1),
+    (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5;2,4",
+      "--m-list", "1"], 1),
+    (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5;3,4",
+      "--m-list", "1,1"], 1),
+    (["decompose", "psi", "--n", "3", "--cols", "2,5"], 1),
     (["verify", "solver", "--n", "0"], 1),
     (["verify", "identities", "--max", "0"], 1),
     (["verify", "orbits", "--budget", "0"], 1),
@@ -174,17 +179,28 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_bad_input_under_optimize(self, run_optimized):
-        # `python -O` strips asserts: every rejection must still happen
-        script = ("import json, sys\n"
-                  "from utrestrict.cli import main\n"
-                  "print(json.dumps([main(a) for a in "
-                  "json.loads(sys.argv[1])]))")
+        # `python -O` strips asserts: every rejection must still happen,
+        # row by row with the same exit code, no stdout and one stderr line
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from utrestrict.cli import main\n"
+            "rows = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), \\\n"
+            "            contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    rows.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(rows))\n")
         argvs = [argv for argv, _ in BAD_INPUTS]
         proc = run_optimized(script, json.dumps(argvs))
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [code for _, code in BAD_INPUTS]
-        assert len(proc.stderr.splitlines()) == len(BAD_INPUTS)
-        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = json.loads(proc.stdout)
+        assert len(rows) == len(BAD_INPUTS)
+        for (argv, code), (got, out, err) in zip(BAD_INPUTS, rows):
+            assert (got, out) == (code, ""), argv
+            assert len(err.splitlines()) == 1, argv
+            assert "Traceback" not in err, argv
 
 
 class TestQbinom:

@@ -22,7 +22,7 @@ from utrestrict.scfcore import (
 from utrestrict.restrict import (
     ModuleLabel, _shift_signed, psiK, psi_hook,
     core, core_tensor, rainbow, interference, peel, double_rainbow,
-    OnionLayer, onion, ut_algebra,
+    onion, ut_algebra,
 )
 
 from conftest import check_nonnegative_at, dr_trivial_reference
@@ -709,32 +709,43 @@ class TestDoubleRainbow:
         want = double_rainbow(split, m, ell, "superchars")
         assert got.coeffs == want.coeffs
 
+    def test_anchor_prefactor(self):
+        # m per inner anchor strictly inside the outer pair, ell for none;
+        # also the nestings of the double-rainbow multiset over the anchors
+        grid = [abc for abc in itertools.product(range(7), repeat=3)
+                if 0 < sum(abc) <= 6]
+        assert (0, 1, 0) in grid and (0, 2, 3) in grid and (2, 1, 0) in grid
+        for abc in grid:
+            split = RegionSplit.from_sizes(*abc)
+            pairs = [(split.n_mm, split.n_pp), (split.n_m, split.n_p)]
+            spots = {a for a in (split.n_m, split.n_p)
+                     if split.n_mm < a < split.n_pp}
+            anchors = sorted({x for pair in pairs for x in pair})
+            for m, ell in itertools.product(range(4), repeat=2):
+                got = restrict._anchor_prefactor(pairs, [m, ell])
+                assert got == m * len(spots), (abc, m, ell)
+                assert got == nst_points(split.anchor_multiset(m, ell),
+                                         anchors), (abc, m, ell)
+
 
 class TestOnion:
     def test_single_layer_is_rainbow(self):
         g = GroundSet(range(2, 6))
-        layers = [OnionLayer(g, 1, 6)]
         for m in (1, 2, 3):
-            dec = onion(layers, [m])
+            dec = onion(g, [(1, 6)], [m])
             want = rainbow(g, m, "core")
             got = {lab.payload[1][0]: c for lab, c in dec.coeffs.items()}
             for lab, c in want.coeffs.items():
                 assert got.get(lab.payload[0], ZERO) == c, (m, lab)
-
-    def onion_pair(self, abc, m, ell):
-        split = RegionSplit.from_sizes(*abc)
-        anchors = sorted({split.n_mm, split.n_m, split.n_p, split.n_pp})
-        layers = [OnionLayer(split.inner, split.n_mm, split.n_pp),
-                  OnionLayer(split.n_eq, split.n_m, split.n_p)]
-        return split, layers
 
     @pytest.mark.parametrize("abc", [(1, 1, 1), (2, 1, 1), (1, 2, 1),
                                      (2, 2, 2), (0, 1, 1), (1, 1, 0),
                                      (0, 2, 0)])
     def test_two_layers_match_peel_target(self, abc):
         for m, ell in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-            split, layers = self.onion_pair(abc, m, ell)
-            got = onion(layers, [m, ell])
+            split = RegionSplit.from_sizes(*abc)
+            got = onion(split.inner, [(split.n_mm, split.n_pp),
+                                      (split.n_m, split.n_p)], [m, ell])
             dr = double_rainbow(split, m, ell, "peel")
             n_eq = len(split.n_eq)
             derived = {}
@@ -747,13 +758,10 @@ class TestOnion:
             assert got_map == derived, (abc, m, ell)
 
     def test_three_layers_structure(self):
-        g1 = GroundSet(range(2, 10))
-        g2 = GroundSet(range(4, 8))
-        g3 = GroundSet((5, 6))
-        layers = [OnionLayer(g1, 1, 10), OnionLayer(g2, 3, 8),
-                  OnionLayer(g3, 4, 7)]
+        # layers 2..9, then {5,6} (the anchors 4 and 7 belong to no
+        # layer), then {5,6}
         ms = [2, 1, 1]
-        dec = onion(layers, ms)
+        dec = onion(GroundSet(range(2, 10)), [(1, 10), (3, 8), (4, 7)], ms)
         assert dec.coeffs
         for lab, c in dec.coeffs.items():
             bs, fs = lab.payload
@@ -765,6 +773,35 @@ class TestOnion:
                 used += fs[j]
             for q in (2, 3):
                 assert c(q) >= 0
+
+    @pytest.mark.parametrize("anchors, ms", [
+        ([(1, 10), (3, 8)], [2]),               # lengths differ
+        ([], []),                               # no pair
+        ([(1, 10)], [0]),                       # m below 1
+        ([(2, 10)], [1]),                       # ground not inside
+        ([(1, 10), (3, 11)], [1, 1]),           # pairs do not nest
+        ([(1, 10), (3, 8), (2, 9)], [1, 1, 1]),
+        ([(1, 10), (4, 5)], [1, 1]),            # empty layer
+    ])
+    def test_rejects_bad_geometry(self, anchors, ms):
+        with pytest.raises(ValueError):
+            onion(GroundSet(range(2, 10)), anchors, ms)
+
+    def test_rejects_bad_geometry_under_optimize(self, run_optimized):
+        # the checks are raises, not asserts: they hold under python -O
+        script = (
+            "from utrestrict.setpart import GroundSet\n"
+            "from utrestrict.restrict import onion\n"
+            "g = GroundSet(range(2, 10))\n"
+            "for anchors, ms in [([(1, 10), (3, 8)], [2]),\n"
+            "                    ([(1, 10), (3, 11)], [1, 1])]:\n"
+            "    try:\n"
+            "        onion(g, anchors, ms)\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n")
+        proc = run_optimized(script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "ValueError\nValueError\n", "")
 
 
 class TestUtAlgebra:
