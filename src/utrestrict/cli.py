@@ -1,8 +1,9 @@
 """Command-line front end: decomposition queries, verification suites,
 arc-diagram rendering, and JSON/CSV export.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 budget
-exceeded.  All output is deterministic for fixed inputs.
+Exit codes: 0 success, 1 usage error or stdout closed early (nothing is
+printed to stderr then), 2 verification failure, 3 budget exceeded.  All
+output is deterministic for fixed inputs.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 from argparse import ArgumentTypeError
 from math import comb
@@ -364,6 +366,10 @@ def _run_verify(args, out):
     if args.n is not None and args.n > top:
         raise UsageError(f"verify --n must be at most {top}"
                          + (f" with --q {args.q}" if args.q else ""))
+    # the identities suite's time grows about as max^8 (the core tensor
+    # check): 2.3 s at --max 16, a minute at 24
+    if args.max > 16:
+        raise UsageError("verify --max must be at most 16")
     bounds = {p: min(args.n or cap, cap) if args.q in (None, p) else 0
               for p, cap in caps.items()}
     suites = (("orbits", "traces", "solver", "identities")
@@ -491,7 +497,14 @@ def run(argv, out=None):
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        return run(argv)
+        run(argv)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): point it at devnull so
+        # that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -236,19 +236,25 @@ def qint(n):
 @cache
 def qfactorial(n):
     assert n >= 0
-    if n == 0:
-        return ONE
-    return qfactorial(n - 1) * qint(n)
+    out = ONE
+    for i in range(2, n + 1):
+        out = out * qint(i)
+    return out
 
 
 @cache
 def qbinom(n, k):
-    """Gaussian binomial via the division-free Pascal recurrence."""
+    """Gaussian binomial via the division-free Pascal recurrence, one row
+    of [m choose j], j <= min(k, n - k), per m = 1..n: no call recurses, so
+    any n fits the stack."""
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
+    k = min(k, n - k)
+    row = [ONE] + [ZERO] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + row[j].shift(j)
+    return row[k]
 
 
 @cache

@@ -331,12 +331,14 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     point is a left endpoint and bit 2i + 1 when it is a right endpoint, so
     two partitions share a skeleton exactly when they share L(.) and R(.).
 
-    A left-to-right scan of the arc diagram, one level of partial states
-    per point: each point may close one open arc if it is in rights, and
-    may open one if it is in lefts.  A state is dropped when its arcs would
-    exceed max_arcs, or when more arcs are open than points are left to
-    close them.  The states left after the last point are the partitions;
-    the budget counts them before the scan starts.
+    A depth-first scan of the arc diagram from left to right, on one stack
+    of partial states: at each point a state may close one open arc if the
+    point is in rights, and may open one if it is in lefts.  A state is
+    dropped when its arcs would exceed max_arcs, or when more arcs are open
+    than points are left to close them.  A state is a partition once it is
+    past the last point, or has no open arc and no arc left to open (the
+    points left would only carry it along); the budget counts them before
+    the scan starts.
 
     Closing the arc (l, x) nests it over the closed arcs opened after l
     (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
@@ -344,48 +346,44 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     """
     labels = tuple(ground)
     n = len(labels)
-    spare = n if max_arcs is None else max_arcs
+    cap = n if max_arcs is None else max_arcs
     if n > MAX_POINTS:
         raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
     if count_scan(ground, max_arcs, lefts, rights) is None:
         raise EnumerationBoundExceeded(
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
-            f"most {spare} arcs")
+            f"most {cap} arcs")
     opens, closes, closers = _scan_shape(labels, lefts, rights)
-    # the partial states after each point: (arcs, the open arcs in scan
-    # order as (left endpoint, arcs opened before it), arcs that may still
-    # be opened, nest, skeleton)
-    level = [((), (), spare, 0, 0)] if spare >= 0 else []
-    for i, x in enumerate(labels):
-        rest, close_bit, open_bit = closers[i], 2 << 2 * i, 1 << 2 * i
-        may_open, may_close = opens[i], closes[i]
-        step = []
-        for state in level:
-            arcs, opened, spare, nest, skeleton = state
-            o = len(opened)
-            # an arc opened at x comes after all len(arcs) + o arcs opened
-            # so far, whether or not x closes one
-            new = ((x, len(arcs) + o),) if spare > 0 and may_open else None
-            if o <= rest:
-                step.append(state)
-            if new and o < rest:
-                step.append((arcs, opened + new, spare - 1, nest,
-                             skeleton | open_bit))
-            for c, (l, before) in enumerate(opened if may_close else ()):
-                # len(arcs) + o - before - 1 arcs were opened after l, and
-                # o - c - 1 of them are still open
-                arcs_x = arcs + ((l, x),)
-                opened_x = opened[:c] + opened[c + 1:]
-                nest_x = nest + len(arcs) - before + c
-                if o - 1 <= rest:
-                    step.append((arcs_x, opened_x, spare, nest_x,
-                                 skeleton | close_bit))
-                if new and o - 1 < rest:
-                    step.append((arcs_x, opened_x + new, spare - 1, nest_x,
-                                 skeleton | close_bit | open_bit))
-        level = step
-    for arcs, _, _, nest, skeleton in level:
-        yield SetPartition._trusted(ground, arcs), nest, skeleton
+    # a partial state: (points scanned, arcs, the open arcs in scan order as
+    # (left endpoint, arcs opened before it), nest, skeleton)
+    stack = [(0, (), (), 0, 0)] if cap >= 0 else []
+    push = stack.append
+    while stack:
+        i, arcs, opened, nest, skeleton = stack.pop()
+        if i == n or not opened and len(arcs) == cap:
+            yield SetPartition._trusted(ground, arcs), nest, skeleton
+            continue
+        x, rest, o = labels[i], closers[i], len(opened)
+        close_bit, open_bit = 2 << 2 * i, 1 << 2 * i
+        # an arc opened at x comes after all len(arcs) + o arcs opened so
+        # far, whether or not x closes one
+        new = ((x, len(arcs) + o),) \
+            if opens[i] and len(arcs) + o < cap else None
+        if o <= rest:
+            push((i + 1, arcs, opened, nest, skeleton))
+        if new and o < rest:
+            push((i + 1, arcs, opened + new, nest, skeleton | open_bit))
+        for c, (l, before) in enumerate(opened if closes[i] else ()):
+            # len(arcs) + o - before - 1 arcs were opened after l, and
+            # o - c - 1 of them are still open
+            arcs_x = arcs + ((l, x),)
+            opened_x = opened[:c] + opened[c + 1:]
+            nest_x = nest + len(arcs) - before + c
+            if o - 1 <= rest:
+                push((i + 1, arcs_x, opened_x, nest_x, skeleton | close_bit))
+            if new and o - 1 < rest:
+                push((i + 1, arcs_x, opened_x + new, nest_x,
+                      skeleton | close_bit | open_bit))
 
 
 def bell(n):

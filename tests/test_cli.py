@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,9 @@ BAD_INPUTS = [
     (["decompose", "psi", "--n", "3", "--cols", "2,5"], 1),
     (["verify", "solver", "--n", "0"], 1),
     (["verify", "identities", "--max", "0"], 1),
+    # the identities suite's time grows about as max^8
+    (["verify", "identities", "--max", "17"], 1),
+    (["verify", "all", "--max", "17"], 1),
     (["verify", "orbits", "--budget", "0"], 1),
     (["verify", "orbits", "--n", "7", "--q", "2"], 1),
     (["verify", "traces", "--n", "5", "--q", "3"], 1),
@@ -110,6 +114,31 @@ class TestExitCodes:
                           "--k", "2")
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (0, f"{qbinom(4, 2)}\n", "")
+
+    def test_closed_stdout(self, run_python):
+        # a reader that stops after one line, as `| head -1` does: the
+        # 237 kB of output fill the pipe, so the next write meets the closed
+        # end; exit 1 with nothing on stderr, not a BrokenPipeError traceback
+        proc = run_python("-c", "\n".join([
+            "import subprocess, sys",
+            "argv = ['decompose', 'core', '--n', '9', '--k', '4']",
+            "p = subprocess.Popen([sys.executable, '-m', 'utrestrict', *argv],"
+            " stdout=subprocess.PIPE, stderr=subprocess.PIPE)",
+            "line = p.stdout.readline()",
+            "p.stdout.close()",
+            "print(line, p.wait(), p.stderr.read())"]))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "b'basis: supercharacter\\n' 1 b''\n", "")
+
+    def test_qbinom_long_chain(self, capsys):
+        # 600 points, deeper than the default recursion limit
+        assert main(["qbinom", "--chain", "600", "--k", "2"]) == 0
+        out, err = capsys.readouterr()
+        poly = QPoly.parse(out.strip())
+        assert poly(1) == comb(600, 2)
+        assert poly(2) == prod(2 ** (600 - i) - 1 for i in range(2)) \
+            // prod(2 ** (i + 1) - 1 for i in range(2))
+        assert err == ""
 
     def test_usage_errors(self):
         assert main(["decompose", "rainbow"]) == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,17 @@ class TestQCombinatorics:
         for n in range(10):
             for k in range(n + 1):
                 assert qbinom(n, k) == qbinom(n, n - k)
+
+    def test_loops_fit_a_shallow_stack(self, run_python):
+        # qfactorial and qbinom loop over n, so n far past the recursion
+        # limit works
+        proc = run_python("-c", "\n".join([
+            "import sys",
+            "from utrestrict.qcalc import qbinom, qfactorial",
+            "sys.setrecursionlimit(60)",
+            "print(qfactorial(64)(1), qbinom(200, 3)(1))"]))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"{math.factorial(64)} {math.comb(200, 3)}\n", "")
 
     def test_qphi(self):
         assert qphi(5, 0) == ONE

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +259,20 @@ class TestEnumeration:
             "GroundSet.range(128), 1)))"]))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (0, "8129\n", "")
+
+    def test_scan_memory_does_not_grow_with_the_output(self):
+        # the scan keeps one stack of partial states, not a level of them:
+        # listing the 4,140 partitions of [8] without keeping them stays
+        # far below what one state per partition would take
+        g = GroundSet.range(8)
+        tracemalloc.start()
+        try:
+            for _ in enumerate_partitions(g):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_blocks_roundtrip(self):
         g = GroundSet.range(5)
