@@ -89,22 +89,27 @@ def _laurent_sum(terms):
 
 
 def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
-                split=None):
+                rule=None, split=None):
     """The supercharacter decomposition whose coefficient at each partition
-    lam of `ground` with at most max_arcs arcs, left endpoints in lefts and
-    right endpoints in rights (None: anywhere) is q^nst(lam, lam) times
-    q^e poly, where (poly, e) = base(lam); every other coefficient is zero.
+    lam of `ground` with at most max_arcs arcs, left endpoints in lefts,
+    right endpoints in rights (None: anywhere) and arcs within the bounds of
+    the region rule `rule` (see enumerate_partitions; None: no bound) is
+    q^nst(lam, lam) times q^e poly, where (poly, e) = base(lam); every
+    other coefficient is zero.  The rule lets the scan skip partitions whose
+    coefficient would be zero: peel's exactly b arcs from N_< to N_> and
+    none inside N_=, double rainbow's at most m arcs outside N_=.
 
     base may read lam only through L(lam) and R(lam), and, given a
     RegionSplit `split`, through its arc counts by region.  It runs once
     per endpoint skeleton of the scan, and with `split` once per skeleton
     and number of arcs inside N_=: with L(lam) and R(lam) fixed, that
     number fixes every region count (arcs into N_= start in N_< or N_=,
-    arcs out of N_= end in N_= or N_>, and arcs into N_< start there)."""
+    arcs out of N_= end in N_= or N_>, and arcs into N_< start there).  So
+    a rule that allows no arc inside N_=, as peel's does, needs no split."""
     memo = {}
     coeffs = {}
     for lam, nest, key in enumerate_partitions(ground, max_arcs, lefts,
-                                               rights):
+                                               rights, rule):
         if split is not None:
             key = (key, sum(1 for i, j in lam.arcs
                             if split.n_m < i and j < split.n_p))
@@ -360,13 +365,13 @@ def peel(split, b, f):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
 
     def base(nu):
-        counts = region_counts(nu, split)
-        if counts["<>"] != b or counts["=="]:
-            return ZERO, 0
         P = block_poset(nu)
         return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]), 0
 
-    return _superchars(split.inner, base, f, split=split)
+    # the coefficient vanishes unless nu has exactly b arcs from N_< to N_>
+    # and none inside N_=
+    rule = (split.region, {"<>": (b, b), "==": (0, 0)})
+    return _superchars(split.inner, base, f, rule=rule)
 
 
 def _anchor_prefactor(pairs, ms):
@@ -417,8 +422,11 @@ def double_rainbow(split, m, ell, target):
         return sign * poly, e + pre
 
     if target == "superchars":
-        # more than m + ell arcs leave the f and l ranges of base empty
-        return _superchars(split.inner, base, m + ell, split=split)
+        # more than m arcs outside N_= leave the f range of base empty, and
+        # more than m + ell arcs in all the l range
+        rule = (split.region, {"<< <= <> => >>": (0, m)})
+        return _superchars(split.inner, base, m + ell, rule=rule,
+                           split=split)
 
     if target == "trivial_coeff":
         empty = SetPartition(split.inner, ())

@@ -9,6 +9,7 @@ engines.
 """
 
 from collections import Counter
+from operator import add
 
 
 class DistinctEndpointViolation(ValueError):
@@ -296,34 +297,110 @@ def _scan_shape(labels, lefts, rights):
     return opens, closes, closers
 
 
-def count_scan(ground, max_arcs=None, lefts=None, rights=None):
-    """How many partitions enumerate_partitions(ground, max_arcs, lefts,
-    rights) yields, or None when that is more than MAX_PARTITIONS.
+def _rule_tables(labels, opens, closes, rule):
+    """The tables of a scan under a region rule (tags, bounds), or None
+    (every tag "", no bound): each point's tag; for each class under a
+    bound, its increment to each bound's count; and for each point i, up to
+    len(labels), a row with one entry per bound: (lo, hi, the tags of open
+    arcs that some closer from i on puts in its classes, the tags of those
+    that every closer from i on puts there, how many points from i on may
+    open an arc that some later closer puts there)."""
+    tags, bounds = rule or (dict.fromkeys(labels, ""), {})
+    tag = [tags[x] for x in labels]
+    every = frozenset(tag)
+    bounds = [(frozenset(classes.split()), lo, hi)
+              for classes, (lo, hi) in bounds.items()]
+    bump = {}
+    for k, (classes, _, _) in enumerate(bounds):
+        for cls in classes:
+            bump.setdefault(cls, [0] * len(bounds))[k] = 1
+    bump = {cls: tuple(inc) for cls, inc in bump.items()}
+    # per bound, (can, must, fresh) over the points from i on, built from
+    # the last point back; past it no point is left to close an arc
+    reach = [(frozenset(), every, 0)] * len(bounds)
+    rows = [()] * (len(labels) + 1)
+    for i in range(len(labels), -1, -1):
+        if i < len(labels):
+            u, step = tag[i], []
+            for (classes, _, _), (can, must, fresh) in zip(bounds, reach):
+                # an arc opened at i closes only after i
+                fresh += opens[i] and u in can
+                if closes[i]:
+                    land = {t for t in every if t + u in classes}
+                    can, must = can | land, must & land
+                step.append((can, must, fresh))
+            reach = step
+        rows[i] = tuple((lo, hi, *r) for (_, lo, hi), r in zip(bounds, reach))
+    return tag, bump, rows
 
-    A forward count of the scan's live branches, keyed by (open arcs, arcs
-    left to open), under the scan's own rules.  Every live branch yields at
-    least once (it may close an open arc at each later closer), so the
-    running total never falls, and the count stops once it passes the
-    budget."""
-    opens, closes, closers = _scan_shape(tuple(ground), lefts, rights)
-    spare = len(closers) if max_arcs is None else max_arcs
-    live = Counter({(0, spare): 1} if spare >= 0 else {})
+
+def _bumped(counts, inc):
+    """The bound counts after closing an arc whose class adds inc (None:
+    under no bound)."""
+    return counts if inc is None else tuple(map(add, counts, inc))
+
+
+def _off_bounds(row, counts, open_tags, spare):
+    """Whether a state with these bound counts, open arcs opened at these
+    tags and spare arcs left to open is off a bound of row (a row of the
+    rule tables): its arcs and the open arcs that must land in the bound's
+    classes pass hi, or its arcs, the open arcs that may land there and the
+    arcs that may still open and land there fall short of lo."""
+    for c, (lo, hi, can, must, fresh) in zip(counts, row):
+        if c + sum(map(must.__contains__, open_tags)) > hi or lo > c and \
+                c + min(spare, fresh) + sum(map(can.__contains__, open_tags)) \
+                < lo:
+            return True
+    return False
+
+
+def count_scan(ground, max_arcs=None, lefts=None, rights=None, rule=None):
+    """How many partitions enumerate_partitions(ground, max_arcs, lefts,
+    rights, rule) yields, or None when that is more than MAX_PARTITIONS.
+
+    A forward count of the scan's live branches, keyed by (the sorted tags
+    of the open arcs' left endpoints, all "" with no rule; arcs left to
+    open; bound counts), under the scan's own rules.  With no rule every
+    live branch yields at least once (it may close an open arc at each
+    later closer), so the running total never falls, and the count stops
+    once it passes the budget.  Under a rule a live branch may end without
+    a yield; the count still stops, returning None, once more than
+    MAX_PARTITIONS branches are live at one point."""
+    labels = tuple(ground)
+    opens, closes, closers = _scan_shape(labels, lefts, rights)
+    tag, bump, rows = _rule_tables(labels, opens, closes, rule)
+    spare = len(labels) if max_arcs is None else max_arcs
+
+    def kept(step, i):
+        return Counter({key: w for key, w in step.items()
+                        if not _off_bounds(rows[i], key[2], key[0], key[1])})
+
+    live = kept(Counter({((), spare, (0,) * len(rows[0])): 1}
+                        if spare >= 0 else {}), 0)
     for i, rest in enumerate(closers):
+        u = tag[i]
         step = Counter()
-        for (o, s), ways in live.items():
-            # close none of the o open arcs, or at a closer any one of them
-            for k, w in ((o, ways), (o - 1, o * ways * closes[i])):
-                if w and k <= rest:
-                    step[k, s] += w
-                if w and s > 0 and opens[i] and k < rest:
-                    step[k + 1, s - 1] += w
-        live = step
+        for (tally, s, counts), ways in live.items():
+            # close none of the open arcs, or one opened at each tag
+            moves = [(tally, counts, ways)]
+            for t in set(tally) if closes[i] else ():
+                c = tally.index(t)
+                moves.append((tally[:c] + tally[c + 1:],
+                              _bumped(counts, bump.get(t + u)),
+                              ways * tally.count(t)))
+            for tally_x, counts_x, w in moves:
+                if len(tally_x) <= rest:
+                    step[tally_x, s, counts_x] += w
+                if s > 0 and opens[i] and len(tally_x) < rest:
+                    step[tuple(sorted(tally_x + (u,))), s - 1, counts_x] += w
+        live = kept(step, i + 1)
         if sum(live.values()) > MAX_PARTITIONS:
             return None
     return sum(live.values())
 
 
-def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
+def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
+                         rule=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
     None), each once; with `lefts` (`rights`) given, only those whose left
     (right) endpoints all lie in it.  Yields (lam, nest, skeleton): nest is
@@ -331,14 +408,24 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     point is a left endpoint and bit 2i + 1 when it is a right endpoint, so
     two partitions share a skeleton exactly when they share L(.) and R(.).
 
+    A region rule (tags, bounds) keeps only the partitions whose arcs obey
+    its bounds.  tags maps each point to a one-character tag (as
+    RegionSplit.region does); an arc's class is the tags of its left and
+    right endpoint, e.g. "<>"; and bounds maps a space-separated list of
+    classes to (lo, hi), the least and most arcs those classes may hold
+    together.
+
     A depth-first scan of the arc diagram from left to right, on one stack
     of partial states: at each point a state may close one open arc if the
     point is in rights, and may open one if it is in lefts.  A state is
     dropped when its arcs would exceed max_arcs, or when more arcs are open
     than points are left to close them.  A state is a partition once it is
     past the last point, or has no open arc and no arc left to open (the
-    points left would only carry it along); the budget counts them before
-    the scan starts.
+    points left would only carry it along); on more than 10 points the
+    budget counts them before the scan starts.  Under a rule a state is
+    also dropped when its arcs and the open arcs that every later closer
+    puts in a bound's classes pass the upper end, or when its open arcs and
+    the arcs it may still open cannot reach the lower end.
 
     Closing the arc (l, x) nests it over the closed arcs opened after l
     (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
@@ -349,11 +436,15 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
     cap = n if max_arcs is None else max_arcs
     if n > MAX_POINTS:
         raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
-    if count_scan(ground, max_arcs, lefts, rights) is None:
+    # no scan of 10 points or fewer can pass the budget, Bell(10)
+    if n > 10 and count_scan(ground, max_arcs, lefts, rights, rule) is None:
         raise EnumerationBoundExceeded(
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
             f"most {cap} arcs")
     opens, closes, closers = _scan_shape(labels, lefts, rights)
+    if rule is not None:
+        yield from _ruled_scan(ground, cap, opens, closes, closers, rule)
+        return
     # a partial state: (points scanned, arcs, the open arcs in scan order as
     # (left endpoint, arcs opened before it), nest, skeleton)
     stack = [(0, (), (), 0, 0)] if cap >= 0 else []
@@ -384,6 +475,52 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None):
             if new and o - 1 < rest:
                 push((i + 1, arcs_x, opened_x + new, nest_x,
                       skeleton | close_bit | open_bit))
+
+
+def _ruled_scan(ground, cap, opens, closes, closers, rule):
+    """enumerate_partitions' scan under a region rule: each state also
+    carries the tags of its open arcs' left endpoints, in scan order, and
+    the bound counts.  Whether a state is off the bounds depends only on
+    (point, those tags, bound counts, arcs left to open), and few of those
+    recur, so each is checked once."""
+    labels = tuple(ground)
+    n = len(labels)
+    tag, bump, rows = _rule_tables(labels, opens, closes, rule)
+    off = {}
+    stack = [(0, (), (), "", 0, 0, (0,) * len(rows[0]))] if cap >= 0 else []
+    push = stack.append
+    while stack:
+        i, arcs, opened, otags, nest, skeleton, counts = stack.pop()
+        spare = cap - len(arcs) - len(opened)
+        key = i, otags, counts, spare
+        dropped = off.get(key)
+        if dropped is None:
+            dropped = off[key] = _off_bounds(rows[i], counts, otags, spare)
+        if dropped:
+            continue
+        if i == n or not opened and not spare:
+            yield SetPartition._trusted(ground, arcs), nest, skeleton
+            continue
+        x, u, rest, o = labels[i], tag[i], closers[i], len(opened)
+        close_bit, open_bit = 2 << 2 * i, 1 << 2 * i
+        new = ((x, len(arcs) + o),) if opens[i] and spare else None
+        if o <= rest:
+            push((i + 1, arcs, opened, otags, nest, skeleton, counts))
+        if new and o < rest:
+            push((i + 1, arcs, opened + new, otags + u, nest,
+                  skeleton | open_bit, counts))
+        for c, (l, before) in enumerate(opened if closes[i] else ()):
+            counts_x = _bumped(counts, bump.get(otags[c] + u))
+            arcs_x = arcs + ((l, x),)
+            opened_x = opened[:c] + opened[c + 1:]
+            otags_x = otags[:c] + otags[c + 1:]
+            nest_x = nest + len(arcs) - before + c
+            if o - 1 <= rest:
+                push((i + 1, arcs_x, opened_x, otags_x, nest_x,
+                      skeleton | close_bit, counts_x))
+            if new and o - 1 < rest:
+                push((i + 1, arcs_x, opened_x + new, otags_x + u, nest_x,
+                      skeleton | close_bit | open_bit, counts_x))
 
 
 def bell(n):

@@ -192,6 +192,16 @@ class TestExitCodes:
                              "--cols", "3,6,9,12"])
         assert code == 0
         assert len(out.splitlines()) == 1 + 211
+        # peel and double rainbow scan only the partitions their region
+        # rules allow: 13,992 and 13,247 of the 12 points, where the
+        # partitions with at most 4 arcs are more than the budget
+        for argv, terms in [
+                (["peel", "--split", "4,4,4", "--b", "2", "--f", "4"], 13992),
+                (["double-rainbow", "--split", "4,4,4", "--m", "2", "--ell",
+                  "2", "--target", "superchars"], 13247)]:
+            code, out = capture(["decompose", *argv])
+            assert code == 0
+            assert len(out.splitlines()) == 1 + terms
 
     def test_verify_failure_exit(self, monkeypatch):
         # sabotage the closed form so the oracle comparison must disagree
@@ -516,11 +526,14 @@ class TestRecordedDigests:
     def test_outputs_match_recorded_digests(self):
         # bench/digests.json pins the JSON output of every base query in a
         # basis with no independent check (core, peel, onion, trivial_coeff
-        # and the row-set modules).  Recompute the keys on at most 4 points
-        # and the engines-size ones (more than the sweep's 6 points).
+        # and the row-set modules).  Recompute every peel key, and the other
+        # keys on at most 4 points and the engines-size ones (more than the
+        # sweep's 6 points).
         recorded = json.loads(DIGESTS.read_text())
-        keys = [key for key in recorded if not 4 < _ground_size(key) <= 6]
-        assert len(keys) == 808
+        keys = [key for key in recorded if key.startswith("peel ")
+                or not 4 < _ground_size(key) <= 6]
+        assert sum(key.startswith("peel ") for key in keys) == 521
+        assert len(keys) == 1190
         differ = []
         for key in keys:
             code, out = capture(["decompose", *key.split(), "--format",

@@ -952,3 +952,17 @@ class TestWorkCounts:
         # endpoint skeleton (the noncrossing ones), 128 distinct
         assert scanned[0] == len(dec.coeffs) == 72028
         assert (info.misses, info.hits + info.misses) == (128, 13690)
+
+    def test_peel_scans_only_what_it_keeps(self, scanned):
+        # the region rule leaves the scan only the partitions with two arcs
+        # from N_< to N_> and none inside N_=: the capped scan of the 9
+        # points yields 10,096
+        dec = peel(RegionSplit.from_sizes(3, 3, 3), 2, 4)
+        assert scanned[0] == len(dec.coeffs) == 450
+
+    def test_double_rainbow_scans_only_what_it_keeps(self, scanned):
+        # at most two arcs outside N_=: the capped scan of the 8 points
+        # yields 3,046
+        dec = double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2,
+                             "superchars")
+        assert scanned[0] == len(dec.coeffs) == 435

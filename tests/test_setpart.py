@@ -217,6 +217,31 @@ def caps(g):
     return [None, *range(-1, len(g) + 1)]
 
 
+def rule_grid():
+    """(split, [(cap, bounds)]): every split with a + b + c <= 7, under
+    peel's region rule for each (b, f) (exactly b arcs from N_< to N_>, none
+    inside N_=, at most f arcs) and double rainbow's for each m, ell <= 3 (at
+    most m arcs outside N_=, at most m + ell arcs)."""
+    for n in range(1, 8):
+        for a, b in itertools.product(range(n + 1), repeat=2):
+            c = n - a - b
+            if c < 0:
+                continue
+            rules = [(f, {"<>": (bb, bb), "==": (0, 0)})
+                     for bb in range(min(a, c) + 1)
+                     for f in range(bb, a + c + 1)]
+            rules += [(m + ell, {"<< <= <> => >>": (0, m)})
+                      for m, ell in itertools.product(range(4), repeat=2)]
+            yield RegionSplit.from_sizes(a, b, c), rules
+
+
+def obeys(counts, bounds):
+    """Whether region counts lie within bounds, as a region rule reads
+    them."""
+    return all(lo <= sum(counts[cls] for cls in classes.split()) <= hi
+               for classes, (lo, hi) in bounds.items())
+
+
 class TestEnumeration:
     def test_bell_counts(self):
         for n in range(1, 7):
@@ -356,6 +381,13 @@ class TestEnumeration:
         assert count_scan(g, None, None, ()) == 1
         assert [lam.arcs for lam, _, _
                 in enumerate_partitions(g, None, None, ())] == [frozenset()]
+        # peel's rule on the split 4,4,4 with b = 2, f = 4 keeps 13,992
+        # of the partitions of its 12 points with at most 4 arcs: more than
+        # the budget
+        split = RegionSplit.from_sizes(4, 4, 4)
+        assert count_scan(split.inner, 4) is None
+        assert count_scan(split.inner, 4, rule=(
+            split.region, {"<>": (2, 2), "==": (0, 0)})) == 13992
 
     def test_count_scan_is_the_yield_count(self):
         for g, pairs in constraint_grid():
@@ -363,6 +395,43 @@ class TestEnumeration:
                 for m in caps(g):
                     assert count_scan(g, m, lefts, rights) == sum(
                         1 for _ in enumerate_partitions(g, m, lefts, rights))
+
+    def test_region_rule(self):
+        # on every split and rule of rule_grid, the scan under the rule
+        # yields exactly the partitions of the capped scan whose region
+        # counts obey the rule, each once, with the same nest and skeleton;
+        # and count_scan counts them
+        kept = dropped = short = 0
+        for split, rules in rule_grid():
+            # the partitions by arc count and region counts
+            groups = {}
+            for lam, nest, skeleton in enumerate_partitions(split.inner):
+                counts = region_counts(lam, split)
+                key = len(lam), frozenset(counts.items())
+                groups.setdefault(key, (len(lam), counts, {}))[2][lam] = \
+                    nest, skeleton
+            for cap, bounds in rules:
+                want = {}
+                for size, counts, lams in groups.values():
+                    if size > cap:
+                        continue
+                    if obeys(counts, bounds):
+                        want.update(lams)
+                        continue
+                    dropped += len(lams)
+                    # obeys every bound but a lower end
+                    short += len(lams) * obeys(counts, {
+                        classes: (0, hi) for classes, (_, hi)
+                        in bounds.items()})
+                rule = (split.region, bounds)
+                got = [(lam, (nest, skeleton)) for lam, nest, skeleton
+                       in enumerate_partitions(split.inner, cap, rule=rule)]
+                assert len(got) == len(want) \
+                    == count_scan(split.inner, cap, rule=rule)
+                assert dict(got) == want
+                kept += len(got)
+        # the rules drop partitions, some of them by a lower end only
+        assert (kept, dropped, short) == (284009, 284937, 58368)
 
 
 @settings(max_examples=200)

@@ -125,3 +125,18 @@ def test_tracer_installs_and_uninstalls():
     # [4], less the one with 3 arcs
     assert metrics["nestposet.block_poset_calls"] == 13
     assert metrics["setpart.uncross_calls"] == 0
+
+
+def test_tracer_counts_the_pruned_peel_scan():
+    # the per-layer counter the benchmark gates on: the peel scan yields
+    # only the 450 partitions peel keeps (10,096 without its region rule)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        cli.run(["decompose", "peel", "--split", "3,3,3", "--b", "2",
+                 "--f", "4"], out=io.StringIO())
+        metrics = tracer.layer_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert metrics["setpart.partitions"] == metrics["restrict.terms"] == 450
+    assert metrics["restrict.keep_ratio"] == 1.0
