@@ -157,8 +157,11 @@ def _coeff_text(coeff, q):
 
 
 def _emit_decomposition(dec, args, out):
-    rows = [(label, _coeff_text(coeff, args.q))
-            for label, coeff in dec.labels_text()]
+    # one text per distinct coefficient: core --n 9 --k 4 has 155 of 10,096
+    pairs = dec.labels_text()
+    distinct = {coeff.coeffs: coeff for _, coeff in pairs}
+    texts = {k: _coeff_text(coeff, args.q) for k, coeff in distinct.items()}
+    rows = [(label, texts[coeff.coeffs]) for label, coeff in pairs]
     fmt = args.format or "text"
     if fmt == "json":
         obj = {"basis": dec.basis,

@@ -3,12 +3,14 @@
 QPoly stores coefficients little-endian by exponent, with no trailing zeros
 (the zero polynomial is the empty tuple).  All the q-combinatorial quantities
 (q-integers, q-factorials, Gaussian binomials, the phi products) live here,
-together with the exact division used by the decomposition solver and exact
-Newton interpolation through integer samples.
+together with the exact division used by the decomposition solver, exact
+Newton interpolation through integer samples, and the Kronecker kernel
+(pack, unpack, laurent_sum) on which the engines' hot sums run.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 
 class NonIntegralInterpolation(Exception):
@@ -200,6 +202,46 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly.const(1)
 Q_MINUS_1 = QPoly((-1, 1))
+
+
+# --- Kronecker substitution: p(q) as the integer p(2^K) ----------------------
+
+def pack(poly, K):
+    """The integer poly(2^K) (Horner in base 2^K)."""
+    v = 0
+    for c in reversed(poly.coeffs):
+        v = (v << K) + c
+    return v
+
+
+def unpack(v, K):
+    """The polynomial p with pack(p, K) == v, read off as signed base-2^K
+    digits: exact when every coefficient of p lies in [-2^(K-1), 2^(K-1)),
+    for K >= 2 (at K = 1 no positive v ends)."""
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    out = []
+    while v:
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> K
+    return QPoly._of(out)
+
+
+def laurent_sum(terms):
+    """(poly, e) with q^e poly the sum of q^e_i prod(factors_i) over the
+    (factors_i, e_i) in terms; e is the least e_i of a nonzero term and may
+    be negative.  Each product is one big-int product at q = 2^K: the l1
+    norm is submultiplicative and bounds every coefficient, so the sum's lie
+    within B = sum_i prod of the l1 norms of factors_i, and K = bits(B) + 1
+    puts them in [-2^(K-1), 2^(K-1))."""
+    terms = [(fs, e) for fs, e in terms if all(f.coeffs for f in fs)]
+    if not terms:
+        return ZERO, 0
+    low = min(e for _, e in terms)
+    bound = sum(prod(sum(map(abs, f.coeffs)) for f in fs) for fs, _ in terms)
+    K = bound.bit_length() + 1
+    return unpack(sum(prod(pack(f, K) for f in fs) << K * (e - low)
+                      for fs, e in terms), K), low
 
 
 def divide_exact(num, den):

@@ -12,6 +12,7 @@ from math import comb
 
 from .qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
+    laurent_sum, unpack,
 )
 from .setpart import (
     SetPartition, ArcMultiset, enumerate_partitions, nst, nst_points, wt_up,
@@ -76,16 +77,6 @@ def _shift_signed(poly, e):
     if any(poly.coeffs[:-e]):
         raise InexactDivision(f"{poly} is not divisible by q^{-e}")
     return QPoly(poly.coeffs[-e:])
-
-
-def _laurent_sum(terms):
-    """(poly, e) with q^e poly the sum of q^e_i p_i over the (p_i, e_i) in
-    terms; e is the least e_i of a nonzero p_i and may be negative."""
-    terms = [(p, e) for p, e in terms if not p.is_zero()]
-    if not terms:
-        return ZERO, 0
-    low = min(e for _, e in terms)
-    return sum((p.shift(e - low) for p, e in terms), ZERO), low
 
 
 def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
@@ -248,11 +239,10 @@ def rainbow(ground, m, target):
             P = block_poset(lam)
             key = (tuple(sorted(b[2] for b in P)), len(lam))
             if key not in sums:
-                total = ZERO
-                for k in range(len(lam), m + 1):
-                    total = total + qphi(m, k) * poset_binom(P, k - len(lam))
-                sums[key] = sign * total
-            return sums[key], 0
+                sums[key] = laurent_sum(
+                    ((sign, qphi(m, k), poset_binom(P, k - len(lam))), 0)
+                    for k in range(len(lam), m + 1))
+            return sums[key]
 
         return _superchars(ground, base, m)
     raise ValueError(f"unknown rainbow target {target!r}")
@@ -336,11 +326,11 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
             P = block_poset(union)
             blR = blocks_with_max_in(P, K)
             outer = nst(nu, lam)
-            poly, e = _laurent_sum(
-                (qphi(ell, l) * poset_multinom(P, [(l - len(lam), blR)]),
+            return laurent_sum(
+                ((sign, qphi(ell, l),
+                  poset_multinom(P, [(l - len(lam), blR)])),
                  outer + (ell - l) * len(XL) - l * npr)
                 for l in range(len(lam), ell + 1))
-            return sign * poly, e
 
         # lam shares no endpoint with nu, so their union is a partition
         return _superchars(ground.subset(K), base, ell,
@@ -411,15 +401,16 @@ def double_rainbow(split, m, ell, target):
         g_neq = len(gam) - g_eq
         le_gt = counts["<>"] + counts["=>"]
         P = block_poset(gam)
+        # poset_multinom(P, pools) as one poset_binom factor per disjoint pool
         pool1 = _peel_pool(P, split)
         pool2 = blocks_with_max_in(P, set(split.n_eq))
-        poly, e = _laurent_sum(
-            (qphi(m, f) * qphi(m - f + ell, l) * poset_multinom(
-                P, [(f - g_neq, pool1), (l - g_eq, pool2)]),
+        poly, e = laurent_sum(
+            ((sign, qphi(m, f), qphi(m - f + ell, l),
+              poset_binom(pool1, f - g_neq), poset_binom(pool2, l - g_eq)),
              ell * counts["=>"] + (m - f - l) * le_gt)
             for f in range(g_neq, m + 1)
             for l in range(g_eq, m - f + ell + 1))
-        return sign * poly, e + pre
+        return poly, e + pre
 
     if target == "superchars":
         # more than m arcs outside N_= leave the f range of base empty, and
@@ -547,22 +538,25 @@ class UtAlgebra:
         product over x in A of (q^w(x) - 1) q^(arcs of lam over x, for x
         outside R(lam)), where w(x) counts the points right of x outside A.
         The sum reads L(lam) and R(lam) only.  One right-to-left pass:
-        by[w] sums the choices so far that leave w points outside A."""
+        by[w] sums the choices so far that leave w points outside A.  It
+        runs at q = 2^K (qcalc.pack): each of its n - 1 steps makes at most
+        3 signed terms of one, so the sum's l1 norm, a bound on its
+        coefficients, is at most 3^(n-1) < 2^(K-1) for K = 2n + 2."""
         rest = self.ground.labels[:-1]
+        K = 2 * len(self.ground) + 2
 
         def base(lam):
             R = lam.right_endpoints()
-            by = {1: ONE}
+            by = {1: 1}
             for x in reversed(rest):
                 step = {}
-                lift = 0 if x in R else nst_points(lam, (x,))
-                for w, poly in by.items():
-                    joined = (poly.shift(w) - poly).shift(lift)
-                    step[w] = step.get(w, ZERO) + joined
+                lift = 0 if x in R else K * nst_points(lam, (x,))
+                for w, v in by.items():
+                    step[w] = step.get(w, 0) + (((v << K * w) - v) << lift)
                     if x not in R:
-                        step[w + 1] = step.get(w + 1, ZERO) + poly
+                        step[w + 1] = step.get(w + 1, 0) + v
                 by = step
-            return sum(by.values(), ZERO), 0
+            return unpack(sum(by.values()), K), 0
 
         # A holds R(lam) and misses the top point: an arc of lam ending
         # there makes the coefficient zero

@@ -1,15 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from utrestrict import restrict
 from utrestrict.qcalc import (
     QPoly, NonIntegralInterpolation, InexactDivision, divide_exact,
     qint, qfactorial, qbinom, qphi, qmultinom, interpolate, primes,
-    ONE, ZERO, Q_MINUS_1,
+    pack, unpack, laurent_sum, ONE, ZERO, Q_MINUS_1,
 )
+from utrestrict.setpart import GroundSet
 
 
 def brute_subspace_count(p, n, k):
@@ -122,6 +125,96 @@ class TestQCombinatorics:
         assert qmultinom(4, (2, 1, 1)) == \
             qbinom(4, 2) * qbinom(2, 1) * qbinom(1, 1)
         assert qmultinom(3, (3,)) == ONE
+
+
+def tuple_laurent_sum(terms):
+    """laurent_sum by the tuple arithmetic: the reference."""
+    prods = [(math.prod(fs, start=ONE), e) for fs, e in terms]
+    prods = [(p, e) for p, e in prods if not p.is_zero()]
+    if not prods:
+        return ZERO, 0
+    low = min(e for _, e in prods)
+    return sum((p.shift(e - low) for p, e in prods), ZERO), low
+
+
+class TestKronecker:
+    """pack, unpack and laurent_sum against the tuple arithmetic, on seeded
+    random signed polynomials."""
+
+    @staticmethod
+    def random_poly(rng, bits):
+        return QPoly([rng.randint(-(1 << bits), 1 << bits)
+                      for _ in range(rng.randint(0, 9))])
+
+    def test_round_trip(self):
+        rng = random.Random(16)
+        for _ in range(500):
+            K = rng.randint(2, 70)
+            half = 1 << (K - 1)
+            p = QPoly([rng.randrange(-half, half)
+                       for _ in range(rng.randint(0, 12))])
+            assert unpack(pack(p, K), K) == p
+            assert pack(p, K) == p(1 << K)
+        for K in (2, 3, 8, 64):
+            # every digit at an end of [-2^(K-1), 2^(K-1))
+            half = 1 << (K - 1)
+            p = QPoly((-half, half - 1, -half, 0, half - 1, -half))
+            assert unpack(pack(p, K), K) == p
+
+    def test_round_trip_fails_outside_the_digit_range(self):
+        # negative controls: a coefficient of exactly 2^(K-1), and a width
+        # one bit short of a coefficient bound B
+        for K in (2, 3, 8, 33, 64):
+            p = QPoly((-1, 1 << (K - 1), 1))
+            assert unpack(pack(p, K), K) != p
+        for B in (2, 5, 8, 255, (1 << 40) + 3):
+            p = QPoly((0, B, -B, 1))
+            K = B.bit_length() + 1
+            assert unpack(pack(p, K), K) == p
+            assert unpack(pack(p, K - 1), K - 1) != p
+
+    def test_laurent_sum_matches_tuple_arithmetic(self):
+        rng = random.Random(1616)
+        for _ in range(400):
+            bits = rng.choice((1, 3, 20, 70))
+            terms = [(tuple(ZERO if rng.random() < 0.1
+                            else self.random_poly(rng, bits)
+                            for _ in range(rng.randint(0, 4))),
+                      rng.randint(-5, 5))
+                     for _ in range(rng.randint(0, 6))]
+            assert laurent_sum(terms) == tuple_laurent_sum(terms), terms
+
+    def test_laurent_sum_at_a_tight_bound(self):
+        # a sum of constants reaches its l1 bound, so the width is tight at
+        # every B; at 2^j - 1 and 2^j it gains a bit
+        for B in range(1, 300):
+            for c in (B, -B):
+                terms = [((QPoly((c,)),), 3)]
+                assert laurent_sum(terms) == (QPoly((c,)), 3)
+            terms = [((QPoly((1, 1)), QPoly((B - 1, 1))), -2),
+                     ((QPoly((1,)),), -2)]
+            assert laurent_sum(terms) == tuple_laurent_sum(terms)
+
+    def test_ut_algebra_pass_meets_its_bound(self, monkeypatch):
+        # the packed ut-algebra pass unpacks at K = 2n + 2 because the l1
+        # norm of every base is at most 3^(n-1); it is met at n = 1 and
+        # reached a third of the way at n = 2..4
+        norms = []
+        superchars = restrict._superchars
+
+        def recorded(ground, base, *args, **kwargs):
+            def tallied(lam):
+                poly, e = base(lam)
+                norms.append(sum(map(abs, poly.coeffs)))
+                return poly, e
+            return superchars(ground, tallied, *args, **kwargs)
+
+        monkeypatch.setattr(restrict, "_superchars", recorded)
+        for n in range(1, 10):
+            norms.clear()
+            restrict.ut_algebra(GroundSet.range(n)).superchar_decomposition()
+            assert norms and max(norms) <= 3 ** (n - 1), n
+        assert max(norms) == 721
 
 
 class TestInterpolate:

@@ -966,3 +966,35 @@ class TestWorkCounts:
         dec = double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2,
                              "superchars")
         assert scanned[0] == len(dec.coeffs) == 435
+
+    @pytest.fixture
+    def qpoly_calls(self, monkeypatch):
+        # tuple-arithmetic calls of QPoly; the packed sums make none
+        count = {"add": 0, "mul": 0}
+        add, mul = QPoly.__add__, QPoly.__mul__
+
+        def counted_add(a, b):
+            count["add"] += 1
+            return add(a, b)
+
+        def counted_mul(a, b):
+            count["mul"] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(QPoly, "__add__", counted_add)
+        monkeypatch.setattr(QPoly, "__mul__", counted_mul)
+        return count
+
+    def test_ut_algebra_pass_adds_no_qpoly(self, qpoly_calls):
+        # the right-to-left pass runs on packed ints; on QPoly it makes
+        # 20,555 tuple additions
+        ut_algebra(GroundSet.range(8)).superchar_decomposition()
+        assert qpoly_calls["add"] == 0
+
+    def test_double_rainbow_base_multiplies_packed(self, qpoly_calls):
+        # each term of the Laurent sum is one big-int product, so only the
+        # cold qphi cache and the sign multiply QPolys (23 here); a tuple
+        # product per term makes 4,478
+        qphi.cache_clear()
+        double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2, "superchars")
+        assert qpoly_calls["mul"] <= 352
