@@ -9,7 +9,10 @@ e_k(q^wt(b) : b a block) and depends only on the block weights.
 The engines read these weights on the uncrossing of a partition lam, which
 depends only on L(lam) and R(lam).  Arcs of a noncrossing partition cannot
 cross a block, so the blocks above b are those with an arc strictly over
-min(b), one arc each: wt(b) is the number of arcs open at min(b).
+min(b), one arc each: wt(b) is the number of arcs open at min(b).  So the
+sorted weights are the scan's depth vector (`depth_vector`), read off the
+endpoint skeleton alone; the engines that need the blocks themselves, to
+pool them by their end points, build them with `block_poset`.
 """
 
 from functools import cache
@@ -38,6 +41,25 @@ def block_poset(lam):
         if x in L:
             open_blocks.append(b)
     return tuple(map(tuple, entries))
+
+
+def depth_vector(skeleton, n):
+    """The sorted block weights of the uncrossing of every partition of n
+    points with this skeleton (an enumerate_partitions skeleton: bit 2i set
+    when the i-th point opens an arc, bit 2i + 1 when it closes one).  A
+    point that closes no arc starts a block under the arcs open just before
+    it, so its weight is the depth there."""
+    weights = []
+    depth = 0
+    for _ in range(n):
+        if skeleton & 2:
+            depth -= 1
+        else:
+            weights.append(depth)
+        depth += skeleton & 1
+        skeleton >>= 2
+    weights.sort()
+    return tuple(weights)
 
 
 def blocks_with_max_in(P, K):

@@ -19,8 +19,8 @@ from .setpart import (
     region_counts,
 )
 from .nestposet import (
-    block_poset, poset_binom, poset_multinom,
-    blocks_with_max_in, blocks_with_min_in,
+    block_poset, depth_vector, poset_binom, poset_multinom,
+    blocks_with_max_in, blocks_with_min_in, _e_k,
 )
 from .scfcore import Decomposition
 
@@ -85,8 +85,9 @@ def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
     lam of `ground` with at most max_arcs arcs, left endpoints in lefts,
     right endpoints in rights (None: anywhere) and arcs within the bounds of
     the region rule `rule` (see enumerate_partitions; None: no bound) is
-    q^nst(lam, lam) times q^e poly, where (poly, e) = base(lam); every
-    other coefficient is zero.  The rule lets the scan skip partitions whose
+    q^nst(lam, lam) times q^e poly, where (poly, e) = base(lam, skeleton)
+    and skeleton is lam's endpoint skeleton from the scan; every other
+    coefficient is zero.  The rule lets the scan skip partitions whose
     coefficient would be zero: peel's exactly b arcs from N_< to N_> and
     none inside N_=, double rainbow's at most m arcs outside N_=.
 
@@ -96,20 +97,30 @@ def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
     and number of arcs inside N_=: with L(lam) and R(lam) fixed, that
     number fixes every region count (arcs into N_= start in N_< or N_=,
     arcs out of N_= end in N_= or N_>, and arcs into N_< start there).  So
-    a rule that allows no arc inside N_=, as peel's does, needs no split."""
+    a rule that allows no arc inside N_=, as peel's does, needs no split.
+
+    Partitions whose base polynomial and total shift agree share one
+    coefficient object: few distinct ones occur among many partitions."""
     memo = {}
+    shifted = {}    # (id of a base polynomial, shift) -> coefficient
     coeffs = {}
-    for lam, nest, key in enumerate_partitions(ground, max_arcs, lefts,
-                                               rights, rule):
+    for lam, nest, skeleton in enumerate_partitions(ground, max_arcs, lefts,
+                                                    rights, rule):
+        key = skeleton
         if split is not None:
             key = (key, sum(1 for i, j in lam.arcs
                             if split.n_m < i and j < split.n_p))
         got = memo.get(key)
         if got is None:
-            got = memo[key] = base(lam)
+            got = memo[key] = base(lam, skeleton)
         poly, e = got
-        if not poly.is_zero():
-            coeffs[lam] = _shift_signed(poly, e + nest)
+        if poly.coeffs:
+            # memo keeps every base polynomial alive, so no id is reused
+            at = (id(poly), e + nest)
+            coeff = shifted.get(at)
+            if coeff is None:
+                coeff = shifted[at] = _shift_signed(poly, e + nest)
+            coeffs[lam] = coeff
     return Decomposition("supercharacter", coeffs)
 
 
@@ -146,7 +157,7 @@ class PsiKModule:
         pool = [x for x in self.ground if x not in L]
         return QPoly.q_pow(wt_up(self.K, pool))
 
-    def _base(self, lam):
+    def _base(self, lam, skeleton):
         return ONE, nst_points(lam, self.K - lam.left_endpoints())
 
     def decomposition(self):
@@ -192,10 +203,12 @@ class CoreModule:
         return qbinom(n - len(mu), self.k).shift(comb(self.k, 2))
 
     def decomposition(self):
-        def base(lam):
-            return poset_binom(block_poset(lam), self.k - len(lam)), 0
+        n = len(self.ground)
 
-        if self.k > len(self.ground):
+        def base(lam, skeleton):
+            return _e_k(depth_vector(skeleton, n), self.k - len(lam)), 0
+
+        if self.k > n:
             # the module is zero; a scan would only find zero coefficients
             return Decomposition("supercharacter", {})
         return _superchars(self.ground, base, self.k)
@@ -233,16 +246,17 @@ def rainbow(ground, m, target):
         return Decomposition("core", coeffs)
     if target == "superchars":
         sign = Q_MINUS_1 ** m
-        sums = {}   # the sum below depends on lam through wt and |lam| only
+        sums = {}   # the sum below depends on lam through its weights only
 
-        def base(lam):
-            P = block_poset(lam)
-            key = (tuple(sorted(b[2] for b in P)), len(lam))
-            if key not in sums:
-                sums[key] = laurent_sum(
-                    ((sign, qphi(m, k), poset_binom(P, k - len(lam))), 0)
+        def base(lam, skeleton):
+            # one weight per block, so the weights also fix |lam|
+            weights = depth_vector(skeleton, n)
+            got = sums.get(weights)
+            if got is None:
+                got = sums[weights] = laurent_sum(
+                    ((sign, qphi(m, k), _e_k(weights, k - len(lam))), 0)
                     for k in range(len(lam), m + 1))
-            return sums[key]
+            return got
 
         return _superchars(ground, base, m)
     raise ValueError(f"unknown rainbow target {target!r}")
@@ -317,7 +331,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                   if all(i < x < j for x in K))
         sign = Q_MINUS_1 ** ell
 
-        def base(lam):
+        def base(lam, skeleton):
             # nst(nu, lam) reads L(lam) and R(lam) only: no arc of nu has
             # both ends in K, so one nests over all arcs of lam, none, those
             # opened after its left end in K, or those closed before its
@@ -354,7 +368,7 @@ def peel(split, b, f):
     if not (0 <= b <= min(a, c) and b <= f <= a + c):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
 
-    def base(nu):
+    def base(nu, skeleton):
         P = block_poset(nu)
         return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]), 0
 
@@ -395,7 +409,7 @@ def double_rainbow(split, m, ell, target):
 
     sign = Q_MINUS_1 ** (m + ell)
 
-    def base(gam):
+    def base(gam, skeleton):
         counts = region_counts(gam, split)
         g_eq = counts["=="]
         g_neq = len(gam) - g_eq
@@ -421,7 +435,7 @@ def double_rainbow(split, m, ell, target):
 
     if target == "trivial_coeff":
         empty = SetPartition(split.inner, ())
-        poly, e = base(empty)
+        poly, e = base(empty, 0)
         return Decomposition("supercharacter",
                              {empty: _shift_signed(poly, e)})
 
@@ -519,17 +533,21 @@ class UtAlgebra:
 
     def core_style(self):
         """Row-set module coefficients of the full auxiliary tensor product
-        of the |N| single-arc modules realizing this trace."""
+        of the |N| single-arc modules realizing this trace: at row set A,
+        q^C(n,2) (q-1)^(n+|A|) times the product over x in A of
+        [1 + #(points right of x outside A)], one packed product."""
         n = len(self.ground)
         labels = sorted(self.ground)
+        signs = [Q_MINUS_1 ** e for e in range(n, 2 * n + 1)]
+        qints = [qint(w) for w in range(n + 1)]
         coeffs = {}
         for A in _subsets(labels):
             rest = [x for x in labels if x not in A]
-            poly = ONE
-            for x in A:
-                poly = poly * qint(1 + sum(1 for c in rest if c > x))
-            coeffs[ModuleLabel("rowK", (A,))] = \
-                ((Q_MINUS_1 ** (n + len(A))) * poly).shift(comb(n, 2))
+            poly, e = laurent_sum([(
+                (signs[len(A)],
+                 *(qints[1 + sum(1 for c in rest if c > x)] for x in A)),
+                comb(n, 2))])
+            coeffs[ModuleLabel("rowK", (A,))] = poly.shift(e)
         return Decomposition("rowK", coeffs)
 
     def superchar_decomposition(self):
@@ -545,7 +563,7 @@ class UtAlgebra:
         rest = self.ground.labels[:-1]
         K = 2 * len(self.ground) + 2
 
-        def base(lam):
+        def base(lam, skeleton):
             R = lam.right_endpoints()
             by = {1: 1}
             for x in reversed(rest):

@@ -26,7 +26,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .qcalc import ZERO, Q_MINUS_1, InexactDivision, divide_exact
-from .setpart import SetPartition, arcs_label, enumerate_partitions
+from .setpart import (
+    SetPartition, arc_token, arcs_label, enumerate_partitions,
+)
 
 
 class DecompositionError(ArithmeticError):
@@ -123,7 +125,10 @@ class Decomposition:
 
     def __init__(self, basis, coeffs):
         self.basis = basis
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        # a dict copy keeps the keys' hashes: only the zeros are looked up
+        self.coeffs = dict(coeffs)
+        for k in [k for k, v in coeffs.items() if v.is_zero()]:
+            del self.coeffs[k]
 
     def __getitem__(self, label):
         return self.coeffs.get(label, ZERO)
@@ -134,18 +139,23 @@ class Decomposition:
 
     def labels_text(self):
         """(label text, coeff) pairs: partitions first, by arc count and
-        then sorted arcs, then the other labels by text."""
-        rows = []
+        then sorted arcs, then the other labels by text.  The text of each
+        arc is made once per call."""
+        parts, others = [], []
         for label, coeff in self.coeffs.items():
             if isinstance(label, SetPartition):
-                key = (0, *partition_sort_key(label))
-                text = arcs_label(key[2])
+                parts.append((*partition_sort_key(label), coeff))
             else:
-                text = str(label)
-                key = (1, text)
-            rows.append((key, text, coeff))
-        rows.sort(key=lambda row: row[0])
-        return [(text, coeff) for _, text, coeff in rows]
+                others.append((str(label), coeff))
+        # by sorted arcs, then stably by arc count: a list of arcs alone
+        # compares faster than inside a key tuple
+        parts.sort(key=lambda row: row[1])
+        parts.sort(key=lambda row: row[0])
+        others.sort(key=lambda row: row[0])
+        tokens = {arc: arc_token(arc) for arc in
+                  frozenset().union(*(arcs for _, arcs, _ in parts))}
+        return [(arcs_label(map(tokens.__getitem__, arcs)), coeff)
+                for _, arcs, coeff in parts] + others
 
 
 def solve_exact(matrix, rhs):

@@ -117,7 +117,7 @@ class SetPartition:
 
     def label(self):
         """Canonical text form: whitespace-separated i-j tokens."""
-        return arcs_label(sorted(self.arcs))
+        return arcs_label(map(arc_token, sorted(self.arcs)))
 
     def left_endpoints(self):
         return frozenset(i for i, _ in self.arcs)
@@ -178,9 +178,15 @@ class ArcMultiset:
         return frozenset(j for _, j in self.arcs)
 
 
-def arcs_label(arcs):
-    """The text form of SetPartition.label from its sorted arcs."""
-    return " ".join(f"{i}-{j}" for i, j in arcs) or "()"
+def arc_token(arc):
+    """The i-j token of one arc in SetPartition.label."""
+    return f"{arc[0]}-{arc[1]}"
+
+
+def arcs_label(tokens):
+    """The text form of SetPartition.label from the tokens of its sorted
+    arcs."""
+    return " ".join(tokens) or "()"
 
 
 def parse_partition(text, ground):

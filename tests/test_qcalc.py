@@ -203,8 +203,8 @@ class TestKronecker:
         superchars = restrict._superchars
 
         def recorded(ground, base, *args, **kwargs):
-            def tallied(lam):
-                poly, e = base(lam)
+            def tallied(lam, skeleton):
+                poly, e = base(lam, skeleton)
                 norms.append(sum(map(abs, poly.coeffs)))
                 return poly, e
             return superchars(ground, tallied, *args, **kwargs)

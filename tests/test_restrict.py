@@ -921,9 +921,9 @@ class TestWorkCounts:
         superchars = restrict._superchars
 
         def counted(ground, base, *args, **kwargs):
-            def tallied(lam):
+            def tallied(lam, skeleton):
                 count[0] += 1
-                return base(lam)
+                return base(lam, skeleton)
             return superchars(ground, tallied, *args, **kwargs)
 
         monkeypatch.setattr(restrict, "_superchars", counted)
@@ -998,3 +998,33 @@ class TestWorkCounts:
         qphi.cache_clear()
         double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2, "superchars")
         assert qpoly_calls["mul"] <= 352
+
+    @pytest.fixture
+    def posets(self, monkeypatch):
+        # the block posets the engines build
+        count = [0]
+        build = restrict.block_poset
+
+        def counted(lam):
+            count[0] += 1
+            return build(lam)
+
+        monkeypatch.setattr(restrict, "block_poset", counted)
+        return count
+
+    def test_core_and_rainbow_build_no_block_poset(self, posets):
+        # both read their block weights off each skeleton's depth vector;
+        # one block poset per skeleton makes 3,313 for core and 1,549 for
+        # rainbow
+        core(GroundSet.range(9), 4).decomposition()
+        rainbow(GroundSet.range(9), 3, "superchars")
+        assert posets[0] == 0
+
+    def test_equal_coefficients_share_one_object(self):
+        # one coefficient object per (base polynomial, shift): core's 10,096
+        # terms hold 155 distinct values, rainbow's 3,145 hold 56; one
+        # object per term makes 10,096 and 3,145
+        for dec, most in [
+                (core(GroundSet.range(9), 4).decomposition(), 236),
+                (rainbow(GroundSet.range(9), 3, "superchars"), 148)]:
+            assert len({id(c) for c in dec.coeffs.values()}) <= most

@@ -11,6 +11,7 @@ from utrestrict.setpart import (
     parse_partition, nst, nst_points, wt_up, region_counts,
     enumerate_partitions, count_scan, from_blocks, bell,
 )
+from utrestrict.nestposet import block_poset, depth_vector
 
 from conftest import blocks, crs
 
@@ -235,6 +236,23 @@ def rule_grid():
             yield RegionSplit.from_sizes(a, b, c), rules
 
 
+def depth_mismatches(depth):
+    """The partitions whose skeleton's depth(skeleton, n) is not the sorted
+    block weights of block_poset: every partition of [n] for n <= 7, and
+    every yield of the scans of constraint_grid under each arc cap."""
+    scans = [(GroundSet.range(n), [(None, None)]) for n in range(1, 8)]
+    out = []
+    for g, pairs in itertools.chain(scans, constraint_grid()):
+        for lefts, rights in pairs:
+            for m in caps(g):
+                for lam, _, skeleton in enumerate_partitions(g, m, lefts,
+                                                             rights):
+                    weights = tuple(sorted(b[2] for b in block_poset(lam)))
+                    if depth(skeleton, len(g)) != weights:
+                        out.append(lam)
+    return out
+
+
 def obeys(counts, bounds):
     """Whether region counts lie within bounds, as a region rule reads
     them."""
@@ -369,6 +387,28 @@ class TestEnumeration:
                         assert skeletons.setdefault(ends, skeleton) \
                             == skeleton
             assert len(set(skeletons.values())) == len(skeletons)
+
+    def test_depth_vector_is_the_block_weights(self):
+        # the depth vector read off each yielded skeleton is the sorted
+        # block weights of block_poset, on every partition of [n], n <= 7,
+        # and every capped scan of constraint_grid (a capped scan may stop
+        # early, leaving the last points out of the skeleton)
+        assert depth_mismatches(depth_vector) == []
+
+    def test_depth_vector_check_catches_a_late_depth(self):
+        # negative control: a depth counted after the point opens its arc
+        def late(skeleton, n):
+            weights, depth = [], 0
+            for _ in range(n):
+                depth += skeleton & 1
+                if skeleton & 2:
+                    depth -= 1
+                else:
+                    weights.append(depth)
+                skeleton >>= 2
+            return tuple(sorted(weights))
+
+        assert depth_mismatches(late)
 
     def test_budget_counts_the_constrained_scan(self):
         # the budget counts what the scan yields: Bell(11) is over it, but

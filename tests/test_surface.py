@@ -121,9 +121,9 @@ def test_tracer_installs_and_uninstalls():
     # the partitions of [4] with at most 2 arcs: 1 + 6 + 7
     assert metrics["setpart.partitions"] == 14
     assert metrics["restrict.engine_calls"] == 1
-    # one block poset per endpoint skeleton: 14 noncrossing partitions of
-    # [4], less the one with 3 arcs
-    assert metrics["nestposet.block_poset_calls"] == 13
+    # core reads its block weights off each skeleton's depth vector and
+    # builds no block poset
+    assert metrics["nestposet.block_poset_calls"] == 0
     assert metrics["setpart.uncross_calls"] == 0
 
 
@@ -140,3 +140,6 @@ def test_tracer_counts_the_pruned_peel_scan():
         tracer.uninstall()
     assert metrics["setpart.partitions"] == metrics["restrict.terms"] == 450
     assert metrics["restrict.keep_ratio"] == 1.0
+    # peel pools the blocks by their end points: one block poset per
+    # endpoint skeleton of the 450 partitions
+    assert metrics["nestposet.block_poset_calls"] == 64
