@@ -19,7 +19,7 @@ from .setpart import (
     region_counts,
 )
 from .nestposet import (
-    block_poset, depth_vector, poset_binom, poset_multinom,
+    block_poset, depth_vector, poset_multinom,
     blocks_with_max_in, blocks_with_min_in, _e_k,
 )
 from .scfcore import Decomposition
@@ -408,6 +408,7 @@ def double_rainbow(split, m, ell, target):
         return Decomposition("peel", coeffs)
 
     sign = Q_MINUS_1 ** (m + ell)
+    sums = {}   # (region counts, sorted pool weights) -> (poly, e)
 
     def base(gam, skeleton):
         counts = region_counts(gam, split)
@@ -415,16 +416,22 @@ def double_rainbow(split, m, ell, target):
         g_neq = len(gam) - g_eq
         le_gt = counts["<>"] + counts["=>"]
         P = block_poset(gam)
-        # poset_multinom(P, pools) as one poset_binom factor per disjoint pool
-        pool1 = _peel_pool(P, split)
-        pool2 = blocks_with_max_in(P, set(split.n_eq))
-        poly, e = laurent_sum(
-            ((sign, qphi(m, f), qphi(m - f + ell, l),
-              poset_binom(pool1, f - g_neq), poset_binom(pool2, l - g_eq)),
-             ell * counts["=>"] + (m - f - l) * le_gt)
-            for f in range(g_neq, m + 1)
-            for l in range(g_eq, m - f + ell + 1))
-        return poly, e + pre
+        # poset_multinom(P, pools) as one e_k factor per disjoint pool, each
+        # on the pool's sorted block weights
+        w1 = tuple(sorted(b[2] for b in _peel_pool(P, split)))
+        w2 = tuple(sorted(b[2] for b in
+                          blocks_with_max_in(P, set(split.n_eq))))
+        key = g_eq, g_neq, counts["=>"], le_gt, w1, w2
+        got = sums.get(key)
+        if got is None:
+            poly, e = laurent_sum(
+                ((sign, qphi(m, f), qphi(m - f + ell, l),
+                  _e_k(w1, f - g_neq), _e_k(w2, l - g_eq)),
+                 ell * counts["=>"] + (m - f - l) * le_gt)
+                for f in range(g_neq, m + 1)
+                for l in range(g_eq, m - f + ell + 1))
+            got = sums[key] = poly, e + pre
+        return got
 
     if target == "superchars":
         # more than m arcs outside N_= leave the f range of base empty, and

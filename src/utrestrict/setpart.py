@@ -3,13 +3,12 @@
 A set partition here is a set of arcs (i, j), i < j, with pairwise distinct
 left endpoints and pairwise distinct right endpoints; a block is a maximal
 chain of arcs.  Statistics (nestings, weights), the uncrossing map, the
-dagger involution and enumeration by a left-to-right arc scan all live here,
+dagger involution and enumeration by an arc-by-arc scan all live here,
 together with the region geometry used by the double-rainbow and onion
 engines.
 """
 
 from collections import Counter
-from operator import add
 
 
 class DistinctEndpointViolation(ValueError):
@@ -110,7 +109,8 @@ class SetPartition:
                 and self.ground == other.ground and self.arcs == other.arcs)
 
     def __hash__(self):
-        return hash((self.ground, self.arcs))
+        # the arcs frozenset caches its hash; equal partitions share a ground
+        return hash(self.arcs)
 
     def __repr__(self):
         return f"SetPartition({self.ground.labels}, {sorted(self.arcs)})"
@@ -292,98 +292,93 @@ def from_blocks(ground, blocks):
 MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
-def _scan_shape(labels, lefts, rights):
-    """The scan's arrays: whether each point may open an arc, whether it
-    may close one, and how many points after it may close one."""
-    opens = [lefts is None or x in lefts for x in labels]
-    closes = [rights is None or x in rights for x in labels]
-    closers = [0] * len(labels)
-    for i in range(len(labels) - 2, -1, -1):
-        closers[i] = closers[i + 1] + closes[i + 1]
-    return opens, closes, closers
-
-
-def _rule_tables(labels, opens, closes, rule):
-    """The tables of a scan under a region rule (tags, bounds), or None
-    (every tag "", no bound): each point's tag; for each class under a
-    bound, its increment to each bound's count; and for each point i, up to
-    len(labels), a row with one entry per bound: (lo, hi, the tags of open
-    arcs that some closer from i on puts in its classes, the tags of those
-    that every closer from i on puts there, how many points from i on may
-    open an arc that some later closer puts there)."""
+def _packed_bounds(labels, rule):
+    """A region rule (tags, bounds), or None (every tag "", no bound), with
+    the bound counts kept as one int of 16-bit fields, one per bound,
+    biased so that a field's top bit is set exactly when its count passes
+    hi: (each point's tag; one in each bound's field -> the bound's
+    classes; each class -> its increment to the counts; the counts of no
+    arc; the mask of the top bits; hi - lo + 1 in each field, which added
+    to the counts sets every top bit exactly when each count has reached
+    lo).  hi is clamped to the points and lo to hi + 1, so no field
+    carries into the next."""
     tags, bounds = rule or (dict.fromkeys(labels, ""), {})
     tag = [tags[x] for x in labels]
-    every = frozenset(tag)
-    bounds = [(frozenset(classes.split()), lo, hi)
-              for classes, (lo, hi) in bounds.items()]
-    bump = {}
-    for k, (classes, _, _) in enumerate(bounds):
-        for cls in classes:
-            bump.setdefault(cls, [0] * len(bounds))[k] = 1
-    bump = {cls: tuple(inc) for cls, inc in bump.items()}
-    # per bound, (can, must, fresh) over the points from i on, built from
-    # the last point back; past it no point is left to close an arc
-    reach = [(frozenset(), every, 0)] * len(bounds)
-    rows = [()] * (len(labels) + 1)
-    for i in range(len(labels), -1, -1):
-        if i < len(labels):
-            u, step = tag[i], []
-            for (classes, _, _), (can, must, fresh) in zip(bounds, reach):
-                # an arc opened at i closes only after i
-                fresh += opens[i] and u in can
-                if closes[i]:
-                    land = {t for t in every if t + u in classes}
-                    can, must = can | land, must & land
-                step.append((can, must, fresh))
-            reach = step
-        rows[i] = tuple((lo, hi, *r) for (_, lo, hi), r in zip(bounds, reach))
-    return tag, bump, rows
-
-
-def _bumped(counts, inc):
-    """The bound counts after closing an arc whose class adds inc (None:
-    under no bound)."""
-    return counts if inc is None else tuple(map(add, counts, inc))
-
-
-def _off_bounds(row, counts, open_tags, spare):
-    """Whether a state with these bound counts, open arcs opened at these
-    tags and spare arcs left to open is off a bound of row (a row of the
-    rule tables): its arcs and the open arcs that must land in the bound's
-    classes pass hi, or its arcs, the open arcs that may land there and the
-    arcs that may still open and land there fall short of lo."""
-    for c, (lo, hi, can, must, fresh) in zip(counts, row):
-        if c + sum(map(must.__contains__, open_tags)) > hi or lo > c and \
-                c + min(spare, fresh) + sum(map(can.__contains__, open_tags)) \
-                < lo:
-            return True
-    return False
+    start = over = lift = 0
+    units = {}
+    for k, (classes, (lo, hi)) in enumerate(bounds.items()):
+        hi = min(hi, len(labels))
+        lo = min(lo, hi + 1)
+        start += (0x7FFF - hi) << 16 * k
+        over += 0x8000 << 16 * k
+        lift += (hi - lo + 1) << 16 * k
+        units[1 << 16 * k] = frozenset(classes.split())
+    bump = {t + u: sum(unit for unit, classes in units.items()
+                       if t + u in classes)
+            for t in set(tag) for u in set(tag)}
+    return tag, units, bump, start, over, lift
 
 
 def count_scan(ground, max_arcs=None, lefts=None, rights=None, rule=None):
     """How many partitions enumerate_partitions(ground, max_arcs, lefts,
     rights, rule) yields, or None when that is more than MAX_PARTITIONS.
 
-    A forward count of the scan's live branches, keyed by (the sorted tags
-    of the open arcs' left endpoints, all "" with no rule; arcs left to
-    open; bound counts), under the scan's own rules.  With no rule every
-    live branch yields at least once (it may close an open arc at each
-    later closer), so the running total never falls, and the count stops
-    once it passes the budget.  Under a rule a live branch may end without
-    a yield; the count still stops, returning None, once more than
-    MAX_PARTITIONS branches are live at one point."""
+    A forward count of the live branches of a left-to-right point scan,
+    keyed by (the sorted tags of the open arcs' left endpoints, all "" with
+    no rule; arcs left to open; bound counts): at each point a branch may
+    close one open arc if the point is in rights, and open one if it is in
+    lefts.  A branch is dropped when more arcs are open than points are
+    left to close them, when its arcs and the open arcs that every later
+    closer puts in a bound's classes pass hi, or when its arcs, the open
+    arcs that some later closer puts there and the arcs it may still open
+    and close there fall short of lo.  With no rule every live branch
+    yields at least once (it may close an open arc at each later closer),
+    so the running total never falls, and the count stops once it passes
+    the budget.  Under a rule a branch may end without a yield; the count
+    returns None once more than MAX_PARTITIONS are live at one point."""
     labels = tuple(ground)
-    opens, closes, closers = _scan_shape(labels, lefts, rights)
-    tag, bump, rows = _rule_tables(labels, opens, closes, rule)
-    spare = len(labels) if max_arcs is None else max_arcs
+    n = len(labels)
+    spare = n if max_arcs is None else min(max_arcs, n)
+    tag, units, bump, start, over, lift = _packed_bounds(labels, rule)
+    opens = [lefts is None or x in lefts for x in labels]
+    closes = [rights is None or x in rights for x in labels]
+    every = frozenset(tag)
+    # per bound, the tags of open arcs that some closer from point i on
+    # puts in its classes, those that every closer from i on puts there
+    # (all of them past the last closer), and how many points from i on
+    # may open an arc that some later closer puts there; each row keeps
+    # them as increments to the counts, the last per arcs left to open
+    can = dict.fromkeys(units, frozenset())
+    must = dict.fromkeys(units, every)
+    fresh = dict.fromkeys(units, 0)
+    rows = [None] * (n + 1)
+    for i in range(n, -1, -1):
+        for unit, classes in units.items() if i < n else ():
+            # an arc opened at i closes only after i
+            fresh[unit] += opens[i] and tag[i] in can[unit]
+            if closes[i]:
+                land = {t for t in every if t + tag[i] in classes}
+                can[unit], must[unit] = can[unit] | land, must[unit] & land
+        rows[i] = tuple({t: sum(unit for unit in units if t in sets[unit])
+                         for t in every} for sets in (must, can)) + \
+            ([lift + sum(min(s, f) * unit for unit, f in fresh.items())
+              for s in range(spare + 1)],)
 
     def kept(step, i):
-        return Counter({key: w for key, w in step.items()
-                        if not _off_bounds(rows[i], key[2], key[0], key[1])})
+        if not over:
+            return step
+        must_i, can_i, reach = rows[i]
+        return Counter({
+            (tally, s, counts): w for (tally, s, counts), w in step.items()
+            if not counts + sum(map(must_i.get, tally)) & over
+            and counts + reach[s] + sum(map(can_i.get, tally)) & over
+            == over})
 
-    live = kept(Counter({((), spare, (0,) * len(rows[0])): 1}
-                        if spare >= 0 else {}), 0)
-    for i, rest in enumerate(closers):
+    live = kept(Counter({((), spare, start): 1} if spare >= 0 else {}), 0)
+    rest = sum(closes)
+    for i in range(n):
+        # the points after i that may close an arc
+        rest -= closes[i]
         u = tag[i]
         step = Counter()
         for (tally, s, counts), ways in live.items():
@@ -391,8 +386,7 @@ def count_scan(ground, max_arcs=None, lefts=None, rights=None, rule=None):
             moves = [(tally, counts, ways)]
             for t in set(tally) if closes[i] else ():
                 c = tally.index(t)
-                moves.append((tally[:c] + tally[c + 1:],
-                              _bumped(counts, bump.get(t + u)),
+                moves.append((tally[:c] + tally[c + 1:], counts + bump[t + u],
                               ways * tally.count(t)))
             for tally_x, counts_x, w in moves:
                 if len(tally_x) <= rest:
@@ -421,21 +415,24 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
     classes to (lo, hi), the least and most arcs those classes may hold
     together.
 
-    A depth-first scan of the arc diagram from left to right, on one stack
-    of partial states: at each point a state may close one open arc if the
-    point is in rights, and may open one if it is in lefts.  A state is
-    dropped when its arcs would exceed max_arcs, or when more arcs are open
-    than points are left to close them.  A state is a partition once it is
-    past the last point, or has no open arc and no arc left to open (the
-    points left would only carry it along); on more than 10 points the
-    budget counts them before the scan starts.  Under a rule a state is
-    also dropped when its arcs and the open arcs that every later closer
-    puts in a bound's classes pass the upper end, or when its open arcs and
-    the arcs it may still open cannot reach the lower end.
+    A depth-first scan that adds whole arcs in increasing left endpoint, on
+    one stack.  The allowed arcs are listed once, sorted: both ends in
+    lefts and rights, and no class that a bound holds to none.  Every state
+    is a partition, (the first allowed arc whose left endpoint is past the
+    state's last one, arcs, a bitmask of the right endpoints used, nest,
+    skeleton, bound counts), and while it has fewer than max_arcs arcs each
+    later allowed arc on an unused right endpoint makes a child.  A new arc
+    (i, j) nests under exactly the earlier arcs that end after j.  The
+    children are pushed in reverse, so the yields come in lexicographic
+    order of their sorted arcs.  On more than 10 points the budget counts
+    them before the scan starts.
 
-    Closing the arc (l, x) nests it over the closed arcs opened after l
-    (Chen-Deng-Du-Stanley-Yan's scan): of the arcs opened after l, those
-    still open cross it instead.
+    Under a rule a state yields when every bound's count has reached its
+    lower end (the counts are packed as _packed_bounds describes).  A child
+    whose count passes an upper end is dropped at once, and a state is
+    dropped with all it would add when a count, plus as many arcs as it may
+    still add (at most its spare arcs, and one per later left endpoint with
+    an allowed arc in the bound's classes), falls short of the lower end.
     """
     labels = tuple(ground)
     n = len(labels)
@@ -447,86 +444,49 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
         raise EnumerationBoundExceeded(
             f"more than {MAX_PARTITIONS} partitions of {n} points have at "
             f"most {cap} arcs")
-    opens, closes, closers = _scan_shape(labels, lefts, rights)
-    if rule is not None:
-        yield from _ruled_scan(ground, cap, opens, closes, closers, rule)
-        return
-    # a partial state: (points scanned, arcs, the open arcs in scan order as
-    # (left endpoint, arcs opened before it), nest, skeleton)
-    stack = [(0, (), (), 0, 0)] if cap >= 0 else []
+    cap = min(cap, n)
+    tag, units, bump, start, over, lift = _packed_bounds(labels, rule)
+    low = rule is not None and any(lo > 0 for lo, _ in rule[1].values())
+    # the allowed arcs by left endpoint, each as (arc, right endpoint bit,
+    # right endpoint index, skeleton bits, bound increment)
+    groups = [[((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j,
+                bump[tag[i] + tag[j]])
+               for j, y in enumerate(labels[i + 1:], i + 1)
+               if (rights is None or y in rights)
+               and not start + bump[tag[i] + tag[j]] & over]
+              for i, x in enumerate(labels) if lefts is None or x in lefts]
+    # each arc also holds the index of the first arc with a later left end
+    cands = []
+    for group in groups:
+        cands += [arc + (len(cands) + len(group),) for arc in group]
+    # with a lower end above 0: at that index, per spare arc count, lift
+    # plus the most arcs that each bound may still gain
+    reach = {}
+    if low:
+        fresh, at = dict.fromkeys(units, 0), len(cands)
+        for group in [[]] + groups[::-1]:
+            at -= len(group)
+            for unit in fresh:
+                fresh[unit] += any(arc[4] & unit for arc in group)
+            reach[at] = [lift + sum(min(s, f) * unit
+                                    for unit, f in fresh.items())
+                         for s in range(cap + 1)]
+    rev, top = cands[::-1], len(cands)
+    stack = [(0, (), 0, 0, 0, start)] if cap >= 0 else []
     push = stack.append
     while stack:
-        i, arcs, opened, nest, skeleton = stack.pop()
-        if i == n or not opened and len(arcs) == cap:
+        k, arcs, used, nest, skeleton, counts = stack.pop()
+        spare = cap - len(arcs)
+        if low and counts + reach[k][spare] & over != over:
+            continue
+        if counts + lift & over == over:
             yield SetPartition._trusted(ground, arcs), nest, skeleton
-            continue
-        x, rest, o = labels[i], closers[i], len(opened)
-        close_bit, open_bit = 2 << 2 * i, 1 << 2 * i
-        # an arc opened at x comes after all len(arcs) + o arcs opened so
-        # far, whether or not x closes one
-        new = ((x, len(arcs) + o),) \
-            if opens[i] and len(arcs) + o < cap else None
-        if o <= rest:
-            push((i + 1, arcs, opened, nest, skeleton))
-        if new and o < rest:
-            push((i + 1, arcs, opened + new, nest, skeleton | open_bit))
-        for c, (l, before) in enumerate(opened if closes[i] else ()):
-            # len(arcs) + o - before - 1 arcs were opened after l, and
-            # o - c - 1 of them are still open
-            arcs_x = arcs + ((l, x),)
-            opened_x = opened[:c] + opened[c + 1:]
-            nest_x = nest + len(arcs) - before + c
-            if o - 1 <= rest:
-                push((i + 1, arcs_x, opened_x, nest_x, skeleton | close_bit))
-            if new and o - 1 < rest:
-                push((i + 1, arcs_x, opened_x + new, nest_x,
-                      skeleton | close_bit | open_bit))
-
-
-def _ruled_scan(ground, cap, opens, closes, closers, rule):
-    """enumerate_partitions' scan under a region rule: each state also
-    carries the tags of its open arcs' left endpoints, in scan order, and
-    the bound counts.  Whether a state is off the bounds depends only on
-    (point, those tags, bound counts, arcs left to open), and few of those
-    recur, so each is checked once."""
-    labels = tuple(ground)
-    n = len(labels)
-    tag, bump, rows = _rule_tables(labels, opens, closes, rule)
-    off = {}
-    stack = [(0, (), (), "", 0, 0, (0,) * len(rows[0]))] if cap >= 0 else []
-    push = stack.append
-    while stack:
-        i, arcs, opened, otags, nest, skeleton, counts = stack.pop()
-        spare = cap - len(arcs) - len(opened)
-        key = i, otags, counts, spare
-        dropped = off.get(key)
-        if dropped is None:
-            dropped = off[key] = _off_bounds(rows[i], counts, otags, spare)
-        if dropped:
-            continue
-        if i == n or not opened and not spare:
-            yield SetPartition._trusted(ground, arcs), nest, skeleton
-            continue
-        x, u, rest, o = labels[i], tag[i], closers[i], len(opened)
-        close_bit, open_bit = 2 << 2 * i, 1 << 2 * i
-        new = ((x, len(arcs) + o),) if opens[i] and spare else None
-        if o <= rest:
-            push((i + 1, arcs, opened, otags, nest, skeleton, counts))
-        if new and o < rest:
-            push((i + 1, arcs, opened + new, otags + u, nest,
-                  skeleton | open_bit, counts))
-        for c, (l, before) in enumerate(opened if closes[i] else ()):
-            counts_x = _bumped(counts, bump.get(otags[c] + u))
-            arcs_x = arcs + ((l, x),)
-            opened_x = opened[:c] + opened[c + 1:]
-            otags_x = otags[:c] + otags[c + 1:]
-            nest_x = nest + len(arcs) - before + c
-            if o - 1 <= rest:
-                push((i + 1, arcs_x, opened_x, otags_x, nest_x,
-                      skeleton | close_bit, counts_x))
-            if new and o - 1 < rest:
-                push((i + 1, arcs_x, opened_x + new, otags_x + u, nest_x,
-                      skeleton | close_bit | open_bit, counts_x))
+        if spare:
+            for arc, bit, j, bits, inc, after in rev[:top - k]:
+                if not used & bit and not counts + inc & over:
+                    push((after, arcs + (arc,), used | bit,
+                          nest + (used >> j).bit_count(), skeleton | bits,
+                          counts + inc))
 
 
 def bell(n):

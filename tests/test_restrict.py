@@ -967,6 +967,20 @@ class TestWorkCounts:
                              "superchars")
         assert scanned[0] == len(dec.coeffs) == 435
 
+    def test_double_rainbow_sums_once_per_pool_weights(self, monkeypatch):
+        # one Laurent sum per (region counts, sorted pool weights), not per
+        # (skeleton, N_= arc count): 339 bases share at most 115 sums
+        count = [0]
+        laurent_sum = restrict.laurent_sum
+
+        def counted(terms):
+            count[0] += 1
+            return laurent_sum(terms)
+
+        monkeypatch.setattr(restrict, "laurent_sum", counted)
+        double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2, "superchars")
+        assert count[0] <= 115
+
     @pytest.fixture
     def qpoly_calls(self, monkeypatch):
         # tuple-arithmetic calls of QPoly; the packed sums make none

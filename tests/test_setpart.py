@@ -38,6 +38,14 @@ class TestParsing:
         with pytest.raises(GroundViolation):
             parse_partition("1-7", N6)
 
+    def test_ground_in_equality_not_hash(self):
+        # the hash reads the arcs alone, equality the ground too: one arc
+        # set on two grounds is two keys
+        a = parse_partition("1-2", GroundSet.range(3))
+        b = parse_partition("1-2", GroundSet.range(4))
+        assert hash(a) == hash(b) and a != b
+        assert len({a: 0, b: 1}) == 2
+
     def test_multiset_allows_repeats(self):
         m = ArcMultiset(N6, [(2, 5), (1, 6), (1, 6)])
         assert m.arcs == ((1, 6), (1, 6), (2, 5))
@@ -234,6 +242,62 @@ def rule_grid():
             rules += [(m + ell, {"<< <= <> => >>": (0, m)})
                       for m, ell in itertools.product(range(4), repeat=2)]
             yield RegionSplit.from_sizes(a, b, c), rules
+
+
+def lower_end_rules():
+    """(split, cap, bounds) with a lower end above 0, on every split with
+    a + b + c <= 6: peel's rule for each b >= 1 and f, and two-bound rules
+    on disjoint and on shared classes."""
+    for n in range(1, 7):
+        for a, b in itertools.product(range(n + 1), repeat=2):
+            c = n - a - b
+            if c < 0:
+                continue
+            split = RegionSplit.from_sizes(a, b, c)
+            for bb in range(1, min(a, c) + 1):
+                for f in range(bb, a + c + 1):
+                    yield split, f, {"<>": (bb, bb), "==": (0, 0)}
+            for cap in (None, 2, 3):
+                yield split, cap, {"<>": (1, 2), "<= =>": (1, 3)}
+                yield split, cap, {"<< <= <>": (2, 3), "<> >>": (1, 1)}
+
+
+def arc_scan(g, cap, rule, slack=0):
+    """The arc sets that a plain copy of enumerate_partitions' arc-by-arc
+    scan yields under a region rule, in its order.  A state is dropped
+    when a bound with a lower end above 0 has a count that, with the arcs
+    it may still gain (at most its spare arcs, and one per later left
+    endpoint with an allowed arc in the bound's classes), falls short of
+    lo + slack: slack 0 is the scan's own prune."""
+    tags, bounds = rule
+    cap = len(g) if cap is None else cap
+    bounds = [(frozenset(classes.split()), lo, hi)
+              for classes, (lo, hi) in bounds.items()]
+
+    def cls(arc):
+        return tags[arc[0]] + tags[arc[1]]
+
+    allowed = [arc for arc in itertools.combinations(g, 2)
+               if all(hi > 0 or cls(arc) not in classes
+                      for classes, _, hi in bounds)]
+
+    def walk(arcs):
+        later = [arc for arc in allowed if not arcs or arc[0] > arcs[-1][0]]
+        spare = cap - len(arcs)
+        counts = [sum(cls(arc) in classes for arc in arcs)
+                  for classes, _, _ in bounds]
+        for k, (classes, lo, hi) in zip(counts, bounds):
+            fresh = len({i for i, j in later if cls((i, j)) in classes})
+            if k > hi or lo > 0 and k + min(spare, fresh) < lo + slack:
+                return
+        if all(k >= lo for k, (_, lo, _) in zip(counts, bounds)):
+            yield frozenset(arcs)
+        used = {j for _, j in arcs}
+        for arc in later if spare > 0 else ():
+            if arc[1] not in used:
+                yield from walk(arcs + (arc,))
+
+    return list(walk(()))
 
 
 def depth_mismatches(depth):
@@ -472,6 +536,46 @@ class TestEnumeration:
                 kept += len(got)
         # the rules drop partitions, some of them by a lower end only
         assert (kept, dropped, short) == (284009, 284937, 58368)
+
+
+    def test_yields_in_sorted_arc_order(self):
+        # the yields come in lexicographic order of their sorted arcs: on
+        # every partition of [n], n <= 8, and on every scan of
+        # constraint_grid under each arc cap
+        scans = [(GroundSet.range(n), [(None, None)]) for n in range(9)]
+        for g, pairs in itertools.chain(scans, constraint_grid()):
+            for lefts, rights in pairs:
+                for m in caps(g):
+                    got = [sorted(lam.arcs) for lam, _, _
+                           in enumerate_partitions(g, m, lefts, rights)]
+                    assert got == sorted(got)
+
+    def test_ruled_scan_is_the_filtered_scan(self):
+        # under rules with a lower end above 0, the ruled scan yields, in
+        # order and with the same nest and skeleton, exactly the capped
+        # unruled scan's partitions that obey the rule; and so does the
+        # plain copy of the scan in arc_scan
+        cases = 0
+        for split, cap, bounds in lower_end_rules():
+            rule = (split.region, bounds)
+            want = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
+                    in enumerate_partitions(split.inner, cap)
+                    if obeys(region_counts(lam, split), bounds)]
+            got = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
+                   in enumerate_partitions(split.inner, cap, rule=rule)]
+            assert got == want
+            assert arc_scan(split.inner, cap, rule) == [a for a, _, _ in want]
+            cases += bool(want)
+        assert cases > 100
+
+    def test_filtered_scan_check_catches_an_eager_prune(self):
+        # negative control: a lower-end prune that wants one arc more than
+        # the bound asks drops partitions that obey the rule
+        assert any(
+            arc_scan(split.inner, cap, (split.region, bounds), slack=1)
+            != [lam.arcs for lam, _, _ in enumerate_partitions(
+                split.inner, cap, rule=(split.region, bounds))]
+            for split, cap, bounds in lower_end_rules())
 
 
 @settings(max_examples=200)
