@@ -336,7 +336,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
             # both ends in K, so one nests over all arcs of lam, none, those
             # opened after its left end in K, or those closed before its
             # right end in K
-            union = SetPartition(ground, nu.arcs | lam.arcs)
+            union = SetPartition(ground, nu.arcs + lam.arcs)
             P = block_poset(union)
             blR = blocks_with_max_in(P, K)
             outer = nst(nu, lam)

@@ -76,7 +76,7 @@ def superclass_size(mu, ground):
     """
     rank = {x: r for r, x in enumerate(ground, 1)}
     n = len(ground)
-    arcs = sorted((rank[i], rank[l]) for i, l in mu.arcs)
+    arcs = [(rank[i], rank[l]) for i, l in mu.arcs]
     e = sum(n - l + i - 1 for i, l in arcs)
     # sorted by distinct left endpoints, so i < j holds in every pair
     e -= sum(1 for (_, l), (_, k) in combinations(arcs, 2) if l < k)
@@ -114,10 +114,6 @@ def restrict_values(lam, sub):
     return SuperclassFunction(sub, values)
 
 
-def partition_sort_key(lam):
-    return len(lam.arcs), sorted(lam.arcs)
-
-
 class Decomposition:
     """Coefficient map from basis labels to QPoly, tagged with the basis."""
 
@@ -139,23 +135,23 @@ class Decomposition:
 
     def labels_text(self):
         """(label text, coeff) pairs: partitions first, by arc count and
-        then sorted arcs, then the other labels by text.  The text of each
-        arc is made once per call."""
+        then arcs, then the other labels by text.  The text of each arc is
+        made once per call."""
         parts, others = [], []
         for label, coeff in self.coeffs.items():
             if isinstance(label, SetPartition):
-                parts.append((*partition_sort_key(label), coeff))
+                parts.append((label.arcs, coeff))
             else:
                 others.append((str(label), coeff))
-        # by sorted arcs, then stably by arc count: a list of arcs alone
-        # compares faster than inside a key tuple
-        parts.sort(key=lambda row: row[1])
+        # by arcs, then stably by arc count: an arc tuple alone compares
+        # faster than inside a key tuple
         parts.sort(key=lambda row: row[0])
+        parts.sort(key=lambda row: len(row[0]))
         others.sort(key=lambda row: row[0])
         tokens = {arc: arc_token(arc) for arc in
-                  frozenset().union(*(arcs for _, arcs, _ in parts))}
+                  frozenset().union(*(arcs for arcs, _ in parts))}
         return [(arcs_label(map(tokens.__getitem__, arcs)), coeff)
-                for _, arcs, coeff in parts] + others
+                for arcs, coeff in parts] + others
 
 
 def solve_exact(matrix, rhs):
@@ -182,9 +178,11 @@ def solve_exact(matrix, rhs):
 
 def supercharacter_table(ground, q=None):
     """Matrix [chi^nu(u_mu)], rows mu, cols nu, in the deterministic
-    partition order: QPoly entries, or integers when q is given."""
+    partition order, by arc count and then arcs: QPoly entries, or integers
+    when q is given."""
+    # the scan yields in order of arcs; a stable sort by count keeps it
     parts = sorted((mu for mu, _, _ in enumerate_partitions(ground)),
-                   key=partition_sort_key)
+                   key=len)
     table = [[superchar_value(nu, mu, ground) for nu in parts]
              for mu in parts]
     if q is not None:

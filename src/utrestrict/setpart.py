@@ -77,28 +77,29 @@ def _check_arcs(ground, arcs):
 
 
 class SetPartition:
-    """Arc set with distinct left endpoints and distinct right endpoints."""
+    """Arcs with distinct left and distinct right endpoints, kept as a tuple
+    sorted by left endpoint: the order the scan builds them in."""
 
     __slots__ = ("ground", "arcs")
 
     def __init__(self, ground, arcs):
-        arcs = frozenset((int(i), int(j)) for i, j in arcs)
+        arcs = tuple(sorted((int(i), int(j)) for i, j in arcs))
         _check_arcs(ground, arcs)
-        lefts = [a[0] for a in arcs]
-        rights = [a[1] for a in arcs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        # a repeated arc repeats both its endpoints
+        if (len({i for i, _ in arcs}) != len(arcs)
+                or len({j for _, j in arcs}) != len(arcs)):
             raise DistinctEndpointViolation(
-                f"repeated left or right endpoint in {sorted(arcs)}")
+                f"repeated left or right endpoint in {list(arcs)}")
         self.ground = ground
         self.arcs = arcs
 
     @classmethod
     def _trusted(cls, ground, arcs):
-        """A partition from (i, j) int pairs already known to be inside
-        ground, with i < j and distinct endpoints: no checks."""
+        """A partition from a sorted tuple of (i, j) int pairs known to be
+        inside ground, with i < j and distinct endpoints: no checks."""
         out = cls.__new__(cls)
         out.ground = ground
-        out.arcs = frozenset(arcs)
+        out.arcs = arcs
         return out
 
     def __len__(self):
@@ -109,15 +110,15 @@ class SetPartition:
                 and self.ground == other.ground and self.arcs == other.arcs)
 
     def __hash__(self):
-        # the arcs frozenset caches its hash; equal partitions share a ground
+        # equal partitions share a ground
         return hash(self.arcs)
 
     def __repr__(self):
-        return f"SetPartition({self.ground.labels}, {sorted(self.arcs)})"
+        return f"SetPartition({self.ground.labels}, {list(self.arcs)})"
 
     def label(self):
         """Canonical text form: whitespace-separated i-j tokens."""
-        return arcs_label(map(arc_token, sorted(self.arcs)))
+        return arcs_label(map(arc_token, self.arcs))
 
     def left_endpoints(self):
         return frozenset(i for i, _ in self.arcs)

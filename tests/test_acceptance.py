@@ -295,7 +295,7 @@ class TestIdentitySuite:
         K = set(range(4, 13))
         lam = parse_partition("5-12", g)
         nu = parse_partition("1-6 2-10 3-9 7-13", g)
-        union = SetPartition(g, lam.arcs | nu.arcs)
+        union = SetPartition(g, lam.arcs + nu.arcs)
         P = block_poset(union.uncross())
         pool_r = blocks_with_max_in(P, K)
         pool_l = blocks_with_min_in(P, K)

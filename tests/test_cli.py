@@ -80,6 +80,9 @@ BAD_INPUTS = [
     (["qbinom", "--chain", "3", "--k", "1", "--n", "5"], 1),
     (["qbinom", "--antichain", "3", "--k", "1", "--labels", "1,2"], 1),
     (["show", "1-2", "--n", "2", "--format", "json"], 1),
+    # a repeated arc repeats both its endpoints
+    (["show", "--n", "4", "1-3", "1-3"], 1),
+    (["qbinom", "--n", "4", "--partition", "1-3 1-3", "--k", "1"], 1),
     (["verify", "identities", "--m", "3"], 1),
     # family parameters that the family does not read
     (["decompose", "rainbow", "--n", "3", "--m", "1", "--k", "5", "--b", "9",
@@ -269,6 +272,17 @@ class TestShow:
     def test_no_arcs(self):
         _, out = capture(["show", "--n", "3"])
         assert "(no arcs)" in out
+
+    def test_repeated_arc_is_refused(self, capsys):
+        # the arc is not drawn once: both commands give the usage error
+        for argv, prefix in [
+                (["show", "--n", "4", "1-3", "1-3"], "bad partition"),
+                (["qbinom", "--n", "4", "--partition", "1-3 1-3", "--k", "1"],
+                 "bad --partition")]:
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", (
+                f"usage error: {prefix}: repeated left or right endpoint "
+                "in [(1, 3), (1, 3)]\n"))
 
 
 class TestDecompose:

@@ -123,7 +123,7 @@ class TestOrbits:
         zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
         oid = orbit_of(table)[zero]
         assert table.orbits[oid] == [zero]
-        assert table.reps[oid].arcs == frozenset()
+        assert table.reps[oid].arcs == ()
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

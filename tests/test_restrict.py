@@ -7,7 +7,7 @@ import pytest
 from utrestrict.qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qint,
 )
-from utrestrict import nestposet, restrict
+from utrestrict import nestposet, restrict, scfcore
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
     nst, nst_points, wt_up, parse_partition, RegionSplit, bell,
@@ -352,7 +352,7 @@ def proof_style_coefficients(ambient, K, nu, ell):
         if len(lam) > ell:
             continue
         try:
-            SetPartition(ambient, set(nu.arcs) | lam.arcs)
+            SetPartition(ambient, nu.arcs + lam.arcs)
         except ValueError:
             continue
         base = wt_up(XL, lam.left_endpoints()) \
@@ -500,7 +500,7 @@ class TestSymmetryIdentity:
 
     @staticmethod
     def sides(ground, K, nu, lam, ell):
-        union = SetPartition(ground, set(nu.arcs) | lam.arcs)
+        union = SetPartition(ground, nu.arcs + lam.arcs)
         P = block_poset(union.uncross())
         xl = len(nu.left_endpoints() & K)
         xr = len(nu.right_endpoints() & K)
@@ -535,7 +535,7 @@ class TestSymmetryIdentity:
         for nu in nus:
             for lam, _, _ in enumerate_partitions(gK):
                 try:
-                    SetPartition(ground, set(nu.arcs) | lam.arcs)
+                    SetPartition(ground, nu.arcs + lam.arcs)
                 except ValueError:
                     continue
                 for ell in range(len(lam), 4):
@@ -574,7 +574,7 @@ class TestSymmetryIdentity:
     @staticmethod
     def _compatible(ground, nu, lam):
         try:
-            SetPartition(ground, set(nu.arcs) | lam.arcs)
+            SetPartition(ground, nu.arcs + lam.arcs)
             return True
         except ValueError:
             return False
@@ -1042,3 +1042,18 @@ class TestWorkCounts:
                 (core(GroundSet.range(9), 4).decomposition(), 236),
                 (rainbow(GroundSet.range(9), 3, "superchars"), 148)]:
             assert len({id(c) for c in dec.coeffs.values()}) <= most
+
+    def test_labels_text_sorts_no_arcs(self, monkeypatch):
+        # each partition holds its arcs sorted, so the label rows sort on
+        # them as they are; re-sorting each partition's arcs makes 10,096
+        # sorted calls
+        dec = core(GroundSet.range(9), 4).decomposition()
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(scfcore, "sorted", counted, raising=False)
+        assert len(dec.labels_text()) == 10096
+        assert count[0] == 0

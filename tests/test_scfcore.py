@@ -1,11 +1,13 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from utrestrict import scfcore
 
 from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1
+from utrestrict.restrict import core
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, parse_partition,
     enumerate_partitions, nst, nst_points, wt_up,
@@ -269,3 +271,31 @@ class TestRestrictValues:
             # psi^0 = 1, psi^1(u_mu) = [|K| - |mu|]
             want = Q_MINUS_1 * (1 + Q_MINUS_1 * qint(3 - len(mu)))
             assert f(mu) == want
+
+
+class TestLabelsText:
+    @staticmethod
+    def decompositions():
+        # a closed form built in scan order and a solver result built in
+        # table order
+        yield core(GroundSet.range(7), 3).decomposition()
+        lam = ArcMultiset(GroundSet.range(6), [(1, 6), (1, 6), (2, 5)])
+        yield decompose_exact(restrict_values(lam, GroundSet((2, 3, 4, 5))))
+
+    def test_rows_by_arc_count_then_arcs(self):
+        for dec in self.decompositions():
+            want = sorted(dec.coeffs, key=lambda lam: (len(lam), lam.arcs))
+            assert dec.labels_text() == [
+                (lam.label(), dec.coeffs[lam]) for lam in want]
+
+    def test_rows_do_not_depend_on_insertion_order(self):
+        rng = random.Random(3)
+        for dec in self.decompositions():
+            items = list(dec.coeffs.items())
+            assert len(items) > 10
+            for _ in range(3):
+                rng.shuffle(items)
+                shuffled = Decomposition(dec.basis, dict(items))
+                assert shuffled.labels_text() == dec.labels_text()
+            reverse = Decomposition(dec.basis, dict(items[::-1]))
+            assert reverse.labels_text() == dec.labels_text()

@@ -21,10 +21,10 @@ RUNNING_LAM = parse_partition("1-5 2-4 4-6", N6)
 
 class TestParsing:
     def test_running_example(self):
-        assert RUNNING_LAM.arcs == {(1, 5), (2, 4), (4, 6)}
+        assert RUNNING_LAM.arcs == ((1, 5), (2, 4), (4, 6))
 
     def test_empty(self):
-        assert parse_partition("", GroundSet.range(3)).arcs == frozenset()
+        assert parse_partition("", GroundSet.range(3)).arcs == ()
 
     def test_duplicate_right(self):
         with pytest.raises(DistinctEndpointViolation):
@@ -33,6 +33,14 @@ class TestParsing:
     def test_duplicate_left(self):
         with pytest.raises(DistinctEndpointViolation):
             parse_partition("1-3 1-4", GroundSet.range(4))
+
+    def test_repeated_arc(self):
+        # a repeated arc repeats both its endpoints: refused, not kept once
+        with pytest.raises(DistinctEndpointViolation,
+                           match=r"in \[\(1, 3\), \(1, 3\)\]$"):
+            parse_partition("1-3 1-3", GroundSet.range(4))
+        with pytest.raises(DistinctEndpointViolation):
+            SetPartition(N6, [(2, 5), (1, 6), (2, 5)])
 
     def test_outside_ground(self):
         with pytest.raises(GroundViolation):
@@ -49,6 +57,30 @@ class TestParsing:
     def test_multiset_allows_repeats(self):
         m = ArcMultiset(N6, [(2, 5), (1, 6), (1, 6)])
         assert m.arcs == ((1, 6), (1, 6), (2, 5))
+
+
+class TestCanonicalArcs:
+    def test_any_order_gives_the_scan_tuple(self):
+        # the arcs in reversed or shuffled order build the scan's yield of
+        # the same partition: its sorted tuple, equal and with equal hash;
+        # on every partition of [n], n <= 6, and of a ground with gaps
+        rng = random.Random(7)
+        for g in [GroundSet.range(n) for n in range(7)] + \
+                [GroundSet((2, 3, 5, 8, 9))]:
+            for lam, _, _ in enumerate_partitions(g):
+                shuffled = list(lam.arcs)
+                rng.shuffle(shuffled)
+                for arcs in (lam.arcs[::-1], shuffled):
+                    built = SetPartition(g, arcs)
+                    assert type(built.arcs) is tuple
+                    assert built.arcs == tuple(sorted(arcs)) == lam.arcs
+                    assert built == lam and hash(built) == hash(lam)
+
+    def test_label_reads_the_tuple(self):
+        lam = SetPartition(N6, [(4, 6), (2, 4), (1, 5)])
+        assert lam.label() == "1-5 2-4 4-6" == RUNNING_LAM.label()
+        assert repr(lam) == "SetPartition((1, 2, 3, 4, 5, 6), " \
+            "[(1, 5), (2, 4), (4, 6)])"
 
 
 class TestBlocks:
@@ -68,7 +100,7 @@ class TestBlocks:
 
 class TestDagger:
     def test_running_example(self):
-        assert RUNNING_LAM.dagger().arcs == {(2, 6), (3, 5), (1, 3)}
+        assert RUNNING_LAM.dagger().arcs == ((1, 3), (2, 6), (3, 5))
 
     def test_empty(self):
         g = GroundSet.range(3)
@@ -81,14 +113,14 @@ class TestDagger:
     def test_nonconsecutive_ground(self):
         g = GroundSet((2, 3, 5, 7))
         lam = parse_partition("2-5 3-7", g)
-        assert lam.dagger().arcs == {(3, 7), (2, 5)}  # w0 swaps 2<->7, 3<->5
+        assert lam.dagger().arcs == ((2, 5), (3, 7))  # w0 swaps 2<->7, 3<->5
 
 
 class TestUncross:
     def test_running_example(self):
         g = GroundSet.range(6)
         lam = parse_partition("1-4 2-5 4-6", g)
-        assert lam.uncross().arcs == {(2, 4), (4, 5), (1, 6)}
+        assert lam.uncross().arcs == ((1, 6), (2, 4), (4, 5))
 
     def test_fixed_point_on_noncrossing(self):
         for lam, _, _ in enumerate_partitions(GroundSet.range(5)):
@@ -97,7 +129,7 @@ class TestUncross:
 
     def test_single_crossing(self):
         lam = parse_partition("1-3 2-4", GroundSet.range(4))
-        assert lam.uncross().arcs == {(2, 3), (1, 4)}
+        assert lam.uncross().arcs == ((1, 4), (2, 3))
 
     def test_idempotent_and_preserves_endpoints(self):
         for n in range(1, 8):
@@ -291,7 +323,7 @@ def arc_scan(g, cap, rule, slack=0):
             if k > hi or lo > 0 and k + min(spare, fresh) < lo + slack:
                 return
         if all(k >= lo for k, (_, lo, _) in zip(counts, bounds)):
-            yield frozenset(arcs)
+            yield arcs
         used = {j for _, j in arcs}
         for arc in later if spare > 0 else ():
             if arc[1] not in used:
@@ -334,7 +366,7 @@ class TestEnumeration:
 
     def test_n1(self):
         assert [p.arcs for p, _, _
-                in enumerate_partitions(GroundSet.range(1))] == [frozenset()]
+                in enumerate_partitions(GroundSet.range(1))] == [()]
 
     def test_bound(self):
         # the budget counts partitions, not points: Bell(11) is over it,
@@ -348,8 +380,7 @@ class TestEnumeration:
         # the work per partition grows with the ground: 128 points is the
         # most, even for the one partition with no arc
         assert [p.arcs for p, _, _
-                in enumerate_partitions(GroundSet.range(128), 0)] \
-            == [frozenset()]
+                in enumerate_partitions(GroundSet.range(128), 0)] == [()]
         assert sum(1 for _ in enumerate_partitions(GroundSet.range(128),
                                                    1)) == 1 + 128 * 127 // 2
         with pytest.raises(EnumerationBoundExceeded):
@@ -397,7 +428,7 @@ class TestEnumeration:
                 for arcs in itertools.combinations(pairs, r):
                     if len({i for i, _ in arcs}) == len({j for _, j in arcs}) \
                             == r:
-                        want.add(frozenset(arcs))
+                        want.add(arcs)
             got = [lam.arcs for lam, _, _ in enumerate_partitions(g)]
             assert len(got) == len(set(got)) == bell(len(g))
             assert set(got) == want
@@ -484,7 +515,7 @@ class TestEnumeration:
             next(enumerate_partitions(g))
         assert count_scan(g, None, None, ()) == 1
         assert [lam.arcs for lam, _, _
-                in enumerate_partitions(g, None, None, ())] == [frozenset()]
+                in enumerate_partitions(g, None, None, ())] == [()]
         # peel's rule on the split 4,4,4 with b = 2, f = 4 keeps 13,992
         # of the partitions of its 12 points with at most 4 arcs: more than
         # the budget
@@ -539,15 +570,17 @@ class TestEnumeration:
 
 
     def test_yields_in_sorted_arc_order(self):
-        # the yields come in lexicographic order of their sorted arcs: on
-        # every partition of [n], n <= 8, and on every scan of
-        # constraint_grid under each arc cap
+        # each yield holds its arcs as a sorted tuple, and the yields come
+        # in lexicographic order of those tuples: on every partition of
+        # [n], n <= 8, and on every scan of constraint_grid under each arc
+        # cap
         scans = [(GroundSet.range(n), [(None, None)]) for n in range(9)]
         for g, pairs in itertools.chain(scans, constraint_grid()):
             for lefts, rights in pairs:
                 for m in caps(g):
-                    got = [sorted(lam.arcs) for lam, _, _
+                    got = [lam.arcs for lam, _, _
                            in enumerate_partitions(g, m, lefts, rights)]
+                    assert all(arcs == tuple(sorted(arcs)) for arcs in got)
                     assert got == sorted(got)
 
     def test_ruled_scan_is_the_filtered_scan(self):
@@ -581,18 +614,19 @@ class TestEnumeration:
 @settings(max_examples=200)
 @given(st.integers(2, 9), st.data())
 def test_random_arc_sets_validated(n, data):
-    # constructor must reject duplicate-endpoint arc sets and accept others
+    # constructor must reject duplicate-endpoint arc lists, a repeated arc
+    # among them, and accept others
     g = GroundSet.range(n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    arcs = data.draw(st.lists(st.sampled_from(pairs), max_size=6))
-    lefts = [a[0] for a in set(arcs)]
-    rights = [a[1] for a in set(arcs)]
-    ok = len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
-    if ok:
-        SetPartition(g, set(arcs))
-    else:
-        with pytest.raises(DistinctEndpointViolation):
-            SetPartition(g, set(arcs))
+    drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=6))
+    for arcs in (set(drawn), drawn):
+        lefts = [a[0] for a in arcs]
+        rights = [a[1] for a in arcs]
+        if len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights):
+            assert SetPartition(g, arcs).arcs == tuple(sorted(arcs))
+        else:
+            with pytest.raises(DistinctEndpointViolation):
+                SetPartition(g, arcs)
 
 
 @settings(max_examples=150)
