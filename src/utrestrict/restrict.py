@@ -15,8 +15,8 @@ from .qcalc import (
     laurent_sum, unpack,
 )
 from .setpart import (
-    SetPartition, ArcMultiset, enumerate_partitions, nst, nst_points, wt_up,
-    region_counts,
+    SetPartition, ArcMultiset, EnumerationBoundExceeded, MAX_PARTITIONS,
+    enumerate_partitions, nst, nst_points, wt_up, region_counts,
 )
 from .nestposet import (
     block_poset, depth_vector, poset_multinom,
@@ -249,13 +249,14 @@ def rainbow(ground, m, target):
         sums = {}   # the sum below depends on lam through its weights only
 
         def base(lam, skeleton):
-            # one weight per block, so the weights also fix |lam|
+            # one weight per block, so the weights also fix |lam|; e_k of
+            # the n - |lam| weights is 0 past k = n
             weights = depth_vector(skeleton, n)
             got = sums.get(weights)
             if got is None:
                 got = sums[weights] = laurent_sum(
                     ((sign, qphi(m, k), _e_k(weights, k - len(lam))), 0)
-                    for k in range(len(lam), m + 1))
+                    for k in range(len(lam), min(m, n) + 1))
             return got
 
         return _superchars(ground, base, m)
@@ -424,12 +425,13 @@ def double_rainbow(split, m, ell, target):
         key = g_eq, g_neq, counts["=>"], le_gt, w1, w2
         got = sums.get(key)
         if got is None:
+            # e_k of a pool is 0 past its size
             poly, e = laurent_sum(
                 ((sign, qphi(m, f), qphi(m - f + ell, l),
                   _e_k(w1, f - g_neq), _e_k(w2, l - g_eq)),
                  ell * counts["=>"] + (m - f - l) * le_gt)
-                for f in range(g_neq, m + 1)
-                for l in range(g_eq, m - f + ell + 1))
+                for f in range(g_neq, min(m, g_neq + len(w1)) + 1)
+                for l in range(g_eq, min(m - f + ell, g_eq + len(w2)) + 1))
             got = sums[key] = poly, e + pre
         return got
 
@@ -542,8 +544,12 @@ class UtAlgebra:
         """Row-set module coefficients of the full auxiliary tensor product
         of the |N| single-arc modules realizing this trace: at row set A,
         q^C(n,2) (q-1)^(n+|A|) times the product over x in A of
-        [1 + #(points right of x outside A)], one packed product."""
+        [1 + #(points right of x outside A)], one packed product.  Its
+        2^n row sets are held to the scan's budget, MAX_PARTITIONS."""
         n = len(self.ground)
+        if 1 << n > MAX_PARTITIONS:
+            raise EnumerationBoundExceeded(
+                f"2^{n} row sets of {n} points > bound {MAX_PARTITIONS}")
         labels = sorted(self.ground)
         signs = [Q_MINUS_1 ** e for e in range(n, 2 * n + 1)]
         qints = [qint(w) for w in range(n + 1)]

@@ -9,6 +9,7 @@ engines.
 """
 
 from collections import Counter
+from itertools import islice
 
 
 class DistinctEndpointViolation(ValueError):
@@ -293,113 +294,6 @@ def from_blocks(ground, blocks):
 MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
-def _packed_bounds(labels, rule):
-    """A region rule (tags, bounds), or None (every tag "", no bound), with
-    the bound counts kept as one int of 16-bit fields, one per bound,
-    biased so that a field's top bit is set exactly when its count passes
-    hi: (each point's tag; one in each bound's field -> the bound's
-    classes; each class -> its increment to the counts; the counts of no
-    arc; the mask of the top bits; hi - lo + 1 in each field, which added
-    to the counts sets every top bit exactly when each count has reached
-    lo).  hi is clamped to the points and lo to hi + 1, so no field
-    carries into the next."""
-    tags, bounds = rule or (dict.fromkeys(labels, ""), {})
-    tag = [tags[x] for x in labels]
-    start = over = lift = 0
-    units = {}
-    for k, (classes, (lo, hi)) in enumerate(bounds.items()):
-        hi = min(hi, len(labels))
-        lo = min(lo, hi + 1)
-        start += (0x7FFF - hi) << 16 * k
-        over += 0x8000 << 16 * k
-        lift += (hi - lo + 1) << 16 * k
-        units[1 << 16 * k] = frozenset(classes.split())
-    bump = {t + u: sum(unit for unit, classes in units.items()
-                       if t + u in classes)
-            for t in set(tag) for u in set(tag)}
-    return tag, units, bump, start, over, lift
-
-
-def count_scan(ground, max_arcs=None, lefts=None, rights=None, rule=None):
-    """How many partitions enumerate_partitions(ground, max_arcs, lefts,
-    rights, rule) yields, or None when that is more than MAX_PARTITIONS.
-
-    A forward count of the live branches of a left-to-right point scan,
-    keyed by (the sorted tags of the open arcs' left endpoints, all "" with
-    no rule; arcs left to open; bound counts): at each point a branch may
-    close one open arc if the point is in rights, and open one if it is in
-    lefts.  A branch is dropped when more arcs are open than points are
-    left to close them, when its arcs and the open arcs that every later
-    closer puts in a bound's classes pass hi, or when its arcs, the open
-    arcs that some later closer puts there and the arcs it may still open
-    and close there fall short of lo.  With no rule every live branch
-    yields at least once (it may close an open arc at each later closer),
-    so the running total never falls, and the count stops once it passes
-    the budget.  Under a rule a branch may end without a yield; the count
-    returns None once more than MAX_PARTITIONS are live at one point."""
-    labels = tuple(ground)
-    n = len(labels)
-    spare = n if max_arcs is None else min(max_arcs, n)
-    tag, units, bump, start, over, lift = _packed_bounds(labels, rule)
-    opens = [lefts is None or x in lefts for x in labels]
-    closes = [rights is None or x in rights for x in labels]
-    every = frozenset(tag)
-    # per bound, the tags of open arcs that some closer from point i on
-    # puts in its classes, those that every closer from i on puts there
-    # (all of them past the last closer), and how many points from i on
-    # may open an arc that some later closer puts there; each row keeps
-    # them as increments to the counts, the last per arcs left to open
-    can = dict.fromkeys(units, frozenset())
-    must = dict.fromkeys(units, every)
-    fresh = dict.fromkeys(units, 0)
-    rows = [None] * (n + 1)
-    for i in range(n, -1, -1):
-        for unit, classes in units.items() if i < n else ():
-            # an arc opened at i closes only after i
-            fresh[unit] += opens[i] and tag[i] in can[unit]
-            if closes[i]:
-                land = {t for t in every if t + tag[i] in classes}
-                can[unit], must[unit] = can[unit] | land, must[unit] & land
-        rows[i] = tuple({t: sum(unit for unit in units if t in sets[unit])
-                         for t in every} for sets in (must, can)) + \
-            ([lift + sum(min(s, f) * unit for unit, f in fresh.items())
-              for s in range(spare + 1)],)
-
-    def kept(step, i):
-        if not over:
-            return step
-        must_i, can_i, reach = rows[i]
-        return Counter({
-            (tally, s, counts): w for (tally, s, counts), w in step.items()
-            if not counts + sum(map(must_i.get, tally)) & over
-            and counts + reach[s] + sum(map(can_i.get, tally)) & over
-            == over})
-
-    live = kept(Counter({((), spare, start): 1} if spare >= 0 else {}), 0)
-    rest = sum(closes)
-    for i in range(n):
-        # the points after i that may close an arc
-        rest -= closes[i]
-        u = tag[i]
-        step = Counter()
-        for (tally, s, counts), ways in live.items():
-            # close none of the open arcs, or one opened at each tag
-            moves = [(tally, counts, ways)]
-            for t in set(tally) if closes[i] else ():
-                c = tally.index(t)
-                moves.append((tally[:c] + tally[c + 1:], counts + bump[t + u],
-                              ways * tally.count(t)))
-            for tally_x, counts_x, w in moves:
-                if len(tally_x) <= rest:
-                    step[tally_x, s, counts_x] += w
-                if s > 0 and opens[i] and len(tally_x) < rest:
-                    step[tuple(sorted(tally_x + (u,))), s - 1, counts_x] += w
-        live = kept(step, i + 1)
-        if sum(live.values()) > MAX_PARTITIONS:
-            return None
-    return sum(live.values())
-
-
 def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
                          rule=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
@@ -425,29 +319,61 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
     later allowed arc on an unused right endpoint makes a child.  A new arc
     (i, j) nests under exactly the earlier arcs that end after j.  The
     children are pushed in reverse, so the yields come in lexicographic
-    order of their sorted arcs.  On more than 10 points the budget counts
-    them before the scan starts.
+    order of their sorted arcs.
 
     Under a rule a state yields when every bound's count has reached its
-    lower end (the counts are packed as _packed_bounds describes).  A child
-    whose count passes an upper end is dropped at once, and a state is
-    dropped with all it would add when a count, plus as many arcs as it may
-    still add (at most its spare arcs, and one per later left endpoint with
-    an allowed arc in the bound's classes), falls short of the lower end.
+    lower end.  A child whose count passes an upper end is dropped at once,
+    and a state is dropped with all it would add when a count, plus as many
+    arcs as it may still add (at most its spare arcs, and one per later left
+    endpoint with an allowed arc in the bound's classes), falls short of the
+    lower end.
+
+    The budget is the scan's own count, taken before the first yield: on
+    more than 10 points the scan runs into a list first, and stops one
+    partition past MAX_PARTITIONS to raise EnumerationBoundExceeded.  So a
+    refusal costs at most one budget-sized scan.
     """
-    labels = tuple(ground)
-    n = len(labels)
+    n = len(ground)
     cap = n if max_arcs is None else max_arcs
     if n > MAX_POINTS:
         raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
+    scan = _scan(ground, min(cap, n), lefts, rights, rule)
     # no scan of 10 points or fewer can pass the budget, Bell(10)
-    if n > 10 and count_scan(ground, max_arcs, lefts, rights, rule) is None:
-        raise EnumerationBoundExceeded(
-            f"more than {MAX_PARTITIONS} partitions of {n} points have at "
-            f"most {cap} arcs")
-    cap = min(cap, n)
-    tag, units, bump, start, over, lift = _packed_bounds(labels, rule)
-    low = rule is not None and any(lo > 0 for lo, _ in rule[1].values())
+    if n > 10:
+        scan = list(islice(scan, MAX_PARTITIONS + 1))
+        if len(scan) > MAX_PARTITIONS:
+            raise EnumerationBoundExceeded(
+                f"more than {MAX_PARTITIONS} partitions of {n} points have "
+                f"at most {cap} arcs")
+    yield from scan
+
+
+def _scan(ground, cap, lefts, rights, rule):
+    """The scan of enumerate_partitions, with no budget."""
+    labels = tuple(ground)
+    tags, bounds = rule or (dict.fromkeys(labels, ""), {})
+    tag = [tags[x] for x in labels]
+    # the bound counts are one int of 16-bit fields, one per bound, biased
+    # so that a field's top bit is set exactly when its count passes hi:
+    # start holds the counts of no arc, over the top bits, and lift hi -
+    # lo + 1 in each field, which added to the counts sets every top bit
+    # exactly when each count has reached lo; units maps one in each
+    # bound's field to the bound's classes, and bump each class to its
+    # increment to the counts.  hi is clamped to the points and lo to
+    # hi + 1, so no field carries into the next
+    start = over = lift = 0
+    units = {}
+    for k, (classes, (lo, hi)) in enumerate(bounds.items()):
+        hi = min(hi, len(labels))
+        lo = min(lo, hi + 1)
+        start += (0x7FFF - hi) << 16 * k
+        over += 0x8000 << 16 * k
+        lift += (hi - lo + 1) << 16 * k
+        units[1 << 16 * k] = frozenset(classes.split())
+    bump = {t + u: sum(unit for unit, classes in units.items()
+                       if t + u in classes)
+            for t in set(tag) for u in set(tag)}
+    low = any(lo > 0 for lo, _ in bounds.values())
     # the allowed arcs by left endpoint, each as (arc, right endpoint bit,
     # right endpoint index, skeleton bits, bound increment)
     groups = [[((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j,

@@ -11,7 +11,7 @@ import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import (
-    GroundSet, SetPartition, enumerate_partitions, count_scan, bell,
+    GroundSet, SetPartition, enumerate_partitions, bell,
 )
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
@@ -36,8 +36,11 @@ BAD_INPUTS = [
     # 183,074 partitions of [12] have at most 4 arcs, over the budget
     (["decompose", "core", "--n", "12", "--k", "4"], 3),
     # the algebra scans the partitions of [12] with no arc ending at the top
-    # point, Bell(11) of them: over the budget, refused before any scan
+    # point, Bell(11) of them: over the budget, refused before the first
+    # yield
     (["decompose", "ut-algebra", "--n", "12"], 3),
+    # the row-set form lists all 2^n row sets: 2^17 are over the budget
+    (["decompose", "ut-algebra", "--n", "17", "--target", "core"], 3),
     # a ground over 128 points exits at once, whatever the arc cap
     (["decompose", "rainbow", "--n", "100000", "--m", "5"], 3),
     (["decompose", "rainbow", "--n", "100000", "--m", "0"], 3),
@@ -188,7 +191,8 @@ class TestExitCodes:
         monkeypatch.setattr(restrict, "enumerate_partitions", stop)
         with pytest.raises(Scanned):
             run(["decompose", "ut-algebra", "--n", "11"], out=io.StringIO())
-        assert count_scan(*asked[0]) == bell(10) == 115975
+        assert sum(1 for _ in enumerate_partitions(*asked[0])) \
+            == bell(10) == 115975
         monkeypatch.undo()
         # psi keeps the partitions with left endpoints in the columns
         code, out = capture(["decompose", "psi", "--n", "12",

@@ -981,6 +981,21 @@ class TestWorkCounts:
         double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2, "superchars")
         assert count[0] <= 115
 
+    def test_rainbow_builds_no_qphi_past_n(self):
+        # e_k of the n - |lam| block weights is 0 past k = n, so the sum
+        # over k stops at min(m, n): phi^40_k for k <= 2, where every
+        # k <= 40 makes 41
+        qphi.cache_clear()
+        rainbow(GroundSet.range(2), 40, "superchars")
+        assert qphi.cache_info().misses == 3
+
+    def test_double_rainbow_builds_no_qphi_past_its_pools(self):
+        # f and l stop where the e_k of their block pools vanish; every
+        # f <= m and l <= m - f + ell make 252
+        qphi.cache_clear()
+        double_rainbow(RegionSplit.from_sizes(1, 1, 1), 20, 1, "superchars")
+        assert qphi.cache_info().misses == 7
+
     @pytest.fixture
     def qpoly_calls(self, monkeypatch):
         # tuple-arithmetic calls of QPoly; the packed sums make none

@@ -9,7 +9,7 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
     parse_partition, nst, nst_points, wt_up, region_counts,
-    enumerate_partitions, count_scan, from_blocks, bell,
+    enumerate_partitions, from_blocks, bell, MAX_PARTITIONS,
 )
 from utrestrict.nestposet import block_poset, depth_vector
 
@@ -510,32 +510,39 @@ class TestEnumeration:
         # when no point may close an arc the scan of 11 points yields the
         # one partition with no arc
         g = GroundSet.range(11)
-        assert count_scan(g) is None
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(g))
-        assert count_scan(g, None, None, ()) == 1
         assert [lam.arcs for lam, _, _
                 in enumerate_partitions(g, None, None, ())] == [()]
         # peel's rule on the split 4,4,4 with b = 2, f = 4 keeps 13,992
         # of the partitions of its 12 points with at most 4 arcs: more than
         # the budget
         split = RegionSplit.from_sizes(4, 4, 4)
-        assert count_scan(split.inner, 4) is None
-        assert count_scan(split.inner, 4, rule=(
-            split.region, {"<>": (2, 2), "==": (0, 0)})) == 13992
+        with pytest.raises(EnumerationBoundExceeded):
+            next(enumerate_partitions(split.inner, 4))
+        assert sum(1 for _ in enumerate_partitions(split.inner, 4, rule=(
+            split.region, {"<>": (2, 2), "==": (0, 0)}))) == 13992
+        # the budget counts yields, not partial states: peel's rule on the
+        # split 5,9,1 with b = 1, f = 5 keeps 64,591 partitions of its 15
+        # points, though a left-to-right point sweep holds more partial
+        # states than the budget at some point
+        split = RegionSplit.from_sizes(5, 9, 1)
+        assert sum(1 for _ in enumerate_partitions(split.inner, 5, rule=(
+            split.region, {"<>": (1, 1), "==": (0, 0)}))) == 64591
 
-    def test_count_scan_is_the_yield_count(self):
-        for g, pairs in constraint_grid():
-            for lefts, rights in pairs:
-                for m in caps(g):
-                    assert count_scan(g, m, lefts, rights) == sum(
-                        1 for _ in enumerate_partitions(g, m, lefts, rights))
+    def test_budget_edge(self):
+        # with no arc ending at the top point, the scan of 11 points yields
+        # the Bell(10) partitions of the rest: exactly the budget, so it
+        # runs, each partition once
+        g = GroundSet.range(11)
+        got = [lam for lam, _, _
+               in enumerate_partitions(g, None, None, frozenset(range(1, 11)))]
+        assert len(got) == len(set(got)) == MAX_PARTITIONS == bell(10)
 
     def test_region_rule(self):
         # on every split and rule of rule_grid, the scan under the rule
         # yields exactly the partitions of the capped scan whose region
-        # counts obey the rule, each once, with the same nest and skeleton;
-        # and count_scan counts them
+        # counts obey the rule, each once, with the same nest and skeleton
         kept = dropped = short = 0
         for split, rules in rule_grid():
             # the partitions by arc count and region counts
@@ -561,8 +568,7 @@ class TestEnumeration:
                 rule = (split.region, bounds)
                 got = [(lam, (nest, skeleton)) for lam, nest, skeleton
                        in enumerate_partitions(split.inner, cap, rule=rule)]
-                assert len(got) == len(want) \
-                    == count_scan(split.inner, cap, rule=rule)
+                assert len(got) == len(want)
                 assert dict(got) == want
                 kept += len(got)
         # the rules drop partitions, some of them by a lower end only
