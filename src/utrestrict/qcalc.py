@@ -106,7 +106,8 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"negative power of a polynomial: {n}")
         out = QPoly.const(1)
         base = self
         while n:

@@ -345,7 +345,8 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                 ((sign, qphi(ell, l),
                   poset_multinom(P, [(l - len(lam), blR)])),
                  outer + (ell - l) * len(XL) - l * npr)
-                for l in range(len(lam), ell + 1))
+                # the multinomial is 0 once l - |lam| passes the blocks of blR
+                for l in range(len(lam), min(ell, len(lam) + len(blR)) + 1))
 
         # lam shares no endpoint with nu, so their union is a partition
         return _superchars(ground.subset(K), base, ell,

@@ -1,31 +1,54 @@
 """Symbolic supercharacter values and the exact decomposition solver.
 
 The supercharacter of a set partition lam evaluated at the canonical
-superclass representative u_mu is
+superclass representative u_mu is the signed monomial
 
-    (q-1)^|lam-mu| (-1)^|lam cap mu| q^(nst^lam_N - nst^lam_mu)
+    (-1)^|lam cap mu| (q-1)^|lam-mu| q^(nst^lam_N - nst^lam_mu)
 
 unless some arc i~k of lam has i~j or j~k in mu with i<j<k, in which case it
-vanishes.  Multiset characters factor as the pointwise product of their arcs.
+vanishes.  Multiset characters factor as the pointwise product of their
+arcs, so their values are signed monomials too.  `_monomial` holds this arc
+rule and returns (sign, a, e) for sign (q-1)^a q^e; `superchar_value` turns
+it into a QPoly, and `supercharacter_table` into integers at a fixed q.
 
 Supercharacters are orthogonal for the superclass-size weighted inner
 product (Diaconis-Isaacs), so a superclass function f with polynomial values
 has supercharacter coefficients
 
-    c_nu = sum_mu |K_mu| f(mu) chi^nu(u_mu) / sum_mu |K_mu| chi^nu(u_mu)^2,
+    c_nu = sum_mu w_mu chi^nu(u_mu) / sum_mu |K_mu| chi^nu(u_mu)^2,
+    w_mu = |K_mu| f(mu),
 
-one exact division in Z[q] per coefficient.  The solver then rebuilds f from
-the coefficients at every superclass; the table is invertible over Q(q), so
-a rebuild that matches proves the coefficients are the unique ones.  The
-numeric Gauss-Jordan solve at a fixed prime (`decompose_at_prime`) is not on
-any CLI path: only the tests' `numeric_decompose` and the benchmark tracer
-call it.  `verify solver` rebuilds oracle traces through the table instead.
+one exact division in Z[q] per coefficient.  `decompose_exact` never builds
+a table of polynomials:
+
+- Numerators are sums of big integers at q = 2^K (qcalc.pack).  Each w_mu
+  is packed once as W_mu, and a nonzero entry sign (q-1)^a q^e adds
+  sign W_mu (2^K - 1)^a << K e.  The l1 norm is submultiplicative and
+  l1((q-1)^a) = 2^a, so B = sum_mu l1(|K_mu|) l1(f(mu)) 2^a_max, a_max the
+  most arcs of a partition, bounds every coefficient of every numerator,
+  and K = bits(B) + 1 unpacks each one exactly.
+- The denominator has the closed form q^C(n,2) (q-1)^|nu| q^crs(nu), where
+  crs(nu) counts the crossing pairs of arcs (Chen-Deng-Du-Stanley-Yan).
+- The solver then rebuilds f from the coefficients at every superclass,
+  packed at a second K = bits(M) + 1, M = max(max_mu l1(f(mu)),
+  sum_nu l1(c_nu) 2^|nu|).  Both sides' coefficients lie within +-M, so
+  their difference's lie within +-2^K, where equal packs mean equal
+  polynomials.  The table is invertible over Q(q), so a rebuild that
+  matches proves the coefficients are the unique ones, whatever the class
+  sizes or the denominator formula.
+
+The numeric Gauss-Jordan solve at a fixed prime (`decompose_at_prime`) is
+not on any CLI path: only the tests' `numeric_decompose` and the benchmark
+tracer call it.  `verify solver` rebuilds oracle traces through the integer
+table instead.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from .qcalc import ZERO, Q_MINUS_1, InexactDivision, divide_exact
+from .qcalc import QPoly, ZERO, InexactDivision, divide_exact, pack, unpack
 from .setpart import (
     SetPartition, arc_token, arcs_label, enumerate_partitions,
 )
@@ -42,29 +65,56 @@ class SingularSystem(Exception):
     supercharacter table is invertible)."""
 
 
-def superchar_value(lam, mu, ambient):
-    """chi^lam(u_mu) as a QPoly, one factor per arc of lam; lam may be a
-    SetPartition or an ArcMultiset, mu must be a SetPartition; both read
-    over the `ambient` ground set.  An arc i~k gives 0 when mu has an arc
-    i~j or j~k with i<j<k; otherwise q^(points inside - arcs of mu inside)
-    times q-1 when mu lacks the arc, and times -1 when mu has it."""
+def _monomial(lam, mu, ambient):
+    """chi^lam(u_mu) as (sign, a, e) with value sign (q-1)^a q^e, or None
+    when it vanishes; lam may be a SetPartition or an ArcMultiset, mu must
+    be a SetPartition; both read over the `ambient` ground set.  An arc i~k
+    gives 0 when mu has an arc i~j or j~k with i<j<k; otherwise q^(points
+    inside - arcs of mu inside) times q-1 when mu lacks the arc, and times
+    -1 when mu has it."""
+    labels = ambient.labels
     meet = e = 0
     for i, k in lam.arcs:
         # an arc of mu that shares one end with i~k and lies under it kills
-        # the value; i~k itself is a meet; one strictly inside lowers e
+        # the value; i~k itself is a meet; one strictly inside lowers e.
+        # mu's arcs come by left endpoint, and none from k on touches i~k
         for j, l in mu.arcs:
+            if j >= k:
+                break
             if j == i:
                 if l < k:
-                    return ZERO
+                    return None
                 meet += l == k
             elif l == k:
                 if j > i:
-                    return ZERO
+                    return None
             elif i < j and l < k:
                 e -= 1
-        e += sum(1 for x in ambient if i < x < k)
-    val = (Q_MINUS_1 ** (len(lam.arcs) - meet)).shift(e)
-    return val if meet % 2 == 0 else -val
+        e += bisect_left(labels, k) - bisect_right(labels, i)
+    return -1 if meet & 1 else 1, len(lam.arcs) - meet, e
+
+
+def _poly(sign, a, e):
+    """sign (q-1)^a q^e as a QPoly, by the binomial theorem."""
+    return QPoly([0] * e + [sign * (-1) ** (a - j) * comb(a, j)
+                            for j in range(a + 1)])
+
+
+def _l1(poly):
+    return sum(map(abs, poly.coeffs))
+
+
+def _packing(bound):
+    """K for q = 2^K such that pack/unpack are exact on polynomials whose
+    coefficients lie within +-bound: 2^(K-1) > bound, and K >= 2."""
+    return max(bound, 1).bit_length() + 1
+
+
+def superchar_value(lam, mu, ambient):
+    """chi^lam(u_mu) as a QPoly: the signed monomial of `_monomial`, or
+    zero."""
+    m = _monomial(lam, mu, ambient)
+    return ZERO if m is None else _poly(*m)
 
 
 def superclass_size(mu, ground):
@@ -80,7 +130,7 @@ def superclass_size(mu, ground):
     e = sum(n - l + i - 1 for i, l in arcs)
     # sorted by distinct left endpoints, so i < j holds in every pair
     e -= sum(1 for (_, l), (_, k) in combinations(arcs, 2) if l < k)
-    return (Q_MINUS_1 ** len(arcs)).shift(e)
+    return _poly(1, len(arcs), e)
 
 
 class SuperclassFunction:
@@ -93,7 +143,9 @@ class SuperclassFunction:
         self.ground = ground
         self.values = dict(values)
         want = {mu for mu, _, _ in enumerate_partitions(ground)}
-        assert set(self.values) == want, "value map must be total on S_K"
+        if self.values.keys() != want:
+            raise ValueError("value map must be total on the partitions of "
+                             f"{list(ground)}")
 
     def __call__(self, mu):
         return self.values[mu]
@@ -106,7 +158,9 @@ def restrict_values(lam, sub):
     at mu in S_K is chi^lam(u_mu) with mu read as a partition of N'.
     """
     ambient = lam.ground
-    assert all(x in ambient for x in sub)
+    if not all(x in ambient for x in sub):
+        raise ValueError(f"K = {list(sub)} is not a subset of the ground "
+                         f"set {list(ambient)}")
     values = {}
     for mu, _, _ in enumerate_partitions(sub):
         mu_big = SetPartition(ambient, mu.arcs)
@@ -176,18 +230,26 @@ def solve_exact(matrix, rhs):
     return [A[r][n] for r in range(n)]
 
 
-def supercharacter_table(ground, q=None):
-    """Matrix [chi^nu(u_mu)], rows mu, cols nu, in the deterministic
-    partition order, by arc count and then arcs: QPoly entries, or integers
-    when q is given."""
-    # the scan yields in order of arcs; a stable sort by count keeps it
-    parts = sorted((mu for mu, _, _ in enumerate_partitions(ground)),
-                   key=len)
-    table = [[superchar_value(nu, mu, ground) for nu in parts]
-             for mu in parts]
-    if q is not None:
-        table = [[v(q) for v in row] for row in table]
-    return parts, table
+def _table_order(ground):
+    """The partitions of ground by arc count and then arcs: the scan yields
+    in order of arcs, and a stable sort by count keeps it."""
+    return sorted((mu for mu, _, _ in enumerate_partitions(ground)), key=len)
+
+
+def supercharacter_table(ground, q):
+    """Matrix [chi^nu(u_mu)] at the integer q, rows mu, cols nu, in the
+    order of `_table_order`: each nonzero entry is sign (q-1)^a q^e."""
+    parts = _table_order(ground)
+    unit = [(q - 1) ** a for a in range(len(ground) + 1)]
+
+    def value(nu, mu):
+        m = _monomial(nu, mu, ground)
+        if m is None:
+            return 0
+        sign, a, e = m
+        return sign * unit[a] * q ** e
+
+    return parts, [[value(nu, mu) for nu in parts] for mu in parts]
 
 
 def decompose_at_prime(f, p):
@@ -198,31 +260,47 @@ def decompose_at_prime(f, p):
     return dict(zip(parts, sol))
 
 
+def _norm(nu, n):
+    """sum_mu |K_mu| chi^nu(u_mu)^2 over the superclasses of UT_n, in closed
+    form: q^C(n,2) (q-1)^|nu| q^crs(nu), crs(nu) counting the crossing pairs
+    of arcs i~k, j~l with i<j<k<l."""
+    # sorted by distinct left endpoints, so i < j holds in every pair
+    crs = sum(1 for (_, k), (j, l) in combinations(nu.arcs, 2) if j < k < l)
+    return _poly(1, len(nu), n * (n - 1) // 2 + crs)
+
+
 def decompose_exact(f, degree_bound=None):
     """Expand a symbolic SuperclassFunction in the supercharacter basis.
 
     Each coefficient is the orthogonality quotient
-    sum_mu |K_mu| f(mu) chi^nu(u_mu) / sum_mu |K_mu| chi^nu(u_mu)^2, divided
-    exactly in Z[q]; then sum_nu c_nu chi^nu(u_mu) == f(mu) is checked at
-    every mu.  Raises DecompositionError when a quotient is not an integer
-    polynomial, when a coefficient's degree exceeds `degree_bound` (if
-    given), or when the coefficients do not rebuild f.
+    sum_mu |K_mu| f(mu) chi^nu(u_mu) / `_norm`(nu), its numerator summed
+    packed and divided exactly in Z[q]; then sum_nu c_nu chi^nu(u_mu) ==
+    f(mu) is checked packed at every mu.  Raises DecompositionError when a
+    quotient is not an integer polynomial, when a coefficient's degree
+    exceeds `degree_bound` (if given), or when the coefficients do not
+    rebuild f.
     """
     ground = f.ground
-    parts, table = supercharacter_table(ground)
+    parts = _table_order(ground)
+    values = [f(mu) for mu in parts]
     sizes = [superclass_size(mu, ground) for mu in parts]
-    weighted = [size * f(mu) for size, mu in zip(sizes, parts)]
-    coeffs = {}
+    top = len(parts[-1])    # the most arcs: chi^nu has l1 norm <= 2^top
+    K = _packing(sum(_l1(s) * _l1(v) for s, v in zip(sizes, values)) << top)
+    unit = (1 << K) - 1     # q - 1 at q = 2^K
+    weighted = [pack(s, K) * pack(v, K) for s, v in zip(sizes, values)]
+    weighted = [[w * unit ** a for a in range(top + 1)] for w in weighted]
+    coeffs, columns = {}, {}
     for j, nu in enumerate(parts):
-        column = [(w, size, row[j])
-                  for w, size, row in zip(weighted, sizes, table)
-                  if not row[j].is_zero()]
-        num = sum((w * chi for w, _, chi in column), ZERO)
-        if num.is_zero():
+        column = [(i, m) for i, mu in enumerate(parts)
+                  if (m := _monomial(nu, mu, ground))]
+        num = 0
+        for i, (sign, a, e) in column:
+            term = weighted[i][a] << K * e
+            num = num + term if sign > 0 else num - term
+        if not num:
             continue
-        den = sum((size * chi * chi for _, size, chi in column), ZERO)
         try:
-            c = divide_exact(num, den)
+            c = divide_exact(unpack(num, K), _norm(nu, len(ground)))
         except InexactDivision as exc:
             raise DecompositionError(
                 f"coefficient of {nu.label()}: {exc}") from None
@@ -230,12 +308,23 @@ def decompose_exact(f, degree_bound=None):
             raise DecompositionError(
                 f"coefficient of {nu.label()} has degree {c.degree()} > "
                 f"bound {degree_bound}")
-        coeffs[j] = c
-    for mu, row in zip(parts, table):
-        rebuilt = sum((c * row[j] for j, c in coeffs.items()), ZERO)
-        if rebuilt != f(mu):
+        coeffs[j], columns[j] = c, column
+    # the coefficients of each rebuilt value and of f(mu) lie within +-bound
+    # and those of their difference within +-2^K, so equal packs mean equal
+    # polynomials, and a rebuilt value unpacks exactly
+    K = _packing(max(max(map(_l1, values)),
+                     sum(_l1(c) << len(parts[j]) for j, c in coeffs.items())))
+    unit = (1 << K) - 1
+    rebuilt = [0] * len(parts)
+    for j, c in coeffs.items():
+        packed = [pack(c, K) * unit ** a for a in range(len(parts[j]) + 1)]
+        for i, (sign, a, e) in columns[j]:
+            term = packed[a] << K * e
+            rebuilt[i] += term if sign > 0 else -term
+    for mu, v, got in zip(parts, values, rebuilt):
+        if got != pack(v, K):
             raise DecompositionError(
                 f"coefficients do not rebuild f at {mu.label()}: "
-                f"{rebuilt} != {f(mu)}")
+                f"{unpack(got, K)} != {v}")
     return Decomposition("supercharacter",
                          {parts[j]: c for j, c in coeffs.items()})

@@ -407,7 +407,8 @@ class TestInterferenceSuperchars:
         ambient, k_minus, k_plus, K, cases = self.cases()
         for nu_arcs in cases:
             nu = SetPartition(ambient, nu_arcs)
-            for ell in (1, 2, 3):
+            # at ell = 6 the sum over l stops at |lam| + |bl_R| < ell
+            for ell in (1, 2, 3, 6):
                 dec = interference(ambient, k_minus, k_plus, K, ell,
                                    "superchars_b", nu=nu)
                 want = proof_style_coefficients(ambient, K, nu, ell)
@@ -995,6 +996,15 @@ class TestWorkCounts:
         qphi.cache_clear()
         double_rainbow(RegionSplit.from_sizes(1, 1, 1), 20, 1, "superchars")
         assert qphi.cache_info().misses == 7
+
+    def test_interference_builds_no_qphi_past_its_blocks(self):
+        # the poset multinomial is 0 once l - |lam| passes the blocks of
+        # bl_R, so l stops at |lam| + |bl_R|; every l <= 40 makes 41
+        g = GroundSet.range(4)
+        qphi.cache_clear()
+        dec = interference(g, 1, 4, {2, 3}, 40, "superchars_b",
+                           nu=SetPartition(g, [(1, 4)]))
+        assert (len(dec.coeffs), qphi.cache_info().misses) == (2, 3)
 
     @pytest.fixture
     def qpoly_calls(self, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from utrestrict import scfcore
 
 from utrestrict.qcalc import QPoly, ZERO, ONE, Q_MINUS_1
-from utrestrict.restrict import core
+from utrestrict.restrict import core, rainbow
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, parse_partition,
     enumerate_partitions, nst, nst_points, wt_up,
@@ -223,6 +223,44 @@ class TestCertification:
         honest, outcome = json.loads(proc.stdout)
         assert honest > 0 and outcome == "raised"
 
+    @pytest.mark.parametrize("crs_shift", [1, -1])
+    def test_wrong_crossing_count_raises(self, monkeypatch, crs_shift):
+        # the closed denominator with crs(nu) + 1 or crs(nu) - 1: a quotient
+        # turns inexact, or a wrong one is caught by the rebuild
+        true_norm = scfcore._norm
+
+        def wrong(nu, n):
+            norm = true_norm(nu, n)
+            if crs_shift > 0:
+                return norm.shift(1)
+            assert norm.coeffs[0] == 0      # q^C(n,2) divides the norm
+            return QPoly(norm.coeffs[1:])
+
+        f = rainbow_restriction()
+        assert decompose_exact(f).coeffs
+        monkeypatch.setattr(scfcore, "_norm", wrong)
+        with pytest.raises(DecompositionError):
+            decompose_exact(f)
+
+    @pytest.mark.parametrize("corruption", [
+        QPoly.q_pow(64),
+        # packs to 0 at q = 2^8: a rebuild at a fixed K = 8 would accept it
+        QPoly.q_pow(64, 256) - QPoly.q_pow(65)])
+    def test_corrupt_coefficient_fails_rebuild(self, monkeypatch, corruption):
+        # one coefficient off by a term far above every value's degree; the
+        # rebuild packs at a K read off the coefficients' l1 norms
+        true_divide = scfcore.divide_exact
+        calls = []
+
+        def corrupt_first(num, den):
+            calls.append(1)
+            c = true_divide(num, den)
+            return c + corruption if len(calls) == 1 else c
+
+        monkeypatch.setattr(scfcore, "divide_exact", corrupt_first)
+        with pytest.raises(DecompositionError, match="rebuild"):
+            decompose_exact(rainbow_restriction())
+
     def test_non_polynomial_coefficient_raises(self):
         # the indicator of the identity class is the regular character
         # divided by q^C(n,2): its coefficients are not in Z[q]
@@ -238,6 +276,55 @@ class TestCertification:
         assert decompose_exact(f, top).coeffs == decompose_exact(f).coeffs
         with pytest.raises(DecompositionError):
             decompose_exact(f, top - 1)
+
+
+class TestClosedNorm:
+    """The solver's denominators come from a closed form; the rebuild
+    certifies the result either way, and this pins the form itself."""
+
+    GROUNDS = [GroundSet.range(n) for n in range(7)] \
+        + [GroundSet((2, 3, 5, 8, 9, 12))]
+
+    @pytest.mark.parametrize("ground", GROUNDS, ids=lambda g: str(g.labels))
+    def test_norm_is_the_summed_denominator(self, ground):
+        parts = [mu for mu, _, _ in enumerate_partitions(ground)]
+        sizes = [superclass_size(mu, ground) for mu in parts]
+        for nu in parts:
+            total = ZERO
+            for mu, size in zip(parts, sizes):
+                chi = superchar_value(nu, mu, ground)
+                if not chi.is_zero():
+                    total = total + size * chi * chi
+            assert scfcore._norm(nu, len(ground)) == total, nu
+
+
+class TestSolverScale:
+    def test_rainbow_large_multiplicity(self):
+        # coefficients of q-degree up to about 2m and size up to about 2^m
+        ambient = GroundSet.range(6)
+        inner = GroundSet(range(2, 6))
+        for m in range(1, 9):
+            f = restrict_values(ArcMultiset(ambient, [(1, 6)] * m), inner)
+            assert decompose_exact(f).coeffs == \
+                rainbow(inner, m, "superchars").coeffs, m
+
+    def test_solve_multiplies_no_qpoly(self, monkeypatch):
+        # the table, the numerators and the rebuild run on signed monomials
+        # and packed ints, so |N| = 5 makes no polynomial product; a table of
+        # QPoly entries multiplied entry by entry makes 8,947
+        f = restrict_values(ArcMultiset(GroundSet.range(7), [(1, 7)] * 2),
+                            GroundSet(range(2, 7)))
+        count = [0]
+        mul = QPoly.__mul__
+
+        def counted(a, b):
+            count[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(QPoly, "__mul__", counted)
+        monkeypatch.setattr(QPoly, "__rmul__", counted)
+        dec = decompose_exact(f)
+        assert (len(dec.coeffs), count[0]) == (36, 0)
 
 
 class TestRestrictValues:
@@ -259,6 +346,34 @@ class TestRestrictValues:
         c = d[inner]
         # single monomial q^e
         assert sum(map(abs, c.coeffs)) == 1 and c.coeffs[-1] == 1
+
+    def test_bad_inputs_raise_under_optimize(self, run_python):
+        # each check must hold without asserts: checked by asserts alone,
+        # under `python -O` a K outside N' returned a value table, a partial
+        # map failed later with a KeyError, and a negative power never
+        # returned
+        script = (
+            "from utrestrict.qcalc import ONE, Q_MINUS_1\n"
+            "from utrestrict.scfcore import (\n"
+            "    SuperclassFunction, restrict_values)\n"
+            "from utrestrict.setpart import (\n"
+            "    ArcMultiset, GroundSet, SetPartition)\n"
+            "g = GroundSet.range(3)\n"
+            "cases = [\n"
+            "    lambda: restrict_values(ArcMultiset(g, [(1, 3)]),\n"
+            "                            GroundSet((7,))),\n"
+            "    lambda: SuperclassFunction(g, {SetPartition(g, ()): ONE}),\n"
+            "    lambda: Q_MINUS_1 ** -1,\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "        print('returned')\n"
+            "    except ValueError as exc:\n"
+            "        print(len(str(exc).splitlines()))\n")
+        proc = run_python("-O", "-c", script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "1\n1\n1\n", "")
 
     def test_rainbow_anchor_values(self):
         # chi^{(1,5)} restricted to K={2,3,4} matches (q-1)(psi^0+(q-1)psi^1)
