@@ -272,13 +272,15 @@ def divide_exact(num, den):
 
 def qint(n):
     """[n] = 1 + q + ... + q^(n-1); qint(0) = 0."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"qint needs n >= 0: {n}")
     return QPoly((1,) * n)
 
 
 @cache
 def qfactorial(n):
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"qfactorial needs n >= 0: {n}")
     out = ONE
     for i in range(2, n + 1):
         out = out * qint(i)
@@ -312,7 +314,8 @@ def qphi(n, k):
 
 def qmultinom(n, ks):
     """[n]! / prod [k_j]!  with sum(ks) = n, as an exact polynomial."""
-    assert sum(ks) == n
+    if sum(ks) != n:
+        raise ValueError(f"qmultinom parts {tuple(ks)} do not sum to {n}")
     # iterated qbinom keeps the computation division-free
     out = ONE
     rest = n

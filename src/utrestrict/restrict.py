@@ -16,7 +16,7 @@ from .qcalc import (
 )
 from .setpart import (
     SetPartition, ArcMultiset, EnumerationBoundExceeded, MAX_PARTITIONS,
-    enumerate_partitions, nst, nst_points, wt_up, region_counts,
+    enumerate_partitions, nst, nst_points, wt_up,
 )
 from .nestposet import (
     block_poset, depth_vector, poset_multinom,
@@ -79,17 +79,17 @@ def _shift_signed(poly, e):
     return QPoly(poly.coeffs[-e:])
 
 
-def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
-                rule=None, split=None):
+def _superchars(ground, base, max_arcs=None, weight=None, bound=None,
+                split=None):
     """The supercharacter decomposition whose coefficient at each partition
-    lam of `ground` with at most max_arcs arcs, left endpoints in lefts,
-    right endpoints in rights (None: anywhere) and arcs within the bounds of
-    the region rule `rule` (see enumerate_partitions; None: no bound) is
+    lam that enumerate_partitions(ground, max_arcs, weight, bound) yields is
     q^nst(lam, lam) times q^e poly, where (poly, e) = base(lam, skeleton)
     and skeleton is lam's endpoint skeleton from the scan; every other
-    coefficient is zero.  The rule lets the scan skip partitions whose
-    coefficient would be zero: peel's exactly b arcs from N_< to N_> and
-    none inside N_=, double rainbow's at most m arcs outside N_=.
+    coefficient is zero.  weight(i, j) is None for an arc no such lam holds
+    and otherwise 0 or 1 (the scan's lower-end prune counts at most one arc
+    per left endpoint), and bound = (lo, hi) limits the weight sum of lam
+    (None: no limit): so the scan skips partitions whose coefficient would
+    be zero, as peel's without exactly b arcs from N_< to N_>.
 
     base may read lam only through L(lam) and R(lam), and, given a
     RegionSplit `split`, through its arc counts by region.  It runs once
@@ -97,15 +97,15 @@ def _superchars(ground, base, max_arcs=None, lefts=None, rights=None,
     and number of arcs inside N_=: with L(lam) and R(lam) fixed, that
     number fixes every region count (arcs into N_= start in N_< or N_=,
     arcs out of N_= end in N_= or N_>, and arcs into N_< start there).  So
-    a rule that allows no arc inside N_=, as peel's does, needs no split.
+    a scan that allows no arc inside N_=, as peel's does, needs no split.
 
     Partitions whose base polynomial and total shift agree share one
     coefficient object: few distinct ones occur among many partitions."""
     memo = {}
     shifted = {}    # (id of a base polynomial, shift) -> coefficient
     coeffs = {}
-    for lam, nest, skeleton in enumerate_partitions(ground, max_arcs, lefts,
-                                                    rights, rule):
+    for lam, nest, skeleton in enumerate_partitions(ground, max_arcs, weight,
+                                                    bound):
         key = skeleton
         if split is not None:
             key = (key, sum(1 for i, j in lam.arcs
@@ -164,7 +164,7 @@ class PsiKModule:
         # the coefficient vanishes unless L(lam) lies inside K, so lam has
         # at most |K| arcs
         return _superchars(self.ground, self._base, len(self.K),
-                           lefts=self.K)
+                           lambda i, j: 0 if i in self.K else None)
 
 
 def psiK(ground, K):
@@ -178,11 +178,10 @@ def psi_hook(ground, K, J):
     if not (all(x in ground for x in K) and all(x in ground for x in J)):
         raise ValueError("hook parameters must sit inside the ground set")
     # the psiK coefficients of the partitions with R(lam) = J: those with
-    # R(lam) inside J and |J| arcs
-    dec = _superchars(ground, PsiKModule(ground, K)._base, len(J),
-                      lefts=K, rights=J)
-    return Decomposition("supercharacter", {
-        lam: c for lam, c in dec.coeffs.items() if len(lam) == len(J)})
+    # |J| arcs, each from K to J
+    return _superchars(ground, PsiKModule(ground, K)._base, len(J),
+                       lambda i, j: 1 if i in K and j in J else None,
+                       (len(J), len(J)))
 
 
 # --- core modules -----------------------------------------------------------
@@ -221,7 +220,8 @@ def core(ground, k):
 def core_tensor(j, k, n):
     """Core-basis coefficients of the tensor product of two core modules:
     maps m to the coefficient of the core module of size k+m."""
-    assert 0 <= j <= k <= n
+    if not 0 <= j <= k <= n:
+        raise ValueError(f"core_tensor needs 0 <= j <= k <= n: {(j, k, n)}")
     out = {}
     for m in range(j + 1):
         out[m] = qmultinom(k + m, (k + m - j, m, j - m)).shift(comb(j - m, 2))
@@ -236,7 +236,8 @@ def rainbow(ground, m, target):
     target "core": coefficients of the core modules; target "superchars":
     coefficients of the supercharacters.
     """
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"rainbow needs m >= 0: {m}")
     n = len(ground)
     if target == "core":
         coeffs = {}
@@ -277,7 +278,8 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
     """
     K = frozenset(K)
     kbar = frozenset(x for x in ground if k_minus < x < k_plus)
-    assert k_minus in ground and k_plus in ground and k_minus < k_plus
+    if not (k_minus in ground and k_plus in ground and k_minus < k_plus):
+        raise ValueError("the anchors must lie in the ground set, in order")
     if not K <= kbar:
         raise ValueError("K must sit inside the open anchor interval")
     if nu is None:
@@ -297,7 +299,8 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         return Decomposition("psiK", coeffs)
 
     if mode == "superchars_a":
-        assert J is not None
+        if J is None:
+            raise ValueError("mode superchars_a needs J")
         J = frozenset(J)
         if kbar != K:
             raise ValueError("anchor interval must be exactly K here")
@@ -322,7 +325,8 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
         return Decomposition("psiHook", coeffs)
 
     if mode == "superchars_b":
-        assert isinstance(nu, SetPartition), "mode b needs a set partition"
+        if not isinstance(nu, SetPartition):
+            raise ValueError("mode superchars_b needs a set partition nu")
         if kbar != K:
             raise ValueError("anchor interval must be exactly K here")
         if any(i in K and j in K for i, j in nu.arcs):
@@ -348,10 +352,11 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                 # the multinomial is 0 once l - |lam| passes the blocks of blR
                 for l in range(len(lam), min(ell, len(lam) + len(blR)) + 1))
 
-        # lam shares no endpoint with nu, so their union is a partition
+        # lam shares no left endpoint and no right endpoint with nu, so
+        # their union is a partition
+        L, R = nu.left_endpoints(), nu.right_endpoints()
         return _superchars(ground.subset(K), base, ell,
-                           lefts=K - nu.left_endpoints(),
-                           rights=K - nu.right_endpoints())
+                           lambda i, j: None if i in L or j in R else 0)
 
     raise ValueError(f"unknown interference mode {mode!r}")
 
@@ -376,8 +381,13 @@ def peel(split, b, f):
 
     # the coefficient vanishes unless nu has exactly b arcs from N_< to N_>
     # and none inside N_=
-    rule = (split.region, {"<>": (b, b), "==": (0, 0)})
-    return _superchars(split.inner, base, f, rule=rule)
+    region = split.region
+
+    def weight(i, j):
+        arc = region[i] + region[j]
+        return None if arc == "==" else int(arc == "<>")
+
+    return _superchars(split.inner, base, f, weight, (b, b))
 
 
 def _anchor_prefactor(pairs, ms):
@@ -395,7 +405,8 @@ def double_rainbow(split, m, ell, target):
     target "superchars": supercharacter coefficients over the inner ground;
     target "trivial_coeff": the coefficient of the trivial supercharacter.
     """
-    assert m >= 0 and ell >= 0
+    if m < 0 or ell < 0:
+        raise ValueError(f"double_rainbow needs m, ell >= 0: {(m, ell)}")
     a, c = len(split.n_lt), len(split.n_gt)
     pre = _anchor_prefactor(
         [(split.n_mm, split.n_pp), (split.n_m, split.n_p)], [m, ell])
@@ -413,7 +424,7 @@ def double_rainbow(split, m, ell, target):
     sums = {}   # (region counts, sorted pool weights) -> (poly, e)
 
     def base(gam, skeleton):
-        counts = region_counts(gam, split)
+        counts = split.region_counts(gam)
         g_eq = counts["=="]
         g_neq = len(gam) - g_eq
         le_gt = counts["<>"] + counts["=>"]
@@ -439,9 +450,10 @@ def double_rainbow(split, m, ell, target):
     if target == "superchars":
         # more than m arcs outside N_= leave the f range of base empty, and
         # more than m + ell arcs in all the l range
-        rule = (split.region, {"<< <= <> => >>": (0, m)})
-        return _superchars(split.inner, base, m + ell, rule=rule,
-                           split=split)
+        region = split.region
+        return _superchars(split.inner, base, m + ell,
+                           lambda i, j: int(region[i] + region[j] != "=="),
+                           (0, m), split)
 
     if target == "trivial_coeff":
         empty = SetPartition(split.inner, ())
@@ -520,7 +532,8 @@ class UtAlgebra:
     __slots__ = ("ground",)
 
     def __init__(self, ground):
-        assert len(ground) >= 1
+        if not len(ground):
+            raise ValueError("the ut-algebra needs a nonempty ground set")
         self.ground = ground
 
     def trace(self, mu):
@@ -592,7 +605,9 @@ class UtAlgebra:
 
         # A holds R(lam) and misses the top point: an arc of lam ending
         # there makes the coefficient zero
-        return _superchars(self.ground, base, rights=frozenset(rest))
+        top = self.ground.labels[-1]
+        return _superchars(self.ground, base, None,
+                           lambda i, j: None if j == top else 0)
 
 
 def ut_algebra(ground):

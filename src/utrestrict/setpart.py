@@ -31,9 +31,11 @@ class GroundSet:
 
     def __init__(self, labels):
         labels = tuple(labels)
-        assert all(isinstance(x, int) and x > 0 for x in labels)
-        assert all(a < b for a, b in zip(labels, labels[1:])), \
-            "ground set labels must be strictly increasing"
+        if not all(isinstance(x, int) and x > 0 for x in labels):
+            raise ValueError(f"ground set labels must be positive: {labels}")
+        if not all(a < b for a, b in zip(labels, labels[1:])):
+            raise ValueError(f"ground set labels must be strictly increasing: "
+                             f"{labels}")
         self.labels = labels
 
     @staticmethod
@@ -65,7 +67,8 @@ class GroundSet:
 
     def subset(self, labels):
         labels = tuple(sorted(labels))
-        assert all(x in self for x in labels)
+        if not all(x in self for x in labels):
+            raise GroundViolation(f"{list(labels)} is not in {self.labels}")
         return GroundSet(labels)
 
 
@@ -232,15 +235,18 @@ class RegionSplit:
                  "n_lt", "n_eq", "n_gt", "region")
 
     def __init__(self, ambient, n_mm, n_m, n_p, n_pp):
-        assert n_mm <= n_m <= n_p <= n_pp and n_mm < n_pp
-        self.ambient = ambient
-        self.n_mm, self.n_m, self.n_p, self.n_pp = n_mm, n_m, n_p, n_pp
-        anchors = {n_mm, n_m, n_p, n_pp}
+        anchors = (n_mm, n_m, n_p, n_pp)
+        if not (n_mm <= n_m <= n_p <= n_pp and n_mm < n_pp):
+            raise ValueError(f"anchors {anchors} must be ordered")
         inner = [x for x in ambient if x not in anchors]
-        assert inner, "the restriction ground N must be nonempty"
-        assert all(n_mm < x < n_pp for x in inner)
-        for a in (n_m, n_p):
-            assert a in ambient
+        if not inner:
+            raise ValueError("the restriction ground N must be nonempty")
+        if not all(n_mm < x < n_pp for x in inner):
+            raise ValueError(f"{ambient.labels} leaves the outer anchors")
+        if n_m not in ambient or n_p not in ambient:
+            raise ValueError(f"inner anchors must lie in {ambient.labels}")
+        self.ambient = ambient
+        self.n_mm, self.n_m, self.n_p, self.n_pp = anchors
         self.inner = GroundSet(inner)
         self.n_lt = GroundSet(x for x in inner if x < n_m)
         self.n_eq = GroundSet(x for x in inner if n_m < x < n_p)
@@ -249,8 +255,9 @@ class RegionSplit:
         self.region = {x: "<" if x < n_m else "=" if x < n_p else ">"
                        for x in inner}
         # the anchor collapses are forced by the region emptiness
-        assert len(self.n_lt) > 0 or n_m == n_mm
-        assert len(self.n_gt) > 0 or n_p == n_pp
+        if not (self.n_lt or n_m == n_mm) or not (self.n_gt or n_p == n_pp):
+            raise ValueError(f"an empty side region needs its anchors "
+                             f"collapsed: {anchors}")
 
     @staticmethod
     def from_sizes(a, b, c):
@@ -267,12 +274,11 @@ class RegionSplit:
         arcs = [(self.n_mm, self.n_pp)] * m + [(self.n_m, self.n_p)] * ell
         return ArcMultiset(self.ambient, arcs)
 
-
-def region_counts(lam, split):
-    """Arcs of lam by region: a Counter keyed by the tags of the two
-    endpoints, e.g. "<>" counts the arcs from N_< to N_>."""
-    region = split.region
-    return Counter(region[i] + region[j] for i, j in lam.arcs)
+    def region_counts(self, lam):
+        """Arcs of lam by region: a Counter keyed by the tags of the two
+        endpoints, e.g. "<>" counts the arcs from N_< to N_>."""
+        region = self.region
+        return Counter(region[i] + region[j] for i, j in lam.arcs)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -294,39 +300,34 @@ def from_blocks(ground, blocks):
 MAX_PARTITIONS, MAX_POINTS = 115975, 128
 
 
-def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
-                         rule=None):
+def enumerate_partitions(ground, max_arcs=None, weight=None, bound=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
-    None), each once; with `lefts` (`rights`) given, only those whose left
-    (right) endpoints all lie in it.  Yields (lam, nest, skeleton): nest is
-    nst(lam, lam), and skeleton is an int with bit 2i set when the i-th
-    point is a left endpoint and bit 2i + 1 when it is a right endpoint, so
-    two partitions share a skeleton exactly when they share L(.) and R(.).
+    None), each once.  Yields (lam, nest, skeleton): nest is nst(lam, lam),
+    and skeleton is an int with bit 2i set when the i-th point is a left
+    endpoint and bit 2i + 1 when it is a right endpoint, so two partitions
+    share a skeleton exactly when they share L(.) and R(.).
 
-    A region rule (tags, bounds) keeps only the partitions whose arcs obey
-    its bounds.  tags maps each point to a one-character tag (as
-    RegionSplit.region does); an arc's class is the tags of its left and
-    right endpoint, e.g. "<>"; and bounds maps a space-separated list of
-    classes to (lo, hi), the least and most arcs those classes may hold
-    together.
+    weight(i, j) is None for an arc (i, j) that no yield may hold, and
+    otherwise its weight, 0 or 1 (None: every arc weighs 0); with
+    bound = (lo, hi) given, only the partitions whose arc weights sum to
+    between lo and hi are yielded.
 
     A depth-first scan that adds whole arcs in increasing left endpoint, on
-    one stack.  The allowed arcs are listed once, sorted: both ends in
-    lefts and rights, and no class that a bound holds to none.  Every state
-    is a partition, (the first allowed arc whose left endpoint is past the
-    state's last one, arcs, a bitmask of the right endpoints used, nest,
-    skeleton, bound counts), and while it has fewer than max_arcs arcs each
-    later allowed arc on an unused right endpoint makes a child.  A new arc
-    (i, j) nests under exactly the earlier arcs that end after j.  The
-    children are pushed in reverse, so the yields come in lexicographic
-    order of their sorted arcs.
+    one stack.  The allowed arcs are listed once, sorted: those with a
+    weight no more than hi.  Every state is a partition, (the first allowed
+    arc whose left endpoint is past the state's last one, arcs, a bitmask of
+    the right endpoints used, nest, skeleton, weight sum), and while it has
+    fewer than max_arcs arcs each later allowed arc on an unused right
+    endpoint makes a child.  A new arc (i, j) nests under exactly the
+    earlier arcs that end after j.  The children are pushed in reverse, so
+    the yields come in lexicographic order of their sorted arcs.
 
-    Under a rule a state yields when every bound's count has reached its
-    lower end.  A child whose count passes an upper end is dropped at once,
-    and a state is dropped with all it would add when a count, plus as many
-    arcs as it may still add (at most its spare arcs, and one per later left
-    endpoint with an allowed arc in the bound's classes), falls short of the
-    lower end.
+    A state yields when its sum has reached lo.  A child whose sum passes hi
+    is dropped at once, and a state is dropped with all it would add when
+    its sum, plus as many arcs as it may still add (at most its spare arcs,
+    and one per later left endpoint with an arc of weight 1), falls short
+    of lo.  That count of one arc per left endpoint is why a weight is 0 or
+    1.
 
     The budget is the scan's own count, taken before the first yield: on
     more than 10 points the scan runs into a list first, and stops one
@@ -337,7 +338,7 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
     cap = n if max_arcs is None else max_arcs
     if n > MAX_POINTS:
         raise EnumerationBoundExceeded(f"{n} points > bound {MAX_POINTS}")
-    scan = _scan(ground, min(cap, n), lefts, rights, rule)
+    scan = _scan(ground, min(cap, n), weight, bound)
     # no scan of 10 points or fewer can pass the budget, Bell(10)
     if n > 10:
         scan = list(islice(scan, MAX_PARTITIONS + 1))
@@ -348,72 +349,43 @@ def enumerate_partitions(ground, max_arcs=None, lefts=None, rights=None,
     yield from scan
 
 
-def _scan(ground, cap, lefts, rights, rule):
+def _scan(ground, cap, weight, bound):
     """The scan of enumerate_partitions, with no budget."""
     labels = tuple(ground)
-    tags, bounds = rule or (dict.fromkeys(labels, ""), {})
-    tag = [tags[x] for x in labels]
-    # the bound counts are one int of 16-bit fields, one per bound, biased
-    # so that a field's top bit is set exactly when its count passes hi:
-    # start holds the counts of no arc, over the top bits, and lift hi -
-    # lo + 1 in each field, which added to the counts sets every top bit
-    # exactly when each count has reached lo; units maps one in each
-    # bound's field to the bound's classes, and bump each class to its
-    # increment to the counts.  hi is clamped to the points and lo to
-    # hi + 1, so no field carries into the next
-    start = over = lift = 0
-    units = {}
-    for k, (classes, (lo, hi)) in enumerate(bounds.items()):
-        hi = min(hi, len(labels))
-        lo = min(lo, hi + 1)
-        start += (0x7FFF - hi) << 16 * k
-        over += 0x8000 << 16 * k
-        lift += (hi - lo + 1) << 16 * k
-        units[1 << 16 * k] = frozenset(classes.split())
-    bump = {t + u: sum(unit for unit, classes in units.items()
-                       if t + u in classes)
-            for t in set(tag) for u in set(tag)}
-    low = any(lo > 0 for lo, _ in bounds.values())
+    lo, hi = bound or (0, cap)
     # the allowed arcs by left endpoint, each as (arc, right endpoint bit,
-    # right endpoint index, skeleton bits, bound increment)
-    groups = [[((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j,
-                bump[tag[i] + tag[j]])
+    # right endpoint index, skeleton bits, weight)
+    weight = weight or (lambda i, j: 0)
+    groups = [[((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j, w)
                for j, y in enumerate(labels[i + 1:], i + 1)
-               if (rights is None or y in rights)
-               and not start + bump[tag[i] + tag[j]] & over]
-              for i, x in enumerate(labels) if lefts is None or x in lefts]
+               if (w := weight(x, y)) is not None and w <= hi]
+              for i, x in enumerate(labels)]
     # each arc also holds the index of the first arc with a later left end
     cands = []
     for group in groups:
         cands += [arc + (len(cands) + len(group),) for arc in group]
-    # with a lower end above 0: at that index, per spare arc count, lift
-    # plus the most arcs that each bound may still gain
-    reach = {}
-    if low:
-        fresh, at = dict.fromkeys(units, 0), len(cands)
-        for group in [[]] + groups[::-1]:
-            at -= len(group)
-            for unit in fresh:
-                fresh[unit] += any(arc[4] & unit for arc in group)
-            reach[at] = [lift + sum(min(s, f) * unit
-                                    for unit, f in fresh.items())
-                         for s in range(cap + 1)]
+    # at that index, the later left endpoints with an arc of weight 1
+    reach = [0] * (len(cands) + 1)
+    at = len(cands)
+    for group in reversed(groups):
+        at -= len(group)
+        reach[at] = reach[at + len(group)] + any(arc[4] for arc in group)
     rev, top = cands[::-1], len(cands)
-    stack = [(0, (), 0, 0, 0, start)] if cap >= 0 else []
+    stack = [(0, (), 0, 0, 0, 0)] if cap >= 0 else []
     push = stack.append
     while stack:
-        k, arcs, used, nest, skeleton, counts = stack.pop()
+        k, arcs, used, nest, skeleton, count = stack.pop()
         spare = cap - len(arcs)
-        if low and counts + reach[k][spare] & over != over:
+        if lo and count + min(spare, reach[k]) < lo:
             continue
-        if counts + lift & over == over:
+        if count >= lo:
             yield SetPartition._trusted(ground, arcs), nest, skeleton
         if spare:
-            for arc, bit, j, bits, inc, after in rev[:top - k]:
-                if not used & bit and not counts + inc & over:
+            for arc, bit, j, bits, w, after in rev[:top - k]:
+                if not used & bit and count + w <= hi:
                     push((after, arcs + (arc,), used | bit,
                           nest + (used >> j).bit_count(), skeleton | bits,
-                          counts + inc))
+                          count + w))
 
 
 def bell(n):

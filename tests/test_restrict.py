@@ -71,6 +71,47 @@ class TestShiftSigned:
         assert proc.stdout == "raised\n"
 
 
+
+class TestArgumentChecksUnderOptimize:
+    def test_bad_arguments_raise_under_optimize(self, run_optimized):
+        # `python -O` strips asserts: each of these calls returned a wrong
+        # answer there ({} for m = -1, 4 core coefficients for j > k, 1 for
+        # [-1]!, a coefficient for an empty ground, a decomposition over
+        # unsorted labels, a geometry with n_- > n_+) and must raise instead
+        script = (
+            "from utrestrict.qcalc import qfactorial, qint, qmultinom\n"
+            "from utrestrict.restrict import (\n"
+            "    UtAlgebra, core, core_tensor, double_rainbow, interference,\n"
+            "    rainbow)\n"
+            "from utrestrict.setpart import GroundSet, RegionSplit\n"
+            "g = GroundSet.range(4)\n"
+            "calls = [\n"
+            "    lambda: double_rainbow(RegionSplit.from_sizes(1, 1, 1),\n"
+            "                           -1, 1, 'superchars'),\n"
+            "    lambda: core_tensor(3, 1, 2),\n"
+            "    lambda: qfactorial(-1),\n"
+            "    lambda: UtAlgebra(GroundSet(())),\n"
+            "    lambda: core(GroundSet((3, 1, 2)), 1).decomposition(),\n"
+            "    lambda: RegionSplit(GroundSet.range(5), 1, 4, 2, 5),\n"
+            "    lambda: GroundSet((0, 1)),\n"
+            "    lambda: g.subset({5}),\n"
+            "    lambda: rainbow(g, -1, 'superchars'),\n"
+            "    lambda: interference(g, 4, 1, set(), 1, 'psi'),\n"
+            "    lambda: interference(g, 1, 4, {2, 3}, 1, 'superchars_a'),\n"
+            "    lambda: interference(g, 1, 4, {2, 3}, 1, 'superchars_b'),\n"
+            "    lambda: qint(-1),\n"
+            "    lambda: qmultinom(3, (1, 1)),\n"
+            "]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        print('returned', call())\n"
+            "    except ValueError:\n"
+            "        print('raised')\n")
+        proc = run_optimized(script)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.splitlines() == ["raised"] * 14
+
+
 def endpoint_refine(K, J):
     """Exponents of the left-endpoint refinement: the hook on columns K
     rewrites as the sum over I of q^exponent times the hook on columns I.
@@ -944,6 +985,12 @@ class TestWorkCounts:
     def test_psiK_scans_left_endpoints_in_K(self, scanned):
         dec = psiK(GroundSet.range(9), {2, 3, 6, 8}).decomposition()
         assert scanned[0] == len(dec.coeffs) == 250
+
+    def test_psi_hook_scans_only_its_terms(self, scanned):
+        # |J| arcs, each from K to J: the 4! matchings of {1..4} to {5..8};
+        # the scan with ends in K and J and at most |J| arcs yields 209
+        dec = psi_hook(GroundSet.range(8), {1, 2, 3, 4}, {5, 6, 7, 8})
+        assert scanned[0] == len(dec.coeffs) == 24
 
     def test_core_computes_each_binomial_once(self, scanned):
         nestposet._e_k.cache_clear()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
-    parse_partition, nst, nst_points, wt_up, region_counts,
+    parse_partition, nst, nst_points, wt_up,
     enumerate_partitions, from_blocks, bell, MAX_PARTITIONS,
 )
 from utrestrict.nestposet import block_poset, depth_vector
@@ -211,12 +211,12 @@ class TestRegions:
         s = self.split()
         gam = parse_partition("2-7 4-5", s.ambient)
         # one arc from N_< to N_>, one inside N_=, none elsewhere
-        assert region_counts(gam, s) == {"<>": 1, "==": 1}
+        assert s.region_counts(gam) == {"<>": 1, "==": 1}
 
     def test_gamma_eq_empty(self):
         s = self.split()
         gam = parse_partition("2-7", s.ambient)
-        counts = region_counts(gam, s)
+        counts = s.region_counts(gam)
         assert counts["=="] == 0
         assert counts == {"<>": 1}
 
@@ -253,33 +253,62 @@ def constraint_grid():
         yield g, pairs
 
 
+def endpoint_weight(lefts, rights):
+    """The scan weight that allows the arcs with left end in lefts and right
+    end in rights (None: anywhere), at weight 0; None when both are None."""
+    if lefts is None and rights is None:
+        return None
+
+    def weight(i, j):
+        if (lefts is None or i in lefts) and (rights is None or j in rights):
+            return 0
+        return None
+
+    return weight
+
+
 def caps(g):
     """Every arc cap of a scan of g: none, and -1 to |g|."""
     return [None, *range(-1, len(g) + 1)]
 
 
+def region_weight(split, forbidden, counted):
+    """The scan weight of a region rule: None on the arcs whose class (the
+    region tags of its two ends, e.g. "<>") is in forbidden, 1 on those in
+    counted, 0 on the rest."""
+    region = split.region
+
+    def weight(i, j):
+        arc = region[i] + region[j]
+        return None if arc in forbidden else int(arc in counted)
+
+    return weight
+
+
 def rule_grid():
-    """(split, [(cap, bounds)]): every split with a + b + c <= 7, under
+    """(split, [(cap, rule)]): every split with a + b + c <= 7, under
     peel's region rule for each (b, f) (exactly b arcs from N_< to N_>, none
     inside N_=, at most f arcs) and double rainbow's for each m, ell <= 3 (at
-    most m arcs outside N_=, at most m + ell arcs)."""
+    most m arcs outside N_=, at most m + ell arcs).  A rule is (forbidden
+    classes, counted classes, (lo, hi))."""
+    outside = {"<<", "<=", "<>", "=>", ">>"}
     for n in range(1, 8):
         for a, b in itertools.product(range(n + 1), repeat=2):
             c = n - a - b
             if c < 0:
                 continue
-            rules = [(f, {"<>": (bb, bb), "==": (0, 0)})
+            rules = [(f, ({"=="}, {"<>"}, (bb, bb)))
                      for bb in range(min(a, c) + 1)
                      for f in range(bb, a + c + 1)]
-            rules += [(m + ell, {"<< <= <> => >>": (0, m)})
+            rules += [(m + ell, (set(), outside, (0, m)))
                       for m, ell in itertools.product(range(4), repeat=2)]
             yield RegionSplit.from_sizes(a, b, c), rules
 
 
 def lower_end_rules():
-    """(split, cap, bounds) with a lower end above 0, on every split with
-    a + b + c <= 6: peel's rule for each b >= 1 and f, and two-bound rules
-    on disjoint and on shared classes."""
+    """(split, cap, rule) with a lower end above 0, on every split with
+    a + b + c <= 6: peel's rule for each b >= 1 and f, and rules that count
+    one, two or three classes."""
     for n in range(1, 7):
         for a, b in itertools.product(range(n + 1), repeat=2):
             c = n - a - b
@@ -288,48 +317,50 @@ def lower_end_rules():
             split = RegionSplit.from_sizes(a, b, c)
             for bb in range(1, min(a, c) + 1):
                 for f in range(bb, a + c + 1):
-                    yield split, f, {"<>": (bb, bb), "==": (0, 0)}
+                    yield split, f, ({"=="}, {"<>"}, (bb, bb))
             for cap in (None, 2, 3):
-                yield split, cap, {"<>": (1, 2), "<= =>": (1, 3)}
-                yield split, cap, {"<< <= <>": (2, 3), "<> >>": (1, 1)}
+                for counted, bound in [({"<>"}, (1, 2)),
+                                       ({"<=", "=>"}, (1, 3)),
+                                       ({"<<", "<=", "<>"}, (2, 3)),
+                                       ({"<>", ">>"}, (1, 1))]:
+                    yield split, cap, (set(), counted, bound)
 
 
-def arc_scan(g, cap, rule, slack=0):
+def ruled_scan(split, cap, rule):
+    """The scan of split's inner ground under a region rule."""
+    forbidden, counted, bound = rule
+    return enumerate_partitions(
+        split.inner, cap, region_weight(split, forbidden, counted), bound)
+
+
+def arc_scan(g, cap, weight, bound, slack=0, squeeze=0):
     """The arc sets that a plain copy of enumerate_partitions' arc-by-arc
-    scan yields under a region rule, in its order.  A state is dropped
-    when a bound with a lower end above 0 has a count that, with the arcs
-    it may still gain (at most its spare arcs, and one per later left
-    endpoint with an allowed arc in the bound's classes), falls short of
-    lo + slack: slack 0 is the scan's own prune."""
-    tags, bounds = rule
+    scan yields under weight and bound = (lo, hi), in its order.  A state
+    is dropped when lo is above 0 and its weight sum, with the arcs it may
+    still gain (at most its spare arcs, and one per later left endpoint
+    with an allowed arc of weight 1), falls short of lo + slack; a child is
+    dropped when its sum passes hi - squeeze.  slack and squeeze 0 are the
+    scan's own prunes."""
+    lo, hi = bound
     cap = len(g) if cap is None else cap
-    bounds = [(frozenset(classes.split()), lo, hi)
-              for classes, (lo, hi) in bounds.items()]
+    allowed = [(arc, w) for arc in itertools.combinations(g, 2)
+               for w in [weight(*arc)] if w is not None]
 
-    def cls(arc):
-        return tags[arc[0]] + tags[arc[1]]
-
-    allowed = [arc for arc in itertools.combinations(g, 2)
-               if all(hi > 0 or cls(arc) not in classes
-                      for classes, _, hi in bounds)]
-
-    def walk(arcs):
-        later = [arc for arc in allowed if not arcs or arc[0] > arcs[-1][0]]
+    def walk(arcs, count):
+        later = [(arc, w) for arc, w in allowed
+                 if not arcs or arc[0] > arcs[-1][0]]
         spare = cap - len(arcs)
-        counts = [sum(cls(arc) in classes for arc in arcs)
-                  for classes, _, _ in bounds]
-        for k, (classes, lo, hi) in zip(counts, bounds):
-            fresh = len({i for i, j in later if cls((i, j)) in classes})
-            if k > hi or lo > 0 and k + min(spare, fresh) < lo + slack:
-                return
-        if all(k >= lo for k, (_, lo, _) in zip(counts, bounds)):
+        fresh = len({arc[0] for arc, w in later if w})
+        if lo > 0 and count + min(spare, fresh) < lo + slack:
+            return
+        if count >= lo:
             yield arcs
         used = {j for _, j in arcs}
-        for arc in later if spare > 0 else ():
-            if arc[1] not in used:
-                yield from walk(arcs + (arc,))
+        for arc, w in later if spare > 0 else ():
+            if arc[1] not in used and count + w <= hi - squeeze:
+                yield from walk(arcs + (arc,), count + w)
 
-    return list(walk(()))
+    return list(walk((), 0))
 
 
 def depth_mismatches(depth):
@@ -340,20 +371,21 @@ def depth_mismatches(depth):
     out = []
     for g, pairs in itertools.chain(scans, constraint_grid()):
         for lefts, rights in pairs:
+            weight = endpoint_weight(lefts, rights)
             for m in caps(g):
-                for lam, _, skeleton in enumerate_partitions(g, m, lefts,
-                                                             rights):
+                for lam, _, skeleton in enumerate_partitions(g, m, weight):
                     weights = tuple(sorted(b[2] for b in block_poset(lam)))
                     if depth(skeleton, len(g)) != weights:
                         out.append(lam)
     return out
 
 
-def obeys(counts, bounds):
-    """Whether region counts lie within bounds, as a region rule reads
-    them."""
-    return all(lo <= sum(counts[cls] for cls in classes.split()) <= hi
-               for classes, (lo, hi) in bounds.items())
+def obeys(counts, rule):
+    """Whether region counts obey a region rule: no arc in a forbidden
+    class, and between lo and hi arcs in the counted classes."""
+    forbidden, counted, (lo, hi) = rule
+    return (not any(counts[cls] for cls in forbidden)
+            and lo <= sum(counts[cls] for cls in counted) <= hi)
 
 
 class TestEnumeration:
@@ -444,9 +476,10 @@ class TestEnumeration:
                 assert set(got) == {lam for lam in every if len(lam) <= m}
 
     def test_endpoint_constraints(self):
-        # the scan with lefts/rights yields exactly the partitions of the
-        # full scan whose left endpoints lie in lefts and right endpoints in
-        # rights (None: anywhere), under every arc cap, each once, and each
+        # the scan whose weight allows the arcs from lefts to rights yields
+        # exactly the partitions of the full scan whose left endpoints lie
+        # in lefts and right endpoints in rights (None: anywhere), under
+        # every arc cap, each once, and each
         # equal to the validated partition on the same arcs, on every
         # ground and constraint pair of constraint_grid
         for g, pairs in constraint_grid():
@@ -456,9 +489,10 @@ class TestEnumeration:
                         if (lefts is None or lam.left_endpoints() <= lefts)
                         and (rights is None
                              or lam.right_endpoints() <= rights)]
+                weight = endpoint_weight(lefts, rights)
                 for m in caps(g):
                     got = [lam for lam, _, _
-                           in enumerate_partitions(g, m, lefts, rights)]
+                           in enumerate_partitions(g, m, weight)]
                     assert len(got) == len(set(got))
                     assert set(got) == {lam for lam in kept
                                         if m is None or len(lam) <= m}
@@ -474,9 +508,10 @@ class TestEnumeration:
         for g, pairs in constraint_grid():
             skeletons = {}      # (L, R) -> skeleton
             for lefts, rights in pairs:
+                weight = endpoint_weight(lefts, rights)
                 for m in caps(g):
                     for lam, nest, skeleton in enumerate_partitions(
-                            g, m, lefts, rights):
+                            g, m, weight):
                         assert nest == nst(lam, lam)
                         ends = (lam.left_endpoints(), lam.right_endpoints())
                         assert skeletons.setdefault(ends, skeleton) \
@@ -507,36 +542,36 @@ class TestEnumeration:
 
     def test_budget_counts_the_constrained_scan(self):
         # the budget counts what the scan yields: Bell(11) is over it, but
-        # when no point may close an arc the scan of 11 points yields the
+        # when the weight forbids every arc the scan of 11 points yields the
         # one partition with no arc
         g = GroundSet.range(11)
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(g))
         assert [lam.arcs for lam, _, _
-                in enumerate_partitions(g, None, None, ())] == [()]
+                in enumerate_partitions(g, None, lambda i, j: None)] == [()]
         # peel's rule on the split 4,4,4 with b = 2, f = 4 keeps 13,992
         # of the partitions of its 12 points with at most 4 arcs: more than
         # the budget
         split = RegionSplit.from_sizes(4, 4, 4)
         with pytest.raises(EnumerationBoundExceeded):
             next(enumerate_partitions(split.inner, 4))
-        assert sum(1 for _ in enumerate_partitions(split.inner, 4, rule=(
-            split.region, {"<>": (2, 2), "==": (0, 0)}))) == 13992
+        assert sum(1 for _ in ruled_scan(
+            split, 4, ({"=="}, {"<>"}, (2, 2)))) == 13992
         # the budget counts yields, not partial states: peel's rule on the
         # split 5,9,1 with b = 1, f = 5 keeps 64,591 partitions of its 15
         # points, though a left-to-right point sweep holds more partial
         # states than the budget at some point
         split = RegionSplit.from_sizes(5, 9, 1)
-        assert sum(1 for _ in enumerate_partitions(split.inner, 5, rule=(
-            split.region, {"<>": (1, 1), "==": (0, 0)}))) == 64591
+        assert sum(1 for _ in ruled_scan(
+            split, 5, ({"=="}, {"<>"}, (1, 1)))) == 64591
 
     def test_budget_edge(self):
         # with no arc ending at the top point, the scan of 11 points yields
         # the Bell(10) partitions of the rest: exactly the budget, so it
         # runs, each partition once
         g = GroundSet.range(11)
-        got = [lam for lam, _, _
-               in enumerate_partitions(g, None, None, frozenset(range(1, 11)))]
+        got = [lam for lam, _, _ in enumerate_partitions(
+            g, None, lambda i, j: None if j == 11 else 0)]
         assert len(got) == len(set(got)) == MAX_PARTITIONS == bell(10)
 
     def test_region_rule(self):
@@ -548,26 +583,25 @@ class TestEnumeration:
             # the partitions by arc count and region counts
             groups = {}
             for lam, nest, skeleton in enumerate_partitions(split.inner):
-                counts = region_counts(lam, split)
+                counts = split.region_counts(lam)
                 key = len(lam), frozenset(counts.items())
                 groups.setdefault(key, (len(lam), counts, {}))[2][lam] = \
                     nest, skeleton
-            for cap, bounds in rules:
+            for cap, rule in rules:
+                forbidden, counted, (_, hi) = rule
                 want = {}
                 for size, counts, lams in groups.values():
                     if size > cap:
                         continue
-                    if obeys(counts, bounds):
+                    if obeys(counts, rule):
                         want.update(lams)
                         continue
                     dropped += len(lams)
-                    # obeys every bound but a lower end
-                    short += len(lams) * obeys(counts, {
-                        classes: (0, hi) for classes, (_, hi)
-                        in bounds.items()})
-                rule = (split.region, bounds)
+                    # obeys the rule but its lower end
+                    short += len(lams) * obeys(counts,
+                                               (forbidden, counted, (0, hi)))
                 got = [(lam, (nest, skeleton)) for lam, nest, skeleton
-                       in enumerate_partitions(split.inner, cap, rule=rule)]
+                       in ruled_scan(split, cap, rule)]
                 assert len(got) == len(want)
                 assert dict(got) == want
                 kept += len(got)
@@ -583,9 +617,10 @@ class TestEnumeration:
         scans = [(GroundSet.range(n), [(None, None)]) for n in range(9)]
         for g, pairs in itertools.chain(scans, constraint_grid()):
             for lefts, rights in pairs:
+                weight = endpoint_weight(lefts, rights)
                 for m in caps(g):
                     got = [lam.arcs for lam, _, _
-                           in enumerate_partitions(g, m, lefts, rights)]
+                           in enumerate_partitions(g, m, weight)]
                     assert all(arcs == tuple(sorted(arcs)) for arcs in got)
                     assert got == sorted(got)
 
@@ -595,26 +630,58 @@ class TestEnumeration:
         # unruled scan's partitions that obey the rule; and so does the
         # plain copy of the scan in arc_scan
         cases = 0
-        for split, cap, bounds in lower_end_rules():
-            rule = (split.region, bounds)
+        for split, cap, rule in lower_end_rules():
             want = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
                     in enumerate_partitions(split.inner, cap)
-                    if obeys(region_counts(lam, split), bounds)]
+                    if obeys(split.region_counts(lam), rule)]
             got = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
-                   in enumerate_partitions(split.inner, cap, rule=rule)]
+                   in ruled_scan(split, cap, rule)]
             assert got == want
-            assert arc_scan(split.inner, cap, rule) == [a for a, _, _ in want]
+            assert arc_scan(split.inner, cap, region_weight(split, *rule[:2]),
+                            rule[2]) == [a for a, _, _ in want]
             cases += bool(want)
         assert cases > 100
+
+    @staticmethod
+    def copy_misses_a_filtered_scan(**off):
+        """Whether arc_scan, set off by `off`, differs from the ruled scan
+        on some rule of lower_end_rules."""
+        return any(
+            arc_scan(split.inner, cap, region_weight(split, *rule[:2]),
+                     rule[2], **off)
+            != [lam.arcs for lam, _, _ in ruled_scan(split, cap, rule)]
+            for split, cap, rule in lower_end_rules())
 
     def test_filtered_scan_check_catches_an_eager_prune(self):
         # negative control: a lower-end prune that wants one arc more than
         # the bound asks drops partitions that obey the rule
-        assert any(
-            arc_scan(split.inner, cap, (split.region, bounds), slack=1)
-            != [lam.arcs for lam, _, _ in enumerate_partitions(
-                split.inner, cap, rule=(split.region, bounds))]
-            for split, cap, bounds in lower_end_rules())
+        assert self.copy_misses_a_filtered_scan(slack=1)
+
+    def test_filtered_scan_check_catches_a_short_upper_end(self):
+        # negative control: an upper-end check off by one (count + w < hi)
+        # drops the partitions whose weight sum is exactly hi
+        assert self.copy_misses_a_filtered_scan(squeeze=1)
+
+    def test_lower_end_past_the_cap_yields_nothing(self):
+        # no partition with at most cap arcs reaches a weight sum above cap
+        g = GroundSet.range(6)
+        for cap in range(4):
+            assert list(enumerate_partitions(
+                g, cap, lambda i, j: 1, (cap + 1, cap + 1))) == []
+        assert list(enumerate_partitions(g, 3, lambda i, j: 1, (4, 9))) == []
+        # at lo = cap the same scan yields exactly the partitions with cap
+        # arcs
+        assert {lam for lam, _, _ in enumerate_partitions(
+            g, 3, lambda i, j: 1, (3, 9))} \
+            == {lam for lam, _, _ in enumerate_partitions(g, 3)
+                if len(lam) == 3}
+
+    def test_weight_that_forbids_every_arc_yields_the_empty_partition(self):
+        for n in range(6):
+            for bound in (None, (0, 0), (0, 5)):
+                assert [lam.arcs for lam, _, _ in enumerate_partitions(
+                    GroundSet.range(n), None, lambda i, j: None, bound)] \
+                    == [()]
 
 
 @settings(max_examples=200)

@@ -129,7 +129,7 @@ def test_tracer_installs_and_uninstalls():
 
 def test_tracer_counts_the_pruned_peel_scan():
     # the per-layer counter the benchmark gates on: the peel scan yields
-    # only the 450 partitions peel keeps (10,096 without its region rule)
+    # only the 450 partitions peel keeps (10,096 without its arc weight and bound)
     tracer = load_tracer().Tracer()
     try:
         tracer.install()
