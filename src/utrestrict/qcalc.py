@@ -228,19 +228,28 @@ def unpack(v, K):
     return QPoly._of(out)
 
 
+def _l1(poly):
+    return sum(map(abs, poly.coeffs))
+
+
+def _packing(bound):
+    """K for q = 2^K such that pack/unpack are exact on polynomials whose
+    coefficients lie within +-bound: 2^(K-1) > bound, and K >= 2."""
+    return max(bound, 1).bit_length() + 1
+
+
 def laurent_sum(terms):
     """(poly, e) with q^e poly the sum of q^e_i prod(factors_i) over the
     (factors_i, e_i) in terms; e is the least e_i of a nonzero term and may
     be negative.  Each product is one big-int product at q = 2^K: the l1
     norm is submultiplicative and bounds every coefficient, so the sum's lie
-    within B = sum_i prod of the l1 norms of factors_i, and K = bits(B) + 1
+    within B = sum_i prod of the l1 norms of factors_i, and K = _packing(B)
     puts them in [-2^(K-1), 2^(K-1))."""
     terms = [(fs, e) for fs, e in terms if all(f.coeffs for f in fs)]
     if not terms:
         return ZERO, 0
     low = min(e for _, e in terms)
-    bound = sum(prod(sum(map(abs, f.coeffs)) for f in fs) for fs, _ in terms)
-    K = bound.bit_length() + 1
+    K = _packing(sum(prod(map(_l1, fs)) for fs, _ in terms))
     return unpack(sum(prod(pack(f, K) for f in fs) << K * (e - low)
                       for fs, e in terms), K), low
 

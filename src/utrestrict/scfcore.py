@@ -48,7 +48,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .qcalc import QPoly, ZERO, InexactDivision, divide_exact, pack, unpack
+from .qcalc import (
+    QPoly, ZERO, InexactDivision, _l1, _packing, divide_exact, pack, unpack)
 from .setpart import (
     SetPartition, arc_token, arcs_label, enumerate_partitions,
 )
@@ -67,8 +68,8 @@ class SingularSystem(Exception):
 
 def _monomial(lam, mu, ambient):
     """chi^lam(u_mu) as (sign, a, e) with value sign (q-1)^a q^e, or None
-    when it vanishes; lam may be a SetPartition or an ArcMultiset, mu must
-    be a SetPartition; both read over the `ambient` ground set.  An arc i~k
+    when it vanishes; lam may be any ArcMultiset, mu must be a
+    SetPartition; both read over the `ambient` ground set.  An arc i~k
     gives 0 when mu has an arc i~j or j~k with i<j<k; otherwise q^(points
     inside - arcs of mu inside) times q-1 when mu lacks the arc, and times
     -1 when mu has it."""
@@ -98,16 +99,6 @@ def _poly(sign, a, e):
     """sign (q-1)^a q^e as a QPoly, by the binomial theorem."""
     return QPoly([0] * e + [sign * (-1) ** (a - j) * comb(a, j)
                             for j in range(a + 1)])
-
-
-def _l1(poly):
-    return sum(map(abs, poly.coeffs))
-
-
-def _packing(bound):
-    """K for q = 2^K such that pack/unpack are exact on polynomials whose
-    coefficients lie within +-bound: 2^(K-1) > bound, and K >= 2."""
-    return max(bound, 1).bit_length() + 1
 
 
 def superchar_value(lam, mu, ambient):

@@ -1,10 +1,10 @@
-"""Arc-form set partitions over ordered ground sets.
+"""Arc multisets over ordered ground sets, and set partitions among them.
 
-A set partition here is a set of arcs (i, j), i < j, with pairwise distinct
-left endpoints and pairwise distinct right endpoints; a block is a maximal
-chain of arcs.  Statistics (nestings, weights), the uncrossing map, the
-dagger involution and enumeration by an arc-by-arc scan all live here,
-together with the region geometry used by the double-rainbow and onion
+An arc multiset holds arcs (i, j), i < j; a set partition is one with
+pairwise distinct left and pairwise distinct right endpoints, and a block is
+a maximal chain of its arcs.  Statistics (nestings, weights), the uncrossing
+map, the dagger involution and enumeration by an arc-by-arc scan all live
+here, together with the region geometry used by the double-rainbow and onion
 engines.
 """
 
@@ -72,30 +72,58 @@ class GroundSet:
         return GroundSet(labels)
 
 
-def _check_arcs(ground, arcs):
-    for i, j in arcs:
-        if not (i < j):
-            raise ValueError(f"arc ({i},{j}) needs left < right")
-        if i not in ground or j not in ground:
-            raise GroundViolation(f"arc ({i},{j}) leaves ground {ground.labels}")
-
-
-class SetPartition:
-    """Arcs with distinct left and distinct right endpoints, kept as a tuple
-    sorted by left endpoint: the order the scan builds them in."""
+class ArcMultiset:
+    """Arcs (i, j), i < j, over a ground set, repeats allowed, kept as a
+    tuple sorted by left endpoint: the order the scan builds them in."""
 
     __slots__ = ("ground", "arcs")
 
     def __init__(self, ground, arcs):
         arcs = tuple(sorted((int(i), int(j)) for i, j in arcs))
-        _check_arcs(ground, arcs)
+        for i, j in arcs:
+            if not (i < j):
+                raise ValueError(f"arc ({i},{j}) needs left < right")
+            if i not in ground or j not in ground:
+                raise GroundViolation(
+                    f"arc ({i},{j}) leaves ground {ground.labels}")
+        self.ground = ground
+        self.arcs = arcs
+
+    def __len__(self):
+        return len(self.arcs)
+
+    def __eq__(self, other):
+        # class-exact: a set partition never equals a multiset
+        return (type(other) is type(self)
+                and self.ground == other.ground and self.arcs == other.arcs)
+
+    def __hash__(self):
+        # equal multisets share a ground
+        return hash(self.arcs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ground.labels}, {list(self.arcs)})"
+
+    def left_endpoints(self):
+        return frozenset(i for i, _ in self.arcs)
+
+    def right_endpoints(self):
+        return frozenset(j for _, j in self.arcs)
+
+
+class SetPartition(ArcMultiset):
+    """An arc multiset with distinct left and distinct right endpoints."""
+
+    __slots__ = ()
+
+    def __init__(self, ground, arcs):
+        super().__init__(ground, arcs)
+        arcs = self.arcs
         # a repeated arc repeats both its endpoints
         if (len({i for i, _ in arcs}) != len(arcs)
                 or len({j for _, j in arcs}) != len(arcs)):
             raise DistinctEndpointViolation(
                 f"repeated left or right endpoint in {list(arcs)}")
-        self.ground = ground
-        self.arcs = arcs
 
     @classmethod
     def _trusted(cls, ground, arcs):
@@ -106,29 +134,9 @@ class SetPartition:
         out.arcs = arcs
         return out
 
-    def __len__(self):
-        return len(self.arcs)
-
-    def __eq__(self, other):
-        return (isinstance(other, SetPartition)
-                and self.ground == other.ground and self.arcs == other.arcs)
-
-    def __hash__(self):
-        # equal partitions share a ground
-        return hash(self.arcs)
-
-    def __repr__(self):
-        return f"SetPartition({self.ground.labels}, {list(self.arcs)})"
-
     def label(self):
         """Canonical text form: whitespace-separated i-j tokens."""
         return arcs_label(map(arc_token, self.arcs))
-
-    def left_endpoints(self):
-        return frozenset(i for i, _ in self.arcs)
-
-    def right_endpoints(self):
-        return frozenset(j for _, j in self.arcs)
 
     def dagger(self):
         w0 = self.ground.w0
@@ -152,54 +160,18 @@ class SetPartition:
         return SetPartition(self.ground, arcs)
 
 
-class ArcMultiset:
-    """Multiset of arcs over a ground set (no distinctness constraint)."""
-
-    __slots__ = ("ground", "arcs")
-
-    def __init__(self, ground, arcs):
-        arcs = tuple(sorted((int(i), int(j)) for i, j in arcs))
-        _check_arcs(ground, arcs)
-        self.ground = ground
-        self.arcs = arcs
-
-    def __len__(self):
-        return len(self.arcs)
-
-    def __eq__(self, other):
-        return (isinstance(other, ArcMultiset)
-                and self.ground == other.ground and self.arcs == other.arcs)
-
-    def __hash__(self):
-        return hash((self.ground, self.arcs))
-
-    def __repr__(self):
-        return f"ArcMultiset({self.ground.labels}, {list(self.arcs)})"
-
-    def left_endpoints(self):
-        return frozenset(i for i, _ in self.arcs)
-
-    def right_endpoints(self):
-        return frozenset(j for _, j in self.arcs)
-
-
 def arc_token(arc):
     """The i-j token of one arc in SetPartition.label."""
     return f"{arc[0]}-{arc[1]}"
 
 
 def arcs_label(tokens):
-    """The text form of SetPartition.label from the tokens of its sorted
-    arcs."""
+    """SetPartition.label's text from the tokens of its sorted arcs."""
     return " ".join(tokens) or "()"
 
 
 def parse_partition(text, ground):
-    arcs = []
-    for tok in text.split():
-        i, j = tok.split("-")
-        arcs.append((int(i), int(j)))
-    return SetPartition(ground, arcs)
+    return SetPartition(ground, (tok.split("-") for tok in text.split()))
 
 
 # --- statistics ------------------------------------------------------------
@@ -308,9 +280,9 @@ def enumerate_partitions(ground, max_arcs=None, weight=None, bound=None):
     share a skeleton exactly when they share L(.) and R(.).
 
     weight(i, j) is None for an arc (i, j) that no yield may hold, and
-    otherwise its weight, 0 or 1 (None: every arc weighs 0); with
-    bound = (lo, hi) given, only the partitions whose arc weights sum to
-    between lo and hi are yielded.
+    otherwise its weight, 0 or 1 (None: every arc weighs 0); with bound =
+    (lo, hi), 0 <= lo <= hi, only the partitions whose arc weights sum to
+    between lo and hi are yielded.  Other weights or bounds raise ValueError.
 
     A depth-first scan that adds whole arcs in increasing left endpoint, on
     one stack.  The allowed arcs are listed once, sorted: those with a
@@ -327,7 +299,7 @@ def enumerate_partitions(ground, max_arcs=None, weight=None, bound=None):
     its sum, plus as many arcs as it may still add (at most its spare arcs,
     and one per later left endpoint with an arc of weight 1), falls short
     of lo.  That count of one arc per left endpoint is why a weight is 0 or
-    1.
+    1, checked once per arc as the arcs are listed.
 
     The budget is the scan's own count, taken before the first yield: on
     more than 10 points the scan runs into a list first, and stops one
@@ -353,13 +325,19 @@ def _scan(ground, cap, weight, bound):
     """The scan of enumerate_partitions, with no budget."""
     labels = tuple(ground)
     lo, hi = bound or (0, cap)
+    if bound is not None and not 0 <= lo <= hi:
+        raise ValueError(f"bound {bound} needs 0 <= lo <= hi")
     # the allowed arcs by left endpoint, each as (arc, right endpoint bit,
     # right endpoint index, skeleton bits, weight)
-    weight = weight or (lambda i, j: 0)
-    groups = [[((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j, w)
-               for j, y in enumerate(labels[i + 1:], i + 1)
-               if (w := weight(x, y)) is not None and w <= hi]
-              for i, x in enumerate(labels)]
+    groups = [[] for _ in labels]
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels[i + 1:], i + 1):
+            if (w := weight(x, y) if weight else 0) not in (None, 0, 1):
+                raise ValueError(
+                    f"arc ({x},{y}) weighs {w!r}, not None, 0 or 1")
+            if w is not None and w <= hi:
+                groups[i].append(
+                    ((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j, w))
     # each arc also holds the index of the first arc with a later left end
     cands = []
     for group in groups:

@@ -77,13 +77,17 @@ class TestArgumentChecksUnderOptimize:
         # `python -O` strips asserts: each of these calls returned a wrong
         # answer there ({} for m = -1, 4 core coefficients for j > k, 1 for
         # [-1]!, a coefficient for an empty ground, a decomposition over
-        # unsorted labels, a geometry with n_- > n_+) and must raise instead
+        # unsorted labels, a geometry with n_- > n_+, a scan with weight 2
+        # yielding none of the 7 two-arc partitions of weight 4, and one
+        # with bound (0, -1) yielding the empty partition, of sum 0) and
+        # must raise instead
         script = (
             "from utrestrict.qcalc import qfactorial, qint, qmultinom\n"
             "from utrestrict.restrict import (\n"
             "    UtAlgebra, core, core_tensor, double_rainbow, interference,\n"
             "    rainbow)\n"
-            "from utrestrict.setpart import GroundSet, RegionSplit\n"
+            "from utrestrict.setpart import (\n"
+            "    GroundSet, RegionSplit, enumerate_partitions)\n"
             "g = GroundSet.range(4)\n"
             "calls = [\n"
             "    lambda: double_rainbow(RegionSplit.from_sizes(1, 1, 1),\n"
@@ -101,6 +105,9 @@ class TestArgumentChecksUnderOptimize:
             "    lambda: interference(g, 1, 4, {2, 3}, 1, 'superchars_b'),\n"
             "    lambda: qint(-1),\n"
             "    lambda: qmultinom(3, (1, 1)),\n"
+            "    lambda: list(enumerate_partitions(g, None, lambda i, j: 2,\n"
+            "                                      (4, 4))),\n"
+            "    lambda: list(enumerate_partitions(g, bound=(0, -1))),\n"
             "]\n"
             "for call in calls:\n"
             "    try:\n"
@@ -109,7 +116,7 @@ class TestArgumentChecksUnderOptimize:
             "        print('raised')\n")
         proc = run_optimized(script)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        assert proc.stdout.splitlines() == ["raised"] * 14
+        assert proc.stdout.splitlines() == ["raised"] * 16
 
 
 def endpoint_refine(K, J):

@@ -76,6 +76,40 @@ class TestCanonicalArcs:
                     assert built.arcs == tuple(sorted(arcs)) == lam.arcs
                     assert built == lam and hash(built) == hash(lam)
 
+    def test_multiset_any_order_gives_one_tuple(self):
+        # the same for arc multisets, with the first arc of each partition
+        # repeated: the repeat stays, and every order builds one sorted
+        # tuple, equal and with equal hash
+        rng = random.Random(7)
+        for g in [GroundSet.range(n) for n in range(2, 7)] + \
+                [GroundSet((2, 3, 5, 8, 9))]:
+            for lam, _, _ in enumerate_partitions(g):
+                arcs = list(lam.arcs + lam.arcs[:1])
+                want = ArcMultiset(g, arcs)
+                assert want.arcs == tuple(sorted(arcs))
+                assert len(want) == len(arcs)
+                rng.shuffle(arcs)
+                for order in (arcs, arcs[::-1]):
+                    built = ArcMultiset(g, order)
+                    assert type(built.arcs) is tuple
+                    assert built.arcs == want.arcs
+                    assert built == want and hash(built) == hash(want)
+
+    def test_partition_is_a_multiset_yet_never_equals_one(self):
+        # a set partition is an arc multiset, but equality stays
+        # class-exact in both orders, and each repr names its own class
+        lam = SetPartition(N6, [(2, 4), (1, 5)])
+        m = ArcMultiset(N6, [(2, 4), (1, 5)])
+        assert isinstance(lam, ArcMultiset)
+        assert not isinstance(m, SetPartition)
+        assert lam.arcs == m.arcs and hash(lam) == hash(m)
+        assert lam != m and m != lam
+        assert not (lam == m) and not (m == lam)
+        assert len({lam: 0, m: 1}) == 2
+        assert repr(lam) == "SetPartition((1, 2, 3, 4, 5, 6), " \
+            "[(1, 5), (2, 4)])"
+        assert repr(m) == "ArcMultiset((1, 2, 3, 4, 5, 6), [(1, 5), (2, 4)])"
+
     def test_label_reads_the_tuple(self):
         lam = SetPartition(N6, [(4, 6), (2, 4), (1, 5)])
         assert lam.label() == "1-5 2-4 4-6" == RUNNING_LAM.label()
