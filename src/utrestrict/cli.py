@@ -242,41 +242,31 @@ def _run_show(args, out):
 
 # --- verify ------------------------------------------------------------------
 
-def _verify_grid(suites, bounds, budget, report):
-    """The orbits, traces and solver suites in one walk over the grid.
+def _grid_suite(suite, grid, table_at, trace_at):
+    """The orbits, traces or solver suite over the (n, p) of `grid`, as
+    (name, detail) pairs: detail is None for a PASS, and the suite's first
+    counterexample is its last pair, a FAIL.
 
-    Each orbit table is built once, and each oracle trace (psiK for every
-    column set K, then the algebra, at each u_mu) once.  The trace must
-    equal the closed-form value at q = p (traces) and the closed-form
-    coefficients at q = p rebuilt through the supercharacter table
-    (solver); the table is invertible at p, so a matching rebuild proves
-    the coefficients unique.  Each suite stops at its first failure.
+    orbits builds each orbit table.  At each u_mu, the oracle trace of
+    psiK for every column set K, then of the algebra, must equal the
+    closed-form value at q = p (traces) and the closed-form coefficients
+    at q = p rebuilt through the supercharacter table (solver); the table
+    is invertible at p, so a matching rebuild proves the coefficients
+    unique.  table_at(n, p) and trace_at(spec, u, p, n) are the oracle's
+    superclass_orbits and module_trace, memoised by the caller, so suites
+    run in one command share each table and each trace.
     """
-    live = [s for s in ("orbits", "traces", "solver") if s in suites]
-
-    def fail(suite, name, detail):
-        report(f"{suite} {name}", detail)
-        live.remove(suite)
-
-    for p in (2, 3):
-        for n in range(1, bounds[p] + 1):
-            if not live:
-                return
-            at = f"n={n} p={p}"
-            try:
-                table = superclass_orbits(n, p, budget=budget)
-            except OracleInvariantError as exc:
-                for suite in list(live):
-                    fail(suite, at, exc)
-                return
-            checks = [s for s in ("traces", "solver") if s in live]
-            if "orbits" in live:
-                report(f"orbits {at}")
-            if not checks:
-                continue
+    for n, p in grid:
+        at = f"n={n} p={p}"
+        try:
+            table = table_at(n, p)
+        except OracleInvariantError as exc:
+            yield f"{suite} {at}", exc
+            return
+        if suite != "orbits":
             g = GroundSet.range(n)
             reps = [(mu, u_mu_matrix(mu, n)) for mu in table.reps]
-            if "solver" in checks:
+            if suite == "solver":
                 parts, values = supercharacter_table(g, p)
                 rows = dict(zip(parts, values))
             modules = []
@@ -289,27 +279,26 @@ def _verify_grid(suites, bounds, budget, report):
             modules.append(("ut", "", ("utAlgebra",), alg.trace,
                             alg.superchar_decomposition))
             for kind, what, spec, value, decomposition in modules:
-                name = f"{kind} {at}"
-                if "solver" in live:
+                if suite == "solver":
                     dec = decomposition()
                     coeffs = [dec[nu](p) for nu in parts]
                 for mu, u in reps:
-                    trace = module_trace(spec, u, p, n)
-                    case = f"{what}mu={mu.label()} q={p} oracle={trace}"
-                    if "traces" in live:
-                        want = value(mu)(p)
-                        if want != trace:
-                            fail("traces", name, f"{case} formula={want}")
-                    if "solver" in live:
+                    trace = trace_at(spec, u, p, n)
+                    if suite == "traces":
+                        got, word = value(mu)(p), "formula"
+                    else:
                         got = sum(c * chi for c, chi in zip(coeffs, rows[mu]))
-                        if got != trace:
-                            fail("solver", name, f"{case} rebuilt={got}")
-            for suite in checks:
-                if suite in live:
-                    report(f"{suite} {at}")
+                        word = "rebuilt"
+                    if got != trace:
+                        yield (f"{suite} {kind} {at}",
+                               f"{what}mu={mu.label()} q={p} oracle={trace} "
+                               f"{word}={got}")
+                        return
+        yield f"{suite} {at}", None
 
 
-def _verify_identities(nmax, report):
+def _verify_identities(nmax):
+    """The identities suite, as _grid_suite's (name, detail) pairs."""
     # phi telescoping
     for m in range(nmax + 3):
         for ell in range(m + 1):
@@ -318,10 +307,10 @@ def _verify_identities(nmax, report):
                 total = total + (qphi(m - ell, k - ell) * qbinom(ell, k - ell)
                                  ).shift(comb(k - ell, 2))
             if total != QPoly.q_pow((m - ell) * ell):
-                report("identities phi-telescoping",
+                yield ("identities phi-telescoping",
                        f"m={m} ell={ell} got={total}")
                 return
-    report("identities phi-telescoping")
+    yield "identities phi-telescoping", None
     # core tensor product as the equivalent Gaussian-binomial identity
     for n in range(nmax + 1):
         for k in range(n + 1):
@@ -335,11 +324,10 @@ def _verify_identities(nmax, report):
                         rhs = rhs + c * qbinom(n - l, k + m) \
                             .shift(comb(k + m, 2))
                     if lhs != rhs:
-                        report("identities core-tensor",
-                               f"n={n} j={j} k={k} l={l} "
-                               f"lhs={lhs} rhs={rhs}")
+                        yield ("identities core-tensor",
+                               f"n={n} j={j} k={k} l={l} lhs={lhs} rhs={rhs}")
                         return
-    report("identities core-tensor")
+    yield "identities core-tensor", None
     # rainbow core/superchars consistency on small grounds
     for n in range(1, min(nmax, 5) + 1):
         g = GroundSet.range(n)
@@ -355,11 +343,11 @@ def _verify_identities(nmax, report):
                 a = expanded.get(lam, ZERO)
                 b = direct.coeffs.get(lam, ZERO)
                 if a != b:
-                    report("identities rainbow-consistency",
+                    yield ("identities rainbow-consistency",
                            f"n={n} m={m} lam={lam.label()} "
                            f"via-core={a} direct={b}")
                     return
-    report("identities rainbow-consistency")
+    yield "identities rainbow-consistency", None
 
 
 def _run_verify(args, out):
@@ -373,25 +361,24 @@ def _run_verify(args, out):
     # check): 2.3 s at --max 16, a minute at 24
     if args.max > 16:
         raise UsageError("verify --max must be at most 16")
-    bounds = {p: min(args.n or cap, cap) if args.q in (None, p) else 0
-              for p, cap in caps.items()}
+    grid = [(n, p) for p, cap in caps.items() if args.q in (None, p)
+            for n in range(1, min(args.n or cap, cap) + 1)]
+    # the oracle, computed once per table and per trace in this command
+    table_at = functools.cache(
+        functools.partial(superclass_orbits, budget=args.budget))
+    trace_at = functools.cache(module_trace)
     suites = (("orbits", "traces", "solver", "identities")
               if args.suite == "all" else (args.suite,))
-    # one buffer per suite, printed in suite order
-    lines = {s: [] for s in suites}
-
-    def report(name, detail=None):
-        """A PASS line for `name`, or with a detail a FAIL line."""
-        buf = lines[name.split()[0]]
-        if detail is None:
-            buf.append(f"PASS  {name}")
-        else:
-            buf += [f"FAIL  {name}", f"      first counterexample: {detail}"]
-
-    _verify_grid(suites, bounds, args.budget, report)
-    if "identities" in suites:
-        _verify_identities(args.max, report)
-    lines = [line for s in suites for line in lines[s]]
+    lines = []
+    for suite in suites:
+        for name, detail in (
+                _verify_identities(args.max) if suite == "identities"
+                else _grid_suite(suite, grid, table_at, trace_at)):
+            if detail is None:
+                lines.append(f"PASS  {name}")
+            else:
+                lines += [f"FAIL  {name}",
+                          f"      first counterexample: {detail}"]
     out.writelines(line + "\n" for line in lines)
     failures = sum(line.startswith("FAIL") for line in lines)
     if failures:

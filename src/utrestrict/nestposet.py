@@ -100,8 +100,8 @@ def poset_multinom(P, constraints):
     """Constrained multinomial: product over (k_j, pool_j) of the sum over
     k_j-subsets of pool_j of q^{wt^P}; the pools must be disjoint."""
     pools = [set(pool) for _, pool in constraints]
-    assert sum(map(len, pools)) == len(set().union(*pools)), \
-        "constraint pools must be disjoint"
+    if sum(map(len, pools)) != len(set().union(*pools)):
+        raise ValueError("constraint pools must be disjoint")
     out = ONE
     for (k, _), pool in zip(constraints, pools):
         factor = _e_k(tuple(sorted(b[2] for b in P if b in pool)), k)

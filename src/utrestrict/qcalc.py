@@ -186,9 +186,10 @@ class QPoly:
                 e = 0
             elif term == "q":
                 e = 1
-            else:
-                assert term.startswith("q^")
+            elif term.startswith("q^"):
                 e = int(term[2:])
+            else:
+                raise ValueError(f"bad term {tok!r} in {text!r}")
             coeffs[e] = coeffs.get(e, 0) + sign * c
             sign = 1
             i += 1
@@ -342,7 +343,8 @@ def interpolate(points, require_integer=True):
     coefficient and an integer polynomial was demanded.
     """
     xs = [p[0] for p in points]
-    assert len(set(xs)) == len(xs), "interpolation nodes must be distinct"
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
     ys = [Fraction(p[1]) for p in points]
     n = len(points)
     # divided differences

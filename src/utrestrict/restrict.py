@@ -12,7 +12,7 @@ from math import comb
 
 from .qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
-    laurent_sum, unpack,
+    _packing, laurent_sum, unpack,
 )
 from .setpart import (
     SetPartition, ArcMultiset, EnumerationBoundExceeded, MAX_PARTITIONS,
@@ -586,9 +586,9 @@ class UtAlgebra:
         by[w] sums the choices so far that leave w points outside A.  It
         runs at q = 2^K (qcalc.pack): each of its n - 1 steps makes at most
         3 signed terms of one, so the sum's l1 norm, a bound on its
-        coefficients, is at most 3^(n-1) < 2^(K-1) for K = 2n + 2."""
+        coefficients, is at most 3^(n-1): K = qcalc._packing(3^(n-1))."""
         rest = self.ground.labels[:-1]
-        K = 2 * len(self.ground) + 2
+        K = _packing(3 ** (len(self.ground) - 1))
 
         def base(lam, skeleton):
             R = lam.right_endpoints()

@@ -171,7 +171,15 @@ def arcs_label(tokens):
 
 
 def parse_partition(text, ground):
-    return SetPartition(ground, (tok.split("-") for tok in text.split()))
+    """The set partition whose arcs are the tokens i-j of `text`."""
+    arcs = []
+    for tok in text.split():
+        try:
+            i, j = map(int, tok.split("-"))
+        except ValueError:
+            raise ValueError(f"token {tok!r} should read i-j") from None
+        arcs.append((i, j))
+    return SetPartition(ground, arcs)
 
 
 # --- statistics ------------------------------------------------------------

@@ -288,6 +288,17 @@ class TestShow:
                 f"usage error: {prefix}: repeated left or right endpoint "
                 "in [(1, 3), (1, 3)]\n"))
 
+    @pytest.mark.parametrize("token", ["1-2-3", "1--2", "x", "a-b"])
+    def test_malformed_token_is_named(self, token, capsys):
+        # one line that quotes the token, from both partition readers
+        for argv, prefix in [
+                (["show", "--n", "4", "1-3", token], "bad partition"),
+                (["qbinom", "--n", "4", "--partition", f"1-3 {token}",
+                  "--k", "1"], "bad --partition")]:
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", (
+                f"usage error: {prefix}: token {token!r} should read i-j\n"))
+
 
 class TestDecompose:
     def test_byte_stable(self):
@@ -408,6 +419,37 @@ class TestVerify:
         assert out == "".join(
             capture(["verify", suite])[1]
             for suite in ("orbits", "traces", "solver", "identities"))
+
+    def test_all_stops_each_suite_at_its_first_failure(self, monkeypatch):
+        # psiK values wrong at n = 2 only: traces passes n = 1 and stops at
+        # its FAIL; all prints the four suites' outputs, FAIL included
+        real = PsiKModule.value
+        monkeypatch.setattr(PsiKModule, "value", lambda self, mu: (
+            QPoly.q_pow(7) if len(self.ground) == 2 else real(self, mu)))
+        code, out = capture(["verify", "traces", "--n", "3"])
+        assert code == 2
+        assert out.splitlines() == [
+            "PASS  traces n=1 p=2", "FAIL  traces psiK n=2 p=2",
+            "      first counterexample: K=[] mu=() q=2 oracle=1 formula=128"]
+        code, out = capture(["verify", "all", "--n", "3"])
+        assert code == 2
+        assert out == "".join(
+            capture(["verify", suite, "--n", "3"])[1]
+            for suite in ("orbits", "traces", "solver")) \
+            + capture(["verify", "identities"])[1]
+
+    def test_broken_census_fails_every_grid_suite(self, monkeypatch, capsys):
+        # each grid suite reports the bad orbit table once and stops;
+        # identities still runs, and the command exits 2
+        monkeypatch.setattr(oracle, "bell", lambda n: 99)
+        assert main(["verify", "all", "--n", "2", "--q", "2"]) == 2
+        out, _ = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0::2][:3] == [f"FAIL  {suite} n=1 p=2"
+                                   for suite in ("orbits", "traces", "solver")]
+        assert all("expected Bell(1) = 99" in line for line in lines[1:6:2])
+        assert lines[6:] == [f"PASS  identities {name}" for name in (
+            "phi-telescoping", "core-tensor", "rainbow-consistency")]
 
     @pytest.mark.parametrize("suite", ["all", "traces"])
     def test_one_grid_walk(self, suite, monkeypatch):

@@ -218,5 +218,5 @@ class TestMultinom:
 
     def test_overlap_rejected(self):
         P = chain(3)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             poset_multinom(P, [(1, frozenset(P[:2])), (1, frozenset(P[1:]))])

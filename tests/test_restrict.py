@@ -78,17 +78,22 @@ class TestArgumentChecksUnderOptimize:
         # answer there ({} for m = -1, 4 core coefficients for j > k, 1 for
         # [-1]!, a coefficient for an empty ground, a decomposition over
         # unsorted labels, a geometry with n_- > n_+, a scan with weight 2
-        # yielding none of the 7 two-arc partitions of weight 4, and one
-        # with bound (0, -1) yielding the empty partition, of sum 0) and
-        # must raise instead
+        # yielding none of the 7 two-arc partitions of weight 4, one with
+        # bound (0, -1) yielding the empty partition, of sum 0, q^2 + 4q + 4
+        # for overlapping pools, 2*q^3 for "2*p^3", and a ZeroDivisionError
+        # for a repeated node) and must raise instead
         script = (
-            "from utrestrict.qcalc import qfactorial, qint, qmultinom\n"
+            "from utrestrict.nestposet import block_poset, poset_multinom\n"
+            "from utrestrict.qcalc import (\n"
+            "    QPoly, interpolate, qfactorial, qint, qmultinom)\n"
             "from utrestrict.restrict import (\n"
             "    UtAlgebra, core, core_tensor, double_rainbow, interference,\n"
             "    rainbow)\n"
             "from utrestrict.setpart import (\n"
-            "    GroundSet, RegionSplit, enumerate_partitions)\n"
+            "    GroundSet, RegionSplit, enumerate_partitions,\n"
+            "    parse_partition)\n"
             "g = GroundSet.range(4)\n"
+            "P = block_poset(parse_partition('1-3 2-4', GroundSet.range(5)))\n"
             "calls = [\n"
             "    lambda: double_rainbow(RegionSplit.from_sizes(1, 1, 1),\n"
             "                           -1, 1, 'superchars'),\n"
@@ -108,6 +113,9 @@ class TestArgumentChecksUnderOptimize:
             "    lambda: list(enumerate_partitions(g, None, lambda i, j: 2,\n"
             "                                      (4, 4))),\n"
             "    lambda: list(enumerate_partitions(g, bound=(0, -1))),\n"
+            "    lambda: poset_multinom(P, [(1, frozenset(P))] * 2),\n"
+            "    lambda: QPoly.parse('2*p^3'),\n"
+            "    lambda: interpolate([(1, 1), (1, 2)]),\n"
             "]\n"
             "for call in calls:\n"
             "    try:\n"
@@ -116,7 +124,7 @@ class TestArgumentChecksUnderOptimize:
             "        print('raised')\n")
         proc = run_optimized(script)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        assert proc.stdout.splitlines() == ["raised"] * 16
+        assert proc.stdout.splitlines() == ["raised"] * 19
 
 
 def endpoint_refine(K, J):
