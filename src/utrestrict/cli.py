@@ -14,9 +14,8 @@ import json
 import os
 import sys
 from argparse import ArgumentTypeError
-from math import comb
 
-from .qcalc import QPoly, ZERO, qbinom, qphi
+from .qcalc import QPoly, ZERO, e_k, qbinom, qphi
 from .setpart import (
     GroundSet, RegionSplit, EnumerationBoundExceeded, parse_partition,
 )
@@ -304,8 +303,8 @@ def _verify_identities(nmax):
         for ell in range(m + 1):
             total = ZERO
             for k in range(ell, m + 1):
-                total = total + (qphi(m - ell, k - ell) * qbinom(ell, k - ell)
-                                 ).shift(comb(k - ell, 2))
+                total = total + qphi(m - ell, k - ell) \
+                    * e_k(tuple(range(ell)), k - ell)
             if total != QPoly.q_pow((m - ell) * ell):
                 yield ("identities phi-telescoping",
                        f"m={m} ell={ell} got={total}")
@@ -317,12 +316,11 @@ def _verify_identities(nmax):
             for j in range(k + 1):
                 cmap = core_tensor(j, k, n)
                 for l in range(n + 1):
-                    lhs = qbinom(n - l, j).shift(comb(j, 2)) \
-                        * qbinom(n - l, k).shift(comb(k, 2))
+                    chain = tuple(range(n - l))
+                    lhs = e_k(chain, j) * e_k(chain, k)
                     rhs = ZERO
                     for m, c in cmap.items():
-                        rhs = rhs + c * qbinom(n - l, k + m) \
-                            .shift(comb(k + m, 2))
+                        rhs = rhs + c * e_k(chain, k + m)
                     if lhs != rhs:
                         yield ("identities core-tensor",
                                f"n={n} j={j} k={k} l={l} lhs={lhs} rhs={rhs}")

@@ -4,7 +4,9 @@ The blocks of a noncrossing partition are ordered by nesting, and the poset
 q-binomial [P choose k]_q sums q^wt(A) over k-subsets A of the blocks, with
 wt(A) the sum over a in A of the number of blocks strictly above a.  That
 weight is additive, so [P choose k]_q is the elementary symmetric polynomial
-e_k(q^wt(b) : b a block) and depends only on the block weights.
+e_k(q^wt(b) : b a block) and depends only on the block weights:
+`poset_binom` and `poset_multinom` read the weights and leave the sum to
+`qcalc.e_k`, the one q-binomial algorithm.
 
 The engines read these weights on the uncrossing of a partition lam, which
 depends only on L(lam) and R(lam).  Arcs of a noncrossing partition cannot
@@ -15,9 +17,7 @@ endpoint skeleton alone; the engines that need the blocks themselves, to
 pool them by their end points, build them with `block_poset`.
 """
 
-from functools import cache
-
-from .qcalc import QPoly, ZERO, ONE
+from .qcalc import ZERO, ONE, e_k
 
 
 def block_poset(lam):
@@ -72,28 +72,9 @@ def blocks_with_min_in(P, K):
     return frozenset(b for b in P if b[0] in K)
 
 
-@cache
-def _e_k(weights, k):
-    """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum).
-    Symmetric in the weights, so callers pass them as a sorted tuple: the
-    engines meet few distinct weight vectors across many partitions."""
-    if k < 0 or k > len(weights):
-        return ZERO
-    # rows[j]: coefficients of e_j over the weights seen so far
-    rows = [[1]] + [[] for _ in range(k)]
-    for i, w in enumerate(weights):
-        for j in range(min(i + 1, k), 0, -1):
-            src, dst = rows[j - 1], rows[j]
-            if len(dst) < len(src) + w:
-                dst.extend([0] * (len(src) + w - len(dst)))
-            for e, c in enumerate(src):
-                dst[e + w] += c
-    return QPoly(rows[k])
-
-
 def poset_binom(P, k):
     """[P choose k]_q = sum over k-subsets A of q^{wt(A)}."""
-    return _e_k(tuple(sorted(b[2] for b in P)), k)
+    return e_k(tuple(sorted(b[2] for b in P)), k)
 
 
 def poset_multinom(P, constraints):
@@ -104,7 +85,7 @@ def poset_multinom(P, constraints):
         raise ValueError("constraint pools must be disjoint")
     out = ONE
     for (k, _), pool in zip(constraints, pools):
-        factor = _e_k(tuple(sorted(b[2] for b in P if b in pool)), k)
+        factor = e_k(tuple(sorted(b[2] for b in P if b in pool)), k)
         if factor.is_zero():
             return ZERO
         out = out * factor

@@ -2,10 +2,14 @@
 
 QPoly stores coefficients little-endian by exponent, with no trailing zeros
 (the zero polynomial is the empty tuple).  All the q-combinatorial quantities
-(q-integers, q-factorials, Gaussian binomials, the phi products) live here,
+(q-integers, q-factorials, q-binomials, the phi products) live here,
 together with the exact division used by the decomposition solver, exact
 Newton interpolation through integer samples, and the Kronecker kernel
 (pack, unpack, laurent_sum) on which the engines' hot sums run.
+
+Every q-binomial is one sum, e_k(q^w : w in weights): the paper's poset
+binomial over the block weights (nestposet), and qbinom(n, k) over the chain
+weights 0..n-1, where e_k is q^C(k,2) times the Gaussian binomial.
 """
 
 from fractions import Fraction
@@ -229,11 +233,11 @@ def unpack(v, K):
     return QPoly._of(out)
 
 
-def _l1(poly):
+def l1(poly):
     return sum(map(abs, poly.coeffs))
 
 
-def _packing(bound):
+def packing(bound):
     """K for q = 2^K such that pack/unpack are exact on polynomials whose
     coefficients lie within +-bound: 2^(K-1) > bound, and K >= 2."""
     return max(bound, 1).bit_length() + 1
@@ -244,13 +248,13 @@ def laurent_sum(terms):
     (factors_i, e_i) in terms; e is the least e_i of a nonzero term and may
     be negative.  Each product is one big-int product at q = 2^K: the l1
     norm is submultiplicative and bounds every coefficient, so the sum's lie
-    within B = sum_i prod of the l1 norms of factors_i, and K = _packing(B)
+    within B = sum_i prod of the l1 norms of factors_i, and K = packing(B)
     puts them in [-2^(K-1), 2^(K-1))."""
     terms = [(fs, e) for fs, e in terms if all(f.coeffs for f in fs)]
     if not terms:
         return ZERO, 0
     low = min(e for _, e in terms)
-    K = _packing(sum(prod(map(_l1, fs)) for fs, _ in terms))
+    K = packing(sum(prod(map(l1, fs)) for fs, _ in terms))
     return unpack(sum(prod(pack(f, K) for f in fs) << K * (e - low)
                       for fs, e in terms), K), low
 
@@ -298,24 +302,40 @@ def qfactorial(n):
 
 
 @cache
-def qbinom(n, k):
-    """Gaussian binomial via the division-free Pascal recurrence, one row
-    of [m choose j], j <= min(k, n - k), per m = 1..n: no call recurses, so
-    any n fits the stack."""
-    if k < 0 or k > n:
+def e_k(weights, k):
+    """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum),
+    and zero unless 0 <= k <= len(weights).  Symmetric in the weights, so
+    callers pass them as a sorted tuple: the engines meet few distinct
+    weight vectors across many partitions."""
+    if k < 0 or k > len(weights):
         return ZERO
+    # rows[j]: coefficients of e_j over the weights seen so far
+    rows = [[1]] + [[] for _ in range(k)]
+    for i, w in enumerate(weights):
+        for j in range(min(i + 1, k), 0, -1):
+            src, dst = rows[j - 1], rows[j]
+            if len(dst) < len(src) + w:
+                dst.extend([0] * (len(src) + w - len(dst)))
+            for e, c in enumerate(src):
+                dst[e + w] += c
+    return QPoly(rows[k])
+
+
+@cache
+def qbinom(n, k):
+    """[n choose k]_q = [n choose n-k]_q, zero unless 0 <= k <= n: e_k over
+    the chain weights 0..n-1, at the smaller k (e_k's rows grow with k), is
+    q^C(k,2) times it, so drop its first C(k,2) coefficients (all zero).
+    e_k loops over the weights, so any n fits the stack."""
     k = min(k, n - k)
-    row = [ONE] + [ZERO] * k
-    for m in range(1, n + 1):
-        for j in range(min(m, k), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[k]
+    return QPoly._of(list(e_k(tuple(range(n)), k).coeffs[k * (k - 1) // 2:]))
 
 
 @cache
 def qphi(n, k):
-    """phi^n_k = prod_{j=0}^{k-1} (q^(n-j) - 1)."""
-    assert 0 <= k <= n, "qphi requires k <= n"
+    """phi^n_k = prod_{j=0}^{k-1} (q^(n-j) - 1), for 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"qphi needs 0 <= k <= n: {(n, k)}")
     out = ONE
     for j in range(k):
         out = out * (QPoly.q_pow(n - j) - 1)

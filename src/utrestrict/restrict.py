@@ -11,8 +11,8 @@ import itertools
 from math import comb
 
 from .qcalc import (
-    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qmultinom, qint,
-    _packing, laurent_sum, unpack,
+    QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, e_k, qphi, qmultinom, qint,
+    packing, laurent_sum, unpack,
 )
 from .setpart import (
     SetPartition, ArcMultiset, EnumerationBoundExceeded, MAX_PARTITIONS,
@@ -20,7 +20,7 @@ from .setpart import (
 )
 from .nestposet import (
     block_poset, depth_vector, poset_multinom,
-    blocks_with_max_in, blocks_with_min_in, _e_k,
+    blocks_with_max_in, blocks_with_min_in,
 )
 from .scfcore import Decomposition
 
@@ -196,16 +196,13 @@ class CoreModule:
         self.k = k
 
     def value(self, mu):
-        n = len(self.ground)
-        if self.k < 0 or self.k > n:
-            return ZERO
-        return qbinom(n - len(mu), self.k).shift(comb(self.k, 2))
+        return e_k(tuple(range(len(self.ground) - len(mu))), self.k)
 
     def decomposition(self):
         n = len(self.ground)
 
         def base(lam, skeleton):
-            return _e_k(depth_vector(skeleton, n), self.k - len(lam)), 0
+            return e_k(depth_vector(skeleton, n), self.k - len(lam)), 0
 
         if self.k > n:
             # the module is zero; a scan would only find zero coefficients
@@ -256,7 +253,7 @@ def rainbow(ground, m, target):
             got = sums.get(weights)
             if got is None:
                 got = sums[weights] = laurent_sum(
-                    ((sign, qphi(m, k), _e_k(weights, k - len(lam))), 0)
+                    ((sign, qphi(m, k), e_k(weights, k - len(lam))), 0)
                     for k in range(len(lam), min(m, n) + 1))
             return got
 
@@ -440,7 +437,7 @@ def double_rainbow(split, m, ell, target):
             # e_k of a pool is 0 past its size
             poly, e = laurent_sum(
                 ((sign, qphi(m, f), qphi(m - f + ell, l),
-                  _e_k(w1, f - g_neq), _e_k(w2, l - g_eq)),
+                  e_k(w1, f - g_neq), e_k(w2, l - g_eq)),
                  ell * counts["=>"] + (m - f - l) * le_gt)
                 for f in range(g_neq, min(m, g_neq + len(w1)) + 1)
                 for l in range(g_eq, min(m - f + ell, g_eq + len(w2)) + 1))
@@ -586,9 +583,9 @@ class UtAlgebra:
         by[w] sums the choices so far that leave w points outside A.  It
         runs at q = 2^K (qcalc.pack): each of its n - 1 steps makes at most
         3 signed terms of one, so the sum's l1 norm, a bound on its
-        coefficients, is at most 3^(n-1): K = qcalc._packing(3^(n-1))."""
+        coefficients, is at most 3^(n-1): K = qcalc.packing(3^(n-1))."""
         rest = self.ground.labels[:-1]
-        K = _packing(3 ** (len(self.ground) - 1))
+        K = packing(3 ** (len(self.ground) - 1))
 
         def base(lam, skeleton):
             R = lam.right_endpoints()

@@ -49,7 +49,7 @@ from itertools import combinations
 from math import comb
 
 from .qcalc import (
-    QPoly, ZERO, InexactDivision, _l1, _packing, divide_exact, pack, unpack)
+    QPoly, ZERO, InexactDivision, l1, packing, divide_exact, pack, unpack)
 from .setpart import (
     SetPartition, arc_token, arcs_label, enumerate_partitions,
 )
@@ -276,7 +276,7 @@ def decompose_exact(f, degree_bound=None):
     values = [f(mu) for mu in parts]
     sizes = [superclass_size(mu, ground) for mu in parts]
     top = len(parts[-1])    # the most arcs: chi^nu has l1 norm <= 2^top
-    K = _packing(sum(_l1(s) * _l1(v) for s, v in zip(sizes, values)) << top)
+    K = packing(sum(l1(s) * l1(v) for s, v in zip(sizes, values)) << top)
     unit = (1 << K) - 1     # q - 1 at q = 2^K
     weighted = [pack(s, K) * pack(v, K) for s, v in zip(sizes, values)]
     weighted = [[w * unit ** a for a in range(top + 1)] for w in weighted]
@@ -303,8 +303,8 @@ def decompose_exact(f, degree_bound=None):
     # the coefficients of each rebuilt value and of f(mu) lie within +-bound
     # and those of their difference within +-2^K, so equal packs mean equal
     # polynomials, and a rebuilt value unpacks exactly
-    K = _packing(max(max(map(_l1, values)),
-                     sum(_l1(c) << len(parts[j]) for j, c in coeffs.items())))
+    K = packing(max(max(map(l1, values)),
+                     sum(l1(c) << len(parts[j]) for j, c in coeffs.items())))
     unit = (1 << K) - 1
     rebuilt = [0] * len(parts)
     for j, c in coeffs.items():

@@ -8,6 +8,7 @@ here, together with the region geometry used by the double-rainbow and onion
 engines.
 """
 
+import re
 from collections import Counter
 from itertools import islice
 
@@ -174,11 +175,10 @@ def parse_partition(text, ground):
     """The set partition whose arcs are the tokens i-j of `text`."""
     arcs = []
     for tok in text.split():
-        try:
-            i, j = map(int, tok.split("-"))
-        except ValueError:
-            raise ValueError(f"token {tok!r} should read i-j") from None
-        arcs.append((i, j))
+        # ASCII digits only: int() also reads "1_0", "+2" and non-ASCII digits
+        if not re.fullmatch(r"[0-9]+-[0-9]+", tok):
+            raise ValueError(f"token {tok!r} should read i-j")
+        arcs.append(tuple(map(int, tok.split("-"))))
     return SetPartition(ground, arcs)
 
 
@@ -203,30 +203,29 @@ def wt_up(A, C):
 # --- region geometry -------------------------------------------------------
 
 class RegionSplit:
-    """Double-rainbow geometry: the restriction ground N = N_< | N_= | N_>
-    sits inside the ambient N' = {n_--} N_< {n_-} N_= {n_+} N_> {n_++}.
-    The four anchors belong to N' but never to N.
+    """Double-rainbow geometry with |N_<| = a, |N_=| = b, |N_>| = c: the
+    restriction ground N = N_< | N_= | N_> sits inside the ambient
+    N' = {n_--} N_< {n_-} N_= {n_+} N_> {n_++} = 1..n_++.  The four anchors
+    belong to N' but never to N.
 
-    Degenerate collapses: n_- may coincide with n_-- (then N_< = {}) and
-    n_+ with n_++ (then N_> = {}); N_= may be empty while n_- < n_+.
+    Degenerate collapses: n_- coincides with n_-- exactly when a = 0, and
+    n_+ with n_++ exactly when c = 0; N_= may be empty while n_- < n_+.
     """
 
     __slots__ = ("ambient", "inner", "n_mm", "n_m", "n_p", "n_pp",
                  "n_lt", "n_eq", "n_gt", "region")
 
-    def __init__(self, ambient, n_mm, n_m, n_p, n_pp):
-        anchors = (n_mm, n_m, n_p, n_pp)
-        if not (n_mm <= n_m <= n_p <= n_pp and n_mm < n_pp):
-            raise ValueError(f"anchors {anchors} must be ordered")
-        inner = [x for x in ambient if x not in anchors]
-        if not inner:
-            raise ValueError("the restriction ground N must be nonempty")
-        if not all(n_mm < x < n_pp for x in inner):
-            raise ValueError(f"{ambient.labels} leaves the outer anchors")
-        if n_m not in ambient or n_p not in ambient:
-            raise ValueError(f"inner anchors must lie in {ambient.labels}")
-        self.ambient = ambient
+    def __init__(self, a, b, c):
+        if min(a, b, c) < 0 or not a + b + c:
+            raise ValueError(f"region sizes {(a, b, c)} must be nonnegative "
+                             "and not all zero")
+        n_m = a + 1 + (a > 0)
+        n_p = n_m + b + 1
+        n_pp = n_p + c + (c > 0)
+        anchors = (1, n_m, n_p, n_pp)
+        self.ambient = GroundSet.range(n_pp)
         self.n_mm, self.n_m, self.n_p, self.n_pp = anchors
+        inner = [x for x in self.ambient if x not in anchors]
         self.inner = GroundSet(inner)
         self.n_lt = GroundSet(x for x in inner if x < n_m)
         self.n_eq = GroundSet(x for x in inner if n_m < x < n_p)
@@ -234,20 +233,10 @@ class RegionSplit:
         # the region tag of each point of N
         self.region = {x: "<" if x < n_m else "=" if x < n_p else ">"
                        for x in inner}
-        # the anchor collapses are forced by the region emptiness
-        if not (self.n_lt or n_m == n_mm) or not (self.n_gt or n_p == n_pp):
-            raise ValueError(f"an empty side region needs its anchors "
-                             f"collapsed: {anchors}")
 
-    @staticmethod
-    def from_sizes(a, b, c):
-        """Geometry with |N_<| = a, |N_=| = b, |N_>| = c on the labels
-        1..n_++.  n_- collapses onto n_-- exactly when a = 0 (the geometry
-        forces it), similarly on the right."""
-        n_m = a + 1 + (a > 0)
-        n_p = n_m + b + 1
-        n_pp = n_p + c + (c > 0)
-        return RegionSplit(GroundSet.range(n_pp), 1, n_m, n_p, n_pp)
+    @classmethod
+    def from_sizes(cls, a, b, c):
+        return cls(a, b, c)
 
     def anchor_multiset(self, m, ell):
         """The double-rainbow multiset over the ambient ground set."""

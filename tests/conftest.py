@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from types import SimpleNamespace
 
@@ -35,6 +36,15 @@ def blocks(lam):
     for x in lam.ground:
         out.setdefault(find(x), []).append(x)
     return frozenset(frozenset(b) for b in out.values())
+
+
+def subset_sum(weights, k):
+    """The sum of q^(sum of S) over the k-subsets S of the weights, by
+    listing the subsets: the witness of qcalc.e_k."""
+    if k < 0:
+        return ZERO
+    counts = Counter(map(sum, itertools.combinations(weights, k)))
+    return QPoly([counts[e] for e in range(max(counts, default=-1) + 1)])
 
 
 def crs(lam):

@@ -288,7 +288,8 @@ class TestShow:
                 f"usage error: {prefix}: repeated left or right endpoint "
                 "in [(1, 3), (1, 3)]\n"))
 
-    @pytest.mark.parametrize("token", ["1-2-3", "1--2", "x", "a-b"])
+    @pytest.mark.parametrize("token", ["1-2-3", "1--2", "x", "a-b", "1_0-12",
+                                       "+2-3", "\u0663-4"])
     def test_malformed_token_is_named(self, token, capsys):
         # one line that quotes the token, from both partition readers
         for argv, prefix in [

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from utrestrict import restrict
+from utrestrict import qcalc, restrict
 from utrestrict.qcalc import (
     QPoly, NonIntegralInterpolation, InexactDivision, divide_exact,
-    qint, qfactorial, qbinom, qphi, qmultinom, interpolate, primes,
+    e_k, qint, qfactorial, qbinom, qphi, qmultinom, interpolate, primes,
     pack, unpack, laurent_sum, ONE, ZERO, Q_MINUS_1,
 )
 from utrestrict.setpart import GroundSet
+
+from conftest import subset_sum
 
 
 def brute_subspace_count(p, n, k):
@@ -92,6 +94,31 @@ class TestQCombinatorics:
                 assert qbinom(n, k) == \
                     qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
 
+    def test_e_k_sums_over_subsets(self):
+        # every weight tuple of at most 6 entries in 0..3, in every order,
+        # and every k from -1 to one past its length
+        for size in range(7):
+            for weights in itertools.product(range(4), repeat=size):
+                for k in range(-1, size + 2):
+                    assert e_k(weights, k) == subset_sum(weights, k), \
+                        (weights, k)
+
+    def test_qbinom_times_factorials(self):
+        # [n choose k]_q [k]! [n-k]! = [n]!, a witness that shares no code
+        # with e_k
+        for n in range(13):
+            for k in range(n + 1):
+                assert qbinom(n, k) * qfactorial(k) * qfactorial(n - k) == \
+                    qfactorial(n)
+
+    def test_qbinom_takes_the_smaller_k(self, monkeypatch):
+        # e_k's rows grow with k: [100 choose 97] is the e_3 of the chain
+        seen = []
+        monkeypatch.setattr(qcalc, "e_k",
+                            lambda w, k: seen.append(k) or e_k(w, k))
+        assert qbinom.__wrapped__(100, 97) == qbinom.__wrapped__(100, 3)
+        assert seen == [3, 3]
+
     def test_qbinom_symmetry(self):
         for n in range(10):
             for k in range(n + 1):
@@ -112,8 +139,9 @@ class TestQCombinatorics:
         assert qphi(5, 0) == ONE
         assert qphi(1, 1) == Q_MINUS_1
         assert qphi(3, 2) == QPoly((1, 0, -1, -1, 0, 1))
-        with pytest.raises(AssertionError):
-            qphi(2, 3)
+        for k in (-1, 3):
+            with pytest.raises(ValueError):
+                qphi(2, k)
 
     def test_qphi_factorization(self):
         for n in range(13):

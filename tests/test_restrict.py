@@ -7,7 +7,7 @@ import pytest
 from utrestrict.qcalc import (
     QPoly, ZERO, ONE, Q_MINUS_1, InexactDivision, qbinom, qphi, qint,
 )
-from utrestrict import nestposet, restrict, scfcore
+from utrestrict import qcalc, restrict, scfcore
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
     nst, nst_points, wt_up, parse_partition, RegionSplit, bell,
@@ -77,15 +77,16 @@ class TestArgumentChecksUnderOptimize:
         # `python -O` strips asserts: each of these calls returned a wrong
         # answer there ({} for m = -1, 4 core coefficients for j > k, 1 for
         # [-1]!, a coefficient for an empty ground, a decomposition over
-        # unsorted labels, a geometry with n_- > n_+, a scan with weight 2
-        # yielding none of the 7 two-arc partitions of weight 4, one with
-        # bound (0, -1) yielding the empty partition, of sum 0, q^2 + 4q + 4
-        # for overlapping pools, 2*q^3 for "2*p^3", and a ZeroDivisionError
-        # for a repeated node) and must raise instead
+        # unsorted labels, a geometry with n_- below n_--, a scan with
+        # weight 2 yielding none of the 7 two-arc partitions of weight 4, one
+        # with bound (0, -1) yielding the empty partition, of sum 0,
+        # q^2 + 4q + 4 for overlapping pools, 2*q^3 for "2*p^3", a
+        # ZeroDivisionError for a repeated node, and 1 for phi^2_{-1}) and
+        # must raise instead
         script = (
             "from utrestrict.nestposet import block_poset, poset_multinom\n"
             "from utrestrict.qcalc import (\n"
-            "    QPoly, interpolate, qfactorial, qint, qmultinom)\n"
+            "    QPoly, interpolate, qfactorial, qint, qmultinom, qphi)\n"
             "from utrestrict.restrict import (\n"
             "    UtAlgebra, core, core_tensor, double_rainbow, interference,\n"
             "    rainbow)\n"
@@ -101,7 +102,7 @@ class TestArgumentChecksUnderOptimize:
             "    lambda: qfactorial(-1),\n"
             "    lambda: UtAlgebra(GroundSet(())),\n"
             "    lambda: core(GroundSet((3, 1, 2)), 1).decomposition(),\n"
-            "    lambda: RegionSplit(GroundSet.range(5), 1, 4, 2, 5),\n"
+            "    lambda: RegionSplit.from_sizes(-1, 1, 1),\n"
             "    lambda: GroundSet((0, 1)),\n"
             "    lambda: g.subset({5}),\n"
             "    lambda: rainbow(g, -1, 'superchars'),\n"
@@ -116,6 +117,7 @@ class TestArgumentChecksUnderOptimize:
             "    lambda: poset_multinom(P, [(1, frozenset(P))] * 2),\n"
             "    lambda: QPoly.parse('2*p^3'),\n"
             "    lambda: interpolate([(1, 1), (1, 2)]),\n"
+            "    lambda: qphi(2, -1),\n"
             "]\n"
             "for call in calls:\n"
             "    try:\n"
@@ -124,7 +126,7 @@ class TestArgumentChecksUnderOptimize:
             "        print('raised')\n")
         proc = run_optimized(script)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        assert proc.stdout.splitlines() == ["raised"] * 19
+        assert proc.stdout.splitlines() == ["raised"] * 20
 
 
 def endpoint_refine(K, J):
@@ -1008,9 +1010,9 @@ class TestWorkCounts:
         assert scanned[0] == len(dec.coeffs) == 24
 
     def test_core_computes_each_binomial_once(self, scanned):
-        nestposet._e_k.cache_clear()
+        qcalc.e_k.cache_clear()
         dec = core(GroundSet.range(10), 5).decomposition()
-        info = nestposet._e_k.cache_info()
+        info = qcalc.e_k.cache_info()
         # 72,028 partitions of [10] with at most 5 arcs; one e_k per
         # endpoint skeleton (the noncrossing ones), 128 distinct
         assert scanned[0] == len(dec.coeffs) == 72028

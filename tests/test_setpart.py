@@ -231,7 +231,7 @@ class TestStats:
 class TestRegions:
     def split(self):
         # ambient 1..8: n--=1, N_<={2}, n-=3, N_=={4,5}, n+=6, N_>={7}, n++=8
-        return RegionSplit(GroundSet.range(8), 1, 3, 6, 8)
+        return RegionSplit.from_sizes(1, 2, 1)
 
     def test_regions(self):
         s = self.split()
