@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from argparse import ArgumentTypeError
 
@@ -54,17 +55,24 @@ class _Parser(argparse.ArgumentParser):
 # into a usage error that names the flag
 
 def _ints(words, what):
-    """The integers in `words`; a word that is not one is a bad value."""
-    try:
-        return [int(x) for x in words]
-    except ValueError:
-        raise ArgumentTypeError(f"bad {what}") from None
+    """The integers in `words`; a word that is not one, in ASCII digits with
+    an optional minus sign, is a bad value (int() also reads "1_0", "+1",
+    " 1" and non-ASCII digits)."""
+    if not all(re.fullmatch(r"-?[0-9]+", x) for x in words):
+        raise ArgumentTypeError(f"bad {what}")
+    return [int(x) for x in words]
+
+
+def _integer(text):
+    """The converter of every integer flag."""
+    [n] = _ints([text], f"integer {text!r}")
+    return n
 
 
 def _at_least(lo):
     """The converter of an integer flag whose value must be at least lo."""
     def convert(text):
-        [n] = _ints([text], f"integer {text!r}")
+        n = _integer(text)
         if n < lo:
             raise ArgumentTypeError(f"must be at least {lo}: {n}")
         return n
@@ -423,7 +431,7 @@ def build_parser():
         if ground:
             add_ground(fp)
         fp.add_argument("--format", choices=("text", "json", "csv"))
-        fp.add_argument("--q", type=int)
+        fp.add_argument("--q", type=_integer)
         fp.add_argument("--out")
         return fp
 
@@ -448,8 +456,8 @@ def build_parser():
     fp.add_argument("--k", type=_at_least(0), required=True)
     fp = family("peel", lambda a: peel(a.split, a.b, a.f), ground=False)
     fp.add_argument("--split", type=_split, required=True)
-    fp.add_argument("--b", type=int, required=True)
-    fp.add_argument("--f", type=int, required=True)
+    fp.add_argument("--b", type=_integer, required=True)
+    fp.add_argument("--f", type=_integer, required=True)
     fp = family("ut-algebra", _build_ut_algebra)
     fp.add_argument("--target", choices=("superchars", "core"),
                     default="superchars")
@@ -468,7 +476,7 @@ def build_parser():
         sp.set_defaults(n=None, q=None, budget=DEFAULT_BUDGET, max=8)
         if name != "identities":
             sp.add_argument("--n", type=_at_least(1))
-            sp.add_argument("--q", type=int, choices=(2, 3))
+            sp.add_argument("--q", type=_integer, choices=(2, 3))
             sp.add_argument("--budget", type=_at_least(1))
         if name in ("identities", "all"):
             sp.add_argument("--max", type=_at_least(1))

@@ -12,9 +12,9 @@ The engines read these weights on the uncrossing of a partition lam, which
 depends only on L(lam) and R(lam).  Arcs of a noncrossing partition cannot
 cross a block, so the blocks above b are those with an arc strictly over
 min(b), one arc each: wt(b) is the number of arcs open at min(b).  So the
-sorted weights are the scan's depth vector (`depth_vector`), read off the
-endpoint skeleton alone; the engines that need the blocks themselves, to
-pool them by their end points, build them with `block_poset`.
+sorted weights are the scan's depth vector (`setpart.depth_vector`); the
+engines that pool the blocks by the region of an end point build them with
+`block_poset` and filter its entries.
 """
 
 from .qcalc import ZERO, ONE, e_k
@@ -22,7 +22,7 @@ from .qcalc import ZERO, ONE, e_k
 
 def block_poset(lam):
     """One (min, max, wt) entry per block of the uncrossing of lam, sorted
-    by min.  The end points pick out bl_{R(K)} / bl_{L(K)} downstream; wt
+    by min.  bl_{R(K)} / bl_{L(K)} are the entries with max / min in K; wt
     is the number of blocks nesting over the block.
 
     One scan of the ground set: a right endpoint joins the block of the
@@ -41,35 +41,6 @@ def block_poset(lam):
         if x in L:
             open_blocks.append(b)
     return tuple(map(tuple, entries))
-
-
-def depth_vector(skeleton, n):
-    """The sorted block weights of the uncrossing of every partition of n
-    points with this skeleton (an enumerate_partitions skeleton: bit 2i set
-    when the i-th point opens an arc, bit 2i + 1 when it closes one).  A
-    point that closes no arc starts a block under the arcs open just before
-    it, so its weight is the depth there."""
-    weights = []
-    depth = 0
-    for _ in range(n):
-        if skeleton & 2:
-            depth -= 1
-        else:
-            weights.append(depth)
-        depth += skeleton & 1
-        skeleton >>= 2
-    weights.sort()
-    return tuple(weights)
-
-
-def blocks_with_max_in(P, K):
-    """bl_{R(K)}: entries whose rightmost ground point lies in K."""
-    return frozenset(b for b in P if b[1] in K)
-
-
-def blocks_with_min_in(P, K):
-    """bl_{L(K)}: entries whose leftmost ground point lies in K."""
-    return frozenset(b for b in P if b[0] in K)
 
 
 def poset_binom(P, k):

@@ -306,28 +306,32 @@ def e_k(weights, k):
     """e_k(q^w : w in weights), the sum over k-subsets of q^(their sum),
     and zero unless 0 <= k <= len(weights).  Symmetric in the weights, so
     callers pass them as a sorted tuple: the engines meet few distinct
-    weight vectors across many partitions."""
+    weight vectors across many partitions.  The rows grow with k, so past
+    len/2 it is q^(sum of the weights) e_(len-k) at 1/q: the coefficients of
+    e_(len-k), padded to that degree and reversed."""
     if k < 0 or k > len(weights):
         return ZERO
+    low = min(k, len(weights) - k)
     # rows[j]: coefficients of e_j over the weights seen so far
-    rows = [[1]] + [[] for _ in range(k)]
+    rows = [[1]] + [[] for _ in range(low)]
     for i, w in enumerate(weights):
-        for j in range(min(i + 1, k), 0, -1):
+        for j in range(min(i + 1, low), 0, -1):
             src, dst = rows[j - 1], rows[j]
             if len(dst) < len(src) + w:
                 dst.extend([0] * (len(src) + w - len(dst)))
             for e, c in enumerate(src):
                 dst[e + w] += c
-    return QPoly(rows[k])
+    row = rows[low]
+    if low < k:
+        row = (row + [0] * (sum(weights) + 1 - len(row)))[::-1]
+    return QPoly._of(row)
 
 
 @cache
 def qbinom(n, k):
-    """[n choose k]_q = [n choose n-k]_q, zero unless 0 <= k <= n: e_k over
-    the chain weights 0..n-1, at the smaller k (e_k's rows grow with k), is
-    q^C(k,2) times it, so drop its first C(k,2) coefficients (all zero).
-    e_k loops over the weights, so any n fits the stack."""
-    k = min(k, n - k)
+    """[n choose k]_q, zero unless 0 <= k <= n: e_k over the chain weights
+    0..n-1 is q^C(k,2) times it, so drop its first C(k,2) coefficients (all
+    zero).  e_k loops over the weights, so any n fits the stack."""
     return QPoly._of(list(e_k(tuple(range(n)), k).coeffs[k * (k - 1) // 2:]))
 
 

@@ -16,12 +16,9 @@ from .qcalc import (
 )
 from .setpart import (
     SetPartition, ArcMultiset, EnumerationBoundExceeded, MAX_PARTITIONS,
-    enumerate_partitions, nst, nst_points, wt_up,
+    enumerate_partitions, depth_vector, nst, nst_points, wt_up,
 )
-from .nestposet import (
-    block_poset, depth_vector, poset_multinom,
-    blocks_with_max_in, blocks_with_min_in,
-)
+from .nestposet import block_poset, poset_binom, poset_multinom
 from .scfcore import Decomposition
 
 
@@ -79,25 +76,23 @@ def _shift_signed(poly, e):
     return QPoly(poly.coeffs[-e:])
 
 
-def _superchars(ground, base, max_arcs=None, weight=None, bound=None,
-                split=None):
+def _superchars(ground, base, max_arcs=None, weight=None, bound=None):
     """The supercharacter decomposition whose coefficient at each partition
     lam that enumerate_partitions(ground, max_arcs, weight, bound) yields is
     q^nst(lam, lam) times q^e poly, where (poly, e) = base(lam, skeleton)
-    and skeleton is lam's endpoint skeleton from the scan; every other
-    coefficient is zero.  weight(i, j) is None for an arc no such lam holds
-    and otherwise 0 or 1 (the scan's lower-end prune counts at most one arc
-    per left endpoint), and bound = (lo, hi) limits the weight sum of lam
-    (None: no limit): so the scan skips partitions whose coefficient would
-    be zero, as peel's without exactly b arcs from N_< to N_>.
+    and skeleton is lam's skeleton from the scan; every other coefficient is
+    zero.  weight(i, j) is None for an arc no such lam holds and otherwise 0
+    or 1 (the scan's lower-end prune counts at most one arc per left
+    endpoint), and bound = (lo, hi) limits the weight sum of lam (None: no
+    limit): so the scan skips partitions whose coefficient would be zero,
+    as peel's without exactly b arcs from N_< to N_>.
 
-    base may read lam only through L(lam) and R(lam), and, given a
-    RegionSplit `split`, through its arc counts by region.  It runs once
-    per endpoint skeleton of the scan, and with `split` once per skeleton
-    and number of arcs inside N_=: with L(lam) and R(lam) fixed, that
-    number fixes every region count (arcs into N_= start in N_< or N_=,
-    arcs out of N_= end in N_= or N_>, and arcs into N_< start there).  So
-    a scan that allows no arc inside N_=, as peel's does, needs no split.
+    base may read lam only through L(lam), R(lam) and the weight sum of its
+    arcs, which the skeleton encodes, and runs once per skeleton of the
+    scan.  For the double rainbow the weight sum is the number of arcs
+    outside N_=: with L(lam) and R(lam) fixed, that number fixes every
+    region count (arcs into N_= start in N_< or N_=, arcs out of N_= end in
+    N_= or N_>, and arcs into N_< start there).
 
     Partitions whose base polynomial and total shift agree share one
     coefficient object: few distinct ones occur among many partitions."""
@@ -106,13 +101,9 @@ def _superchars(ground, base, max_arcs=None, weight=None, bound=None,
     coeffs = {}
     for lam, nest, skeleton in enumerate_partitions(ground, max_arcs, weight,
                                                     bound):
-        key = skeleton
-        if split is not None:
-            key = (key, sum(1 for i, j in lam.arcs
-                            if split.n_m < i and j < split.n_p))
-        got = memo.get(key)
+        got = memo.get(skeleton)
         if got is None:
-            got = memo[key] = base(lam, skeleton)
+            got = memo[skeleton] = base(lam, skeleton)
         poly, e = got
         if poly.coeffs:
             # memo keeps every base polynomial alive, so no id is reused
@@ -340,7 +331,7 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
             # right end in K
             union = SetPartition(ground, nu.arcs + lam.arcs)
             P = block_poset(union)
-            blR = blocks_with_max_in(P, K)
+            blR = [b for b in P if b[1] in K]
             outer = nst(nu, lam)
             return laurent_sum(
                 ((sign, qphi(ell, l),
@@ -360,9 +351,9 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
 
 # --- peel, double rainbow, onion --------------------------------------------
 
-def _peel_pool(P, split):
-    return (blocks_with_max_in(P, set(split.n_lt))
-            | blocks_with_min_in(P, set(split.n_gt)))
+def _peel_pool(P, region):
+    """The blocks of P that end in N_< or start in N_>."""
+    return [b for b in P if region[b[1]] == "<" or region[b[0]] == ">"]
 
 
 def peel(split, b, f):
@@ -373,8 +364,8 @@ def peel(split, b, f):
         raise ValueError(f"peel parameters (b={b}, f={f}) out of range")
 
     def base(nu, skeleton):
-        P = block_poset(nu)
-        return poset_multinom(P, [(f - len(nu), _peel_pool(P, split))]), 0
+        return poset_binom(_peel_pool(block_poset(nu), region),
+                           f - len(nu)), 0
 
     # the coefficient vanishes unless nu has exactly b arcs from N_< to N_>
     # and none inside N_=
@@ -418,6 +409,7 @@ def double_rainbow(split, m, ell, target):
         return Decomposition("peel", coeffs)
 
     sign = Q_MINUS_1 ** (m + ell)
+    region = split.region
     sums = {}   # (region counts, sorted pool weights) -> (poly, e)
 
     def base(gam, skeleton):
@@ -428,9 +420,8 @@ def double_rainbow(split, m, ell, target):
         P = block_poset(gam)
         # poset_multinom(P, pools) as one e_k factor per disjoint pool, each
         # on the pool's sorted block weights
-        w1 = tuple(sorted(b[2] for b in _peel_pool(P, split)))
-        w2 = tuple(sorted(b[2] for b in
-                          blocks_with_max_in(P, set(split.n_eq))))
+        w1 = tuple(sorted(b[2] for b in _peel_pool(P, region)))
+        w2 = tuple(sorted(b[2] for b in P if region[b[1]] == "="))
         key = g_eq, g_neq, counts["=>"], le_gt, w1, w2
         got = sums.get(key)
         if got is None:
@@ -447,10 +438,9 @@ def double_rainbow(split, m, ell, target):
     if target == "superchars":
         # more than m arcs outside N_= leave the f range of base empty, and
         # more than m + ell arcs in all the l range
-        region = split.region
         return _superchars(split.inner, base, m + ell,
                            lambda i, j: int(region[i] + region[j] != "=="),
-                           (0, m), split)
+                           (0, m))
 
     if target == "trivial_coeff":
         empty = SetPartition(split.inner, ())

@@ -5,7 +5,9 @@ pairwise distinct left and pairwise distinct right endpoints, and a block is
 a maximal chain of its arcs.  Statistics (nestings, weights), the uncrossing
 map, the dagger involution and enumeration by an arc-by-arc scan all live
 here, together with the region geometry used by the double-rainbow and onion
-engines.
+engines.  The scan's skeleton, the engines' one memo key, is defined here
+alone: L(.) and R(.) as two bits per point below the weight sum of the
+arcs, and `depth_vector` reads the block weights of the uncrossing off it.
 """
 
 import re
@@ -273,8 +275,9 @@ def enumerate_partitions(ground, max_arcs=None, weight=None, bound=None):
     """Every partition of `ground` with at most max_arcs arcs (all of S_N if
     None), each once.  Yields (lam, nest, skeleton): nest is nst(lam, lam),
     and skeleton is an int with bit 2i set when the i-th point is a left
-    endpoint and bit 2i + 1 when it is a right endpoint, so two partitions
-    share a skeleton exactly when they share L(.) and R(.).
+    endpoint and bit 2i + 1 when it is a right endpoint, plus 4^n times the
+    weight sum of its arcs, so two yields of one scan share a skeleton
+    exactly when they share L(.), R(.) and the weight sum.
 
     weight(i, j) is None for an arc (i, j) that no yield may hold, and
     otherwise its weight, 0 or 1 (None: every arc weighs 0); with bound =
@@ -333,8 +336,8 @@ def _scan(ground, cap, weight, bound):
                 raise ValueError(
                     f"arc ({x},{y}) weighs {w!r}, not None, 0 or 1")
             if w is not None and w <= hi:
-                groups[i].append(
-                    ((x, y), 1 << j, j, 1 << 2 * i | 2 << 2 * j, w))
+                bits = 1 << 2 * i | 2 << 2 * j | w << 2 * len(labels)
+                groups[i].append(((x, y), 1 << j, j, bits, w))
     # each arc also holds the index of the first arc with a later left end
     cands = []
     for group in groups:
@@ -359,8 +362,25 @@ def _scan(ground, cap, weight, bound):
             for arc, bit, j, bits, w, after in rev[:top - k]:
                 if not used & bit and count + w <= hi:
                     push((after, arcs + (arc,), used | bit,
-                          nest + (used >> j).bit_count(), skeleton | bits,
+                          nest + (used >> j).bit_count(), skeleton + bits,
                           count + w))
+
+
+def depth_vector(skeleton, n):
+    """The sorted block weights of the uncrossings of the partitions of n
+    points with this scan skeleton, from its low 2n bits: a point that
+    closes no arc starts a block under the arcs open just before it."""
+    weights = []
+    depth = 0
+    for _ in range(n):
+        if skeleton & 2:
+            depth -= 1
+        else:
+            weights.append(depth)
+        depth += skeleton & 1
+        skeleton >>= 2
+    weights.sort()
+    return tuple(weights)
 
 
 def bell(n):

@@ -104,6 +104,17 @@ BAD_INPUTS = [
     # flags come after the family or suite
     (["decompose", "--n", "3", "rainbow", "--m", "1"], 1),
     (["verify", "--n", "2", "orbits"], 1),
+    # integer flags read ASCII digits with an optional minus sign only:
+    # int() also reads "+1", "1_0" and non-ASCII digits
+    (["decompose", "core", "--n", "\u0663", "--k", "+1"], 1),
+    (["decompose", "core", "--n", "3", "--k", "+1"], 1),
+    (["decompose", "core", "--n", "1_0", "--k", "2"], 1),
+    (["decompose", "core", "--n", "3", "--k", "1", "--q", "\u0663"], 1),
+    (["decompose", "peel", "--split", "1,1,1", "--b", "\u0661", "--f",
+      "1"], 1),
+    (["verify", "orbits", "--n", "\u0662", "--q", "2"], 1),
+    (["decompose", "onion", "--labels", "2,3", "--anchors", "1,4",
+      "--m-list", "\u0662"], 1),
     # the known three-layer onion defect (see the strict xfail below) must
     # fail cleanly, not print a wrong table
     (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",

@@ -4,10 +4,7 @@ import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, ONE
 from utrestrict.setpart import GroundSet, parse_partition, enumerate_partitions
-from utrestrict.nestposet import (
-    block_poset, poset_binom, poset_multinom,
-    blocks_with_max_in, blocks_with_min_in,
-)
+from utrestrict.nestposet import block_poset, poset_binom, poset_multinom
 
 from conftest import closure_block_poset, crs, subset_sum
 
@@ -85,8 +82,9 @@ class TestBlockPoset:
     def test_endpoint_payload(self):
         lam = parse_partition("1-7 2-4 4-5", GroundSet.range(7))
         P = block_poset(lam)
-        assert blocks_with_max_in(P, {5, 6}) == {(2, 5, 1), (6, 6, 1)}
-        assert blocks_with_min_in(P, {1, 3}) == {(1, 7, 0), (3, 3, 2)}
+        # bl_R(K) and bl_L(K) are the entries with max / min in K
+        assert [b for b in P if b[1] in {5, 6}] == [(2, 5, 1), (6, 6, 1)]
+        assert [b for b in P if b[0] in {1, 3}] == [(1, 7, 0), (3, 3, 2)]
 
 
 class TestPosetBinom:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,13 +112,33 @@ class TestQCombinatorics:
                 assert qbinom(n, k) * qfactorial(k) * qfactorial(n - k) == \
                     qfactorial(n)
 
-    def test_qbinom_takes_the_smaller_k(self, monkeypatch):
-        # e_k's rows grow with k: [100 choose 97] is the e_3 of the chain
-        seen = []
-        monkeypatch.setattr(qcalc, "e_k",
-                            lambda w, k: seen.append(k) or e_k(w, k))
+    @staticmethod
+    def e_k_lines(weights, k):
+        """The lines that one uncached e_k(weights, k) runs."""
+        code, count = e_k.__wrapped__.__code__, [0]
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            count[0] += event == "line"
+            return tracer
+
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            e_k.__wrapped__(weights, k)
+        finally:
+            sys.settrace(before)
+        return count[0]
+
+    def test_qbinom_takes_the_smaller_k(self):
+        # e_k's rows grow with k, and past len/2 it reads the complement:
+        # e_97 of the chain 0..99 builds the rows of e_3 (31,196 lines run
+        # at k = 3), where building the rows up to k runs 16,309,787; the
+        # [100 choose 97] that reads it is [100 choose 3]
+        chain = tuple(range(100))
+        assert self.e_k_lines(chain, 97) <= self.e_k_lines(chain, 3) + 10
         assert qbinom.__wrapped__(100, 97) == qbinom.__wrapped__(100, 3)
-        assert seen == [3, 3]
 
     def test_qbinom_symmetry(self):
         for n in range(10):

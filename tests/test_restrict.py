@@ -12,10 +12,7 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
     nst, nst_points, wt_up, parse_partition, RegionSplit, bell,
 )
-from utrestrict.nestposet import (
-    block_poset, poset_binom, poset_multinom,
-    blocks_with_max_in, blocks_with_min_in,
-)
+from utrestrict.nestposet import block_poset, poset_binom, poset_multinom
 from utrestrict.scfcore import (
     SuperclassFunction, superchar_value, decompose_exact, restrict_values,
 )
@@ -494,8 +491,8 @@ class TestWorkedExample:
 
     def test_intermediate_polynomials(self):
         g, union, K, P = self.setup_data()
-        blR = blocks_with_max_in(P, K)
-        blL = blocks_with_min_in(P, K)
+        blR = [b for b in P if b[1] in K]
+        blL = [b for b in P if b[0] in K]
         pm = lambda k, pool: poset_multinom(P, [(k, pool)])
         assert pm(0, blR) == ONE and pm(0, blL) == ONE
         assert pm(1, blR) == QPoly.parse("q^4 + 3*q^3 + 2*q^2 + q")
@@ -510,8 +507,8 @@ class TestWorkedExample:
         g, union, K, P = self.setup_data()
         XL = {1, 2, 3, 7} & K
         XR = {6, 10, 9, 13} & K
-        blR = blocks_with_max_in(P, K)
-        blL = blocks_with_min_in(P, K)
+        blR = [b for b in P if b[1] in K]
+        blL = [b for b in P if b[0] in K]
         poolR = sorted(K - XL - {5})
         poolL = sorted(K - XR - {12})
 
@@ -533,8 +530,8 @@ class TestWorkedExample:
         xl = len(nu_left & K)   # only 7
         xr = len(nu_right & K)  # 6, 9, 10
         assert (xl, xr) == (1, 3)
-        blR = blocks_with_max_in(P, K)
-        blL = blocks_with_min_in(P, K)
+        blR = [b for b in P if b[1] in K]
+        blL = [b for b in P if b[0] in K]
         ell, sz = 3, 1  # one arc of the inner partition
         left = ZERO
         right = ZERO
@@ -563,8 +560,8 @@ class TestSymmetryIdentity:
         P = block_poset(union.uncross())
         xl = len(nu.left_endpoints() & K)
         xr = len(nu.right_endpoints() & K)
-        blR = blocks_with_max_in(P, K)
-        blL = blocks_with_min_in(P, K)
+        blR = [b for b in P if b[1] in K]
+        blL = [b for b in P if b[0] in K]
         left = ZERO
         right = ZERO
         for l in range(len(lam), ell + 1):
@@ -956,7 +953,7 @@ class TestNonnegativity:
 class TestWorkCounts:
     """Deterministic work of the engines: the partitions the scan yields,
     the coefficients they keep, the coefficient bases computed (one per
-    endpoint skeleton) and the distinct poset binomials computed.  A
+    scan skeleton) and the distinct poset binomials computed.  A
     regression in the scan's constraints, the skeleton memo or the e_k memo
     moves these counts; wall time is not gated."""
 
@@ -1032,9 +1029,16 @@ class TestWorkCounts:
                              "superchars")
         assert scanned[0] == len(dec.coeffs) == 435
 
+    def test_double_rainbow_bases_once_per_key(self, scanned, bases):
+        # one base per skeleton, which holds L, R and the weight sum (the
+        # arcs outside N_=): 339 of the 435 partitions
+        double_rainbow(RegionSplit.from_sizes(3, 2, 3), 2, 2, "superchars")
+        assert (scanned[0], bases[0]) == (435, 339)
+
     def test_double_rainbow_sums_once_per_pool_weights(self, monkeypatch):
         # one Laurent sum per (region counts, sorted pool weights), not per
-        # (skeleton, N_= arc count): 339 bases share at most 115 sums
+        # skeleton (L, R and arcs outside N_=): 339 bases share at most 115
+        # sums
         count = [0]
         laurent_sum = restrict.laurent_sum
 

@@ -9,9 +9,9 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
     parse_partition, nst, nst_points, wt_up,
-    enumerate_partitions, from_blocks, bell, MAX_PARTITIONS,
+    enumerate_partitions, from_blocks, bell, depth_vector, MAX_PARTITIONS,
 )
-from utrestrict.nestposet import block_poset, depth_vector
+from utrestrict.nestposet import block_poset
 
 from conftest import blocks, crs
 
@@ -414,6 +414,12 @@ def depth_mismatches(depth):
     return out
 
 
+def counted_shift(split, counts, counted):
+    """What a region rule's weight sum adds to a skeleton of split's inner
+    ground: the arcs in the counted classes, times 4^n."""
+    return sum(counts[cls] for cls in counted) << 2 * len(split.inner)
+
+
 def obeys(counts, rule):
     """Whether region counts obey a region rule: no arc in a forbidden
     class, and between lo and hi arcs in the counted classes."""
@@ -552,6 +558,31 @@ class TestEnumeration:
                             == skeleton
             assert len(set(skeletons.values())) == len(skeletons)
 
+    def test_skeleton_is_ends_and_weight_sum(self):
+        # two yields of one scan share a skeleton exactly when they share
+        # L(lam), R(lam) and the weight sum of their arcs: on every scan of
+        # constraint_grid under each arc cap (all weights 0), and under
+        # every rule of rule_grid (weight sum: the arcs in the counted
+        # classes)
+        scans = [(g, m, endpoint_weight(*pair), None)
+                 for g, pairs in constraint_grid() for pair in pairs
+                 for m in caps(g)]
+        scans += [(split.inner, cap, region_weight(split, *rule[:2]),
+                   rule[2])
+                  for split, rules in rule_grid() for cap, rule in rules]
+        sums = set()
+        for g, m, weight, bound in scans:
+            keys = {}       # skeleton -> (L, R, weight sum)
+            for lam, _, skeleton in enumerate_partitions(g, m, weight, bound):
+                total = sum(weight(i, j) for i, j in lam.arcs) if weight \
+                    else 0
+                key = lam.left_endpoints(), lam.right_endpoints(), total
+                assert keys.setdefault(skeleton, key) == key
+                sums.add(total)
+            assert len(set(keys.values())) == len(keys)
+        # not vacuous: the rules reach weight sums past 1
+        assert sums == {0, 1, 2, 3}
+
     def test_depth_vector_is_the_block_weights(self):
         # the depth vector read off each yielded skeleton is the sorted
         # block weights of block_poset, on every partition of [n], n <= 7,
@@ -611,7 +642,9 @@ class TestEnumeration:
     def test_region_rule(self):
         # on every split and rule of rule_grid, the scan under the rule
         # yields exactly the partitions of the capped scan whose region
-        # counts obey the rule, each once, with the same nest and skeleton
+        # counts obey the rule, each once, with the same nest, and the
+        # skeleton of the unruled scan (weight sum 0) plus the rule's
+        # weight sum times 4^n
         kept = dropped = short = 0
         for split, rules in rule_grid():
             # the partitions by arc count and region counts
@@ -628,7 +661,10 @@ class TestEnumeration:
                     if size > cap:
                         continue
                     if obeys(counts, rule):
-                        want.update(lams)
+                        # the ruled skeleton adds the rule's weight sum
+                        shift = counted_shift(split, counts, counted)
+                        want.update((lam, (nest, skeleton + shift))
+                                    for lam, (nest, skeleton) in lams.items())
                         continue
                     dropped += len(lams)
                     # obeys the rule but its lower end
@@ -660,14 +696,18 @@ class TestEnumeration:
 
     def test_ruled_scan_is_the_filtered_scan(self):
         # under rules with a lower end above 0, the ruled scan yields, in
-        # order and with the same nest and skeleton, exactly the capped
-        # unruled scan's partitions that obey the rule; and so does the
-        # plain copy of the scan in arc_scan
+        # order and with the same nest, exactly the capped unruled scan's
+        # partitions that obey the rule, its skeleton shifted by the
+        # rule's weight sum; and so does the plain copy of the scan in
+        # arc_scan
         cases = 0
         for split, cap, rule in lower_end_rules():
-            want = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
+            want = [(lam.arcs, nest,
+                     skeleton + counted_shift(split, counts, rule[1]))
+                    for lam, nest, skeleton
                     in enumerate_partitions(split.inner, cap)
-                    if obeys(split.region_counts(lam), rule)]
+                    for counts in [split.region_counts(lam)]
+                    if obeys(counts, rule)]
             got = [(lam.arcs, nest, skeleton) for lam, nest, skeleton
                    in ruled_scan(split, cap, rule)]
             assert got == want
