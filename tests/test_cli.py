@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import itertools
@@ -594,16 +595,21 @@ def _ground_size(key):
     return int(opts["--n"])
 
 
+def _recomputed_digest_keys():
+    """The digest keys the tests recompute: every peel key, and the other
+    keys on at most 4 points and the engines-size ones (more than the
+    sweep's 6 points)."""
+    return [key for key in json.loads(DIGESTS.read_text())
+            if key.startswith("peel ") or not 4 < _ground_size(key) <= 6]
+
+
 class TestRecordedDigests:
     def test_outputs_match_recorded_digests(self):
         # bench/digests.json pins the JSON output of every base query in a
         # basis with no independent check (core, peel, onion, trivial_coeff
-        # and the row-set modules).  Recompute every peel key, and the other
-        # keys on at most 4 points and the engines-size ones (more than the
-        # sweep's 6 points).
+        # and the row-set modules)
         recorded = json.loads(DIGESTS.read_text())
-        keys = [key for key in recorded if key.startswith("peel ")
-                or not 4 < _ground_size(key) <= 6]
+        keys = _recomputed_digest_keys()
         assert sum(key.startswith("peel ") for key in keys) == 521
         assert len(keys) == 1190
         differ = []
@@ -620,3 +626,76 @@ class TestRecordedDigests:
                     != recorded[key]:
                 differ.append(key)
         assert differ == []
+
+
+# --- byte reference of the decompose writers ------------------------------------
+
+def reference_output(dec, fmt, q):
+    """The decompose output of `dec` as the writers of earlier releases made
+    it: one dict per term through json.dumps(sort_keys=True), csv.writer
+    called once per row, one write per text line.  The rows are built here
+    from the labels themselves, not through Decomposition.labels_text:
+    partitions by arc count and then arcs, then the other labels by text."""
+    parts = sorted((lab for lab in dec.coeffs
+                    if isinstance(lab, SetPartition)),
+                   key=lambda lam: (len(lam.arcs), lam.arcs))
+    others = sorted((lab for lab in dec.coeffs
+                     if not isinstance(lab, SetPartition)), key=str)
+    rows = [(lam.label(), dec.coeffs[lam]) for lam in parts] \
+        + [(str(lab), dec.coeffs[lab]) for lab in others]
+    rows = [(t, str(c) if q is None else str(c(q))) for t, c in rows]
+    out = io.StringIO()
+    if fmt == "json":
+        obj = {"basis": dec.basis,
+               "terms": [{"label": t, "coeff": c} for t, c in rows]}
+        if q is not None:
+            obj["q"] = q
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(["label", "coeff"])
+        for t, c in rows:
+            w.writerow([t, c])
+    else:
+        out.write(f"basis: {dec.basis}\n")
+        width = max((len(t) for t, _ in rows), default=0)
+        for t, c in rows:
+            out.write(f"{t.ljust(width)}  {c}\n")
+        if not rows:
+            out.write("(zero)\n")
+    return out.getvalue()
+
+
+class TestWriterBytes:
+    # the non-partition bases (row sets, onion, peel), a 10,096-row table
+    # and the empty one, besides the recomputed digest keys
+    EXTRA = ["core --n 9 --k 4", "core --n 3 --k 5",
+             "ut-algebra --n 4 --target core",
+             "onion --labels 2,3,4,5,6 --anchors 1,7;2,6 --m-list 1,1",
+             "double-rainbow --split 2,1,2 --m 1 --ell 2 --target peel"]
+
+    @staticmethod
+    def emitted(argv, dec):
+        """The CLI's output for argv, with the decomposition given."""
+        args = cli.build_parser().parse_args(argv)
+        args.build = lambda _: dec
+        out = io.StringIO()
+        args.run(args, out)
+        return out.getvalue()
+
+    def test_every_format_matches_the_reference(self):
+        keys = _recomputed_digest_keys() + self.EXTRA
+        assert len(keys) == 1195
+        empty = 0
+        for key in keys:
+            argv = ["decompose", *key.split()]
+            args = cli.build_parser().parse_args(argv)
+            dec = args.build(args)
+            empty += not dec.coeffs
+            for fmt, q in itertools.product(("text", "json", "csv"),
+                                            (None, 3)):
+                flags = ["--format", fmt] + ([] if q is None else
+                                             ["--q", str(q)])
+                assert self.emitted(argv + flags, dec) \
+                    == reference_output(dec, fmt, q), (key, fmt, q)
+        assert empty >= 1
