@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from argparse import ArgumentTypeError
+from json.encoder import encode_basestring_ascii
 
 from .qcalc import QPoly, ZERO, e_k, qbinom, qphi
 from .setpart import (
@@ -146,47 +147,63 @@ def _run_decompose(args, out):
     except ValueError as exc:
         # engines reject out-of-range parameters with ValueError
         raise UsageError(str(exc)) from None
+    labels, coeffs = dec.columns()
+    # every text is made before --out opens its file: a --q too large to
+    # print leaves no file behind
+    texts = _coeff_texts(coeffs, args.q)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                _emit_decomposition(dec, args, fh)
+                _emit_decomposition(dec.basis, labels, texts, args, fh)
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out!r}: "
                              f"{exc.strerror}") from None
     else:
-        _emit_decomposition(dec, args, out)
+        _emit_decomposition(dec.basis, labels, texts, args, out)
 
 
-def _coeff_text(coeff, q):
-    if q is None:
-        return str(coeff)
-    return str(coeff(q))
+def _coeff_texts(coeffs, q):
+    """The text of each coefficient, or of its value at q, made once per
+    distinct value: equal coefficients need not be one object (core --n 9
+    --k 4 has 155 values in 10,096 rows)."""
+    distinct = {coeff.coeffs: coeff for coeff in coeffs}
+    try:
+        text = {key: str(coeff) if q is None else str(coeff(q))
+                for key, coeff in distinct.items()}
+    except ValueError:
+        # str() refuses an int longer than sys.get_int_max_str_digits()
+        raise UsageError("--q is too large: a coefficient's value has too "
+                         "many digits to print") from None
+    return [text[coeff.coeffs] for coeff in coeffs]
 
 
-def _emit_decomposition(dec, args, out):
-    # one text per distinct coefficient: core --n 9 --k 4 has 155 of 10,096
-    pairs = dec.labels_text()
-    distinct = {coeff.coeffs: coeff for _, coeff in pairs}
-    texts = {k: _coeff_text(coeff, args.q) for k, coeff in distinct.items()}
-    rows = [(label, texts[coeff.coeffs]) for label, coeff in pairs]
+def _emit_decomposition(basis, labels, texts, args, out):
+    """Write the rows, the label texts and the coefficient texts, in
+    args.format.  No container is built per row."""
     fmt = args.format or "text"
     if fmt == "json":
-        obj = {"basis": dec.basis,
-               "terms": [{"label": t, "coeff": c} for t, c in rows]}
+        # the bytes of json.dumps(obj, sort_keys=True), written with no
+        # dict per term: json.dumps(s) of a str s is
+        # encode_basestring_ascii(s)
+        quote = encode_basestring_ascii
+        head = '{"basis": ' + quote(basis)
         if args.q is not None:
-            obj["q"] = args.q
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+            head += ', "q": ' + json.dumps(args.q)
+        terms = ", ".join([f'{{"coeff": {quote(c)}, "label": {quote(t)}}}'
+                           for t, c in zip(labels, texts)])
+        out.write(f'{head}, "terms": [{terms}]}}\n')
     elif fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["label", "coeff"])
-        for t, c in rows:
-            w.writerow([t, c])
+        w.writerows(zip(labels, texts))
     else:
-        out.write(f"basis: {dec.basis}\n")
-        width = max((len(t) for t, _ in rows), default=0)
-        for t, c in rows:
-            out.write(f"{t.ljust(width)}  {c}\n")
-        if not rows:
+        # one write per row: a reader that closes the pipe early meets the
+        # next write
+        out.write(f"basis: {basis}\n")
+        width = max(map(len, labels), default=0)
+        out.writelines(f"{t.ljust(width)}  {c}\n"
+                       for t, c in zip(labels, texts))
+        if not labels:
             out.write("(zero)\n")
 
 

@@ -137,27 +137,26 @@ class QPoly:
         return out
 
     def __str__(self):
-        # sparse descending form, e.g. "q^5 - q^3 - q^2 + 1"
-        if not self.coeffs:
+        # sparse descending form, e.g. "q^5 - q^3 - q^2 + 1": each term
+        # signed, "+ " or "- ", then one join, which drops the leading "+ "
+        # and closes up a leading "- "
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if e == 0:
-                body = str(a)
-            else:
-                term = "q" if e == 1 else f"q^{e}"
-                body = term if a == 1 else f"{a}*{term}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        terms = []
+        for e in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[e]
+            if c:
+                sign = "- " if c < 0 else "+ "
+                a = abs(c)
+                if e == 0:
+                    terms.append(f"{sign}{a}")
+                else:
+                    power = "q" if e == 1 else f"q^{e}"
+                    terms.append(sign + power if a == 1
+                                 else f"{sign}{a}*{power}")
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"QPoly({str(self)})"

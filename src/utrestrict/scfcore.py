@@ -47,6 +47,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 from .qcalc import (
     QPoly, ZERO, InexactDivision, l1, packing, divide_exact, pack, unpack)
@@ -178,25 +179,38 @@ class Decomposition:
         return (isinstance(other, Decomposition)
                 and self.basis == other.basis and self.coeffs == other.coeffs)
 
-    def labels_text(self):
-        """(label text, coeff) pairs: partitions first, by arc count and
-        then arcs, then the other labels by text.  The text of each arc is
-        made once per call."""
+    def columns(self):
+        """The rows as two lists, the label texts and the coefficients:
+        partitions first, by arc count and then arcs, then the other labels
+        by text.  The text of each arc is made once per call."""
         parts, others = [], []
-        for label, coeff in self.coeffs.items():
-            if isinstance(label, SetPartition):
-                parts.append((label.arcs, coeff))
-            else:
-                others.append((str(label), coeff))
-        # by arcs, then stably by arc count: an arc tuple alone compares
-        # faster than inside a key tuple
-        parts.sort(key=lambda row: row[0])
-        parts.sort(key=lambda row: len(row[0]))
-        others.sort(key=lambda row: row[0])
-        tokens = {arc: arc_token(arc) for arc in
-                  frozenset().union(*(arcs for arcs, _ in parts))}
-        return [(arcs_label(map(tokens.__getitem__, arcs)), coeff)
-                for arcs, coeff in parts] + others
+        for label in self.coeffs:
+            (parts if isinstance(label, SetPartition) else others).append(
+                label)
+        # by arcs, then stably by arc count; each partition holds its arcs
+        # sorted already
+        parts.sort(key=attrgetter("arcs"))
+        parts.sort(key=len)
+        others.sort(key=str)
+        token = _ArcTokens().__getitem__
+        labels = [arcs_label(map(token, lam.arcs)) for lam in parts]
+        labels += map(str, others)
+        parts += others
+        return labels, list(map(self.coeffs.__getitem__, parts))
+
+    def labels_text(self):
+        """(label text, coeff) pairs in the order of `columns`."""
+        return list(zip(*self.columns()))
+
+
+class _ArcTokens(dict):
+    """arc -> its i-j token, made on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, arc):
+        token = self[arc] = arc_token(arc)
+        return token
 
 
 def solve_exact(matrix, rhs):

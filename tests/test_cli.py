@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import re
+import sys
 from math import comb, prod
 from pathlib import Path
 
@@ -362,6 +363,42 @@ class TestDecompose:
         for line in lines[1:]:
             label, coeff = line.rsplit(",", 1)
             assert coeff == str(int(coeff))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int to str conversion has no digit limit")
+    def test_too_large_q_is_a_usage_error(self, tmp_path, capsys):
+        # the values at q = 10^1000 - 1 have more digits than str() prints;
+        # the error comes before --out opens its file
+        limit = sys.get_int_max_str_digits()
+        argv = ["decompose", "rainbow", "--n", "3", "--m", "2",
+                "--q", "9" * 1000]
+        path = tmp_path / "dec.json"
+        for extra in ([], ["--out", str(path)]):
+            assert main(argv + extra) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and "--q" in err
+            assert "Traceback" not in err
+        assert not path.exists()
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("argv, values", [
+        # 4,140 rows hold 2,901 coefficient objects of 1,623 values
+        (["ut-algebra", "--n", "9"], 1623),
+        # 10,096 rows, 236 objects, 155 values
+        (["core", "--n", "9", "--k", "4"], 155)])
+    def test_one_text_per_coefficient_value(self, argv, values,
+                                            monkeypatch):
+        made = [0]
+        text = QPoly.__str__
+
+        def counted(self):
+            made[0] += 1
+            return text(self)
+
+        monkeypatch.setattr(QPoly, "__str__", counted)
+        code, _ = capture(["decompose", *argv])
+        assert (code, made[0]) == (0, values)
 
     def test_export_defaults_to_json(self, tmp_path):
         path = tmp_path / "dec.json"

@@ -60,6 +60,13 @@ class TestQPoly:
         assert str(QPoly((1, 0, -1, -1, 0, 1))) == "q^5 - q^3 - q^2 + 1"
         assert str(ZERO) == "0"
         assert str(QPoly((0, 1))) == "q"
+        assert str(QPoly((5,))) == "5"
+        assert str(QPoly((0, 0, 0, 2))) == "2*q^3"
+        # a negative leading coefficient: "-" closed up, the others spaced
+        assert str(QPoly((-7,))) == "-7"
+        assert str(QPoly((0, -1))) == "-q"
+        assert str(QPoly((-1, 1, 0, -2))) == "-2*q^3 + q - 1"
+        assert str(QPoly((0, 3, -1))) == "-q^2 + 3*q"
 
     @given(st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6),
