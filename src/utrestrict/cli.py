@@ -55,12 +55,23 @@ class _Parser(argparse.ArgumentParser):
 # type= converters: a bad value raises ArgumentTypeError, which argparse turns
 # into a usage error that names the flag
 
+_INTEGER = re.compile(r"-?[0-9]+")
+# the most digits an integer flag may have: CPython's default cap on int() of
+# a str, fixed here so that an interpreter without that cap refuses the same
+# words, and the refusal does not echo them
+MAX_DIGITS = 4300
+
+
 def _ints(words, what):
     """The integers in `words`; a word that is not one, in ASCII digits with
     an optional minus sign, is a bad value (int() also reads "1_0", "+1",
-    " 1" and non-ASCII digits)."""
-    if not all(re.fullmatch(r"-?[0-9]+", x) for x in words):
+    " 1" and non-ASCII digits), and so is one of more than MAX_DIGITS
+    digits."""
+    if not all(map(_INTEGER.fullmatch, words)):
         raise ArgumentTypeError(f"bad {what}")
+    if any(len(x) - (x[0] == "-") > MAX_DIGITS for x in words):
+        raise ArgumentTypeError(f"an integer has more than {MAX_DIGITS} "
+                                "digits")
     return [int(x) for x in words]
 
 

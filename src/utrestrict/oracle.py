@@ -1,17 +1,24 @@
 """Brute-force ground truth over small prime fields.
 
 Enumerates the strictly upper-triangular algebra ut_N over F_p and finds the
-two-sided Borel orbits (superclasses) by breadth-first search, each generator
-acting as a row or column operation.  Module traces use the Diaconis-Isaacs
-realisation of the modules on strictly lower-triangular matrices: the
-vectors that u fixes form an F_p-subspace F, the trace is the cyclotomic sum
-of theta(phi(v)) over F for a linear functional phi, and that sum is p^dim F
-when phi vanishes on F and 0 otherwise.  Both dim F and the vanishing test
-are ranks found by Gaussian elimination mod p.  The enumerated cyclotomic
-sum stays in the tests as the witness of this shortcut.  Everything here is
-independent of the closed-form engines, so agreement is evidence.
+two-sided Borel orbits (superclasses) by breadth-first search.  The moves
+are the row and column operations of a minimal generating set of B: the
+simple-root transvections I + E_(i,i+1) and, for p > 2, the scaling of each
+diagonal entry by a primitive root.  A state is coded as its index in
+itertools.product order, and a move adds to it an index delta read off the
+state's digits.
+
+Module traces use the Diaconis-Isaacs realisation of the modules on
+strictly lower-triangular matrices: the vectors that u fixes form an
+F_p-subspace F, the trace is the cyclotomic sum of theta(phi(v)) over F for
+a linear functional phi, and that sum is p^dim F when phi vanishes on F and
+0 otherwise.  Both dim F and the vanishing test are ranks found by Gaussian
+elimination mod p.  The enumerated cyclotomic sum stays in the tests as the
+witness of this shortcut.  Everything here is independent of the
+closed-form engines, so agreement is evidence.
 """
 
+import functools
 import itertools
 
 from .setpart import GroundSet, SetPartition, bell
@@ -68,20 +75,27 @@ def u_mu_matrix(mu, n):
     return tuple(tuple(row) for row in m)
 
 
+def _primitive_root(p):
+    """The least generator of the cyclic group F_p^*."""
+    return next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+
+
 def borel_generators(n, p):
-    """Transvections and diagonal scalings generating the Borel subgroup."""
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in range(1, p):
-                m = [[int(a == b) for b in range(n)] for a in range(n)]
-                m[i][j] = c
-                gens.append(tuple(tuple(r) for r in m))
-    for i in range(n):
-        for a in range(2, p):
-            m = [[int(r == s) for s in range(n)] for r in range(n)]
-            m[i][i] = a
-            gens.append(tuple(tuple(r) for r in m))
+    """A minimal generating set of the Borel subgroup B of GL_n(F_p): the
+    n - 1 simple-root transvections I + E_(i,i+1), which generate U_n(F_p),
+    and, for p > 2, the scaling of each diagonal entry by a primitive root
+    mod p, which generate the torus because F_p^* is cyclic.  None can be
+    left out: every product of the others has 0 at its (i, i + 1), or 1 at
+    its (i, i)."""
+    def elementary(i, j, c):
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        m[i][j] = c
+        return tuple(tuple(r) for r in m)
+    gens = [elementary(i, i + 1, 1) for i in range(n - 1)]
+    if p > 2:
+        root = _primitive_root(p)
+        gens += [elementary(i, i, root) for i in range(n)]
     return gens
 
 
@@ -98,11 +112,14 @@ class OrbitTable:
 # --- superclass orbits ------------------------------------------------------
 #
 # A state is the flat vector of the strictly upper cells (i, j), i < j, in
-# row-major order.  A Borel element g acts as x -> x + (g - I) x on the left
-# and x -> x + x (g - I) on the right, and g - I has one nonzero entry: left
-# multiplication by I + cE_ij adds c times row j to row i, right
-# multiplication adds c times column i to column j, and a diagonal generator
-# scales a row (left) or a column (right).
+# row-major order, coded as its index in itertools.product order: the first
+# cell is the most significant base-p digit.  A Borel element g acts as
+# x -> x + (g - I) x on the left and x -> x + x (g - I) on the right, and
+# g - I has one nonzero entry: left multiplication by I + cE_ij adds c times
+# row j to row i, right multiplication adds c times column i to column j,
+# and a diagonal generator scales a row (left) or a column (right).  A move
+# changes each target digit d_t to (d_t + c d_s) mod p, so it adds that
+# change times p^(place of t) to the index.
 
 def _move(g, cells, left):
     """(target, source, coefficient) triples of x -> g x (left) or x -> x g
@@ -123,79 +140,80 @@ def _move(g, cells, left):
     return out
 
 
-def _arc_pattern(state, cells):
-    """SetPartition arcs if the state is 0/1 with distinct rows/cols, else
-    None."""
-    arcs = []
-    for (i, j), x in zip(cells, state):
-        if x == 1:
-            arcs.append((i + 1, j + 1))
-        elif x:
-            return None
-    lefts = {a[0] for a in arcs}
-    rights = {a[1] for a in arcs}
-    if len(lefts) != len(arcs) or len(rights) != len(arcs):
-        return None
-    return arcs
+def _arc_patterns(n):
+    """The arc sets on the 0-based points of [n] with distinct left ends and
+    distinct right ends: the 0/1 states of the u_mu patterns."""
+    def grow(i, arcs, rights):
+        if i == n:
+            yield arcs
+            return
+        yield from grow(i + 1, arcs, rights)
+        for j in range(i + 1, n):
+            if j not in rights:
+                yield from grow(i + 1, arcs + [(i, j)], rights | {j})
+    return grow(0, [], frozenset())
 
 
 def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
-    """BFS over ut_N under left/right Borel multiplication."""
+    """The B x B orbits on ut_N(F_p), found breadth-first from each state
+    not yet reached, in itertools.product order, under the left and right
+    moves of borel_generators.  Their closure is the whole orbit, because
+    those elements generate B."""
     _check_prime(p)
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     states = p ** len(cells)
     if states > budget:
         raise BudgetExceeded(f"{states} states exceeds budget {budget}")
-    moves = [_move(g, cells, left) for g in borel_generators(n, p)
-             for left in (True, False)]
-    seen = {}
+    place = [p ** k for k in reversed(range(len(cells)))]
+    moves = [[(t, s, c, place[t]) for t, s, c in _move(g, cells, left)]
+             for g in borel_generators(n, p) for left in (True, False)]
+    digits = list(itertools.product(range(p), repeat=len(cells)))
+    orbit_of = [-1] * states
     flat_orbits = []
-    for start in itertools.product(range(p), repeat=len(cells)):
-        if start in seen:
+    for start in range(states):
+        if orbit_of[start] >= 0:
             continue
         oid = len(flat_orbits)
-        stack = [start]
-        seen[start] = oid
+        orbit_of[start] = oid
+        # the member list is the search's queue: the loop reaches what it
+        # appends
         members = [start]
-        while stack:
-            x = stack.pop()
+        for x in members:
+            d = digits[x]
             for move in moves:
-                y = list(x)
-                for t, s, c in move:
-                    y[t] = (y[t] + c * x[s]) % p
-                y = tuple(y)
-                if y not in seen:
-                    seen[y] = oid
+                y = x
+                for t, s, c, w in move:
+                    y += ((d[t] + c * d[s]) % p - d[t]) * w
+                if orbit_of[y] < 0:
+                    orbit_of[y] = oid
                     members.append(y)
-                    stack.append(y)
         flat_orbits.append(members)
     if len(flat_orbits) != bell(n):
         raise OracleInvariantError(
             f"{len(flat_orbits)} orbits at n={n} p={p}, expected "
             f"Bell({n}) = {bell(n)}")
+    patterns = [[] for _ in flat_orbits]
+    at = dict(zip(cells, place))
+    for arcs in _arc_patterns(n):
+        patterns[orbit_of[sum(at[a] for a in arcs)]].append(arcs)
+    # the matrix of every state in index order: row i is i + 1 zeros, then
+    # its cells
+    matrices = list(itertools.product(*(
+        [(0,) * (i + 1) + row
+         for row in itertools.product(range(p), repeat=n - 1 - i)]
+        for i in range(n))))
     ground = GroundSet.range(n)
     orbits = []
     reps = []
-    for members in flat_orbits:
-        patterns = [a for a in (_arc_pattern(x, cells) for x in members)
-                    if a is not None]
-        if len(patterns) != 1:
+    for members, found in zip(flat_orbits, patterns):
+        if len(found) != 1:
             raise OracleInvariantError(
                 f"orbit must contain exactly one u_mu pattern, "
-                f"got {len(patterns)}")
-        reps.append(SetPartition(ground, patterns[0]))
-        orbits.append([_upper_matrix(x, n) for x in members])
+                f"got {len(found)}")
+        reps.append(SetPartition(ground, [(i + 1, j + 1)
+                                          for i, j in found[0]]))
+        orbits.append([matrices[x] for x in members])
     return OrbitTable(n, p, orbits, reps)
-
-
-def _upper_matrix(state, n):
-    """The matrix of a flat state: row i is i + 1 zeros, then its cells."""
-    rows = []
-    k = 0
-    for i in range(n):
-        rows.append((0,) * (i + 1) + state[k:k + n - 1 - i])
-        k += n - 1 - i
-    return tuple(rows)
 
 
 # --- module traces -----------------------------------------------------------
@@ -248,6 +266,9 @@ def _fixed_sum(a, cells, triangle, p, left=True, functional=True):
     return p ** (len(cells) - len(basis))
 
 
+# verify takes the trace of every module at each representative u: the
+# cache builds u - 1 once per u, and holds a whole table's representatives
+@functools.lru_cache(maxsize=256)
 def _minus_identity(m, p):
     n = len(m)
     return tuple(tuple((m[i][j] - (i == j)) % p for j in range(n))

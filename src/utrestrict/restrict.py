@@ -528,7 +528,6 @@ class UtAlgebra:
         n = len(self.ground)
         e = comb(n, 2) - sum(
             sum(1 for c in self.ground if c > j) for _, j in mu.arcs)
-        assert e >= 0
         return QPoly.q_pow(e)
 
     def row_module_value(self, A, mu):

@@ -382,6 +382,27 @@ class TestDecompose:
         assert not path.exists()
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("flag", ["--q", "--n"])
+    def test_integer_flag_digit_cap(self, flag, capsys):
+        # refused by a fixed cap before int() reads it, on every
+        # interpreter: one short line that names the flag, no digits echoed
+        values = {"--n": "3", "--q": "2", flag: "9" * 5000}
+        argv = ["decompose", "rainbow", "--m", "2"]
+        for name, value in values.items():
+            argv += [name, value]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"usage error: argument {flag}: an integer has more "
+                       f"than {cli.MAX_DIGITS} digits\n")
+        assert len(err.encode()) < 200
+
+    def test_digit_cap_counts_digits_not_the_sign(self):
+        cap = cli.MAX_DIGITS
+        assert cli._integer("-" + "9" * cap) == -(10 ** cap - 1)
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._integer("9" * (cap + 1))
+
     @pytest.mark.parametrize("argv, values", [
         # 4,140 rows hold 2,901 coefficient objects of 1,623 values
         (["ut-algebra", "--n", "9"], 1623),
@@ -529,6 +550,19 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL  orbits n=1 p=2"
         assert "expected Bell(1) = 99" in out
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_too_small_generating_set_fails(self, monkeypatch, capsys):
+        # the transvections alone generate U, not B: the U x U orbits of
+        # ut_2(F_3) are its 3 elements, not Bell(2) = 2
+        real = oracle.borel_generators
+        monkeypatch.setattr(oracle, "borel_generators", lambda n, p: [
+            g for g in real(n, p) if all(g[i][i] == 1 for i in range(n))])
+        assert main(["verify", "orbits", "--q", "3", "--n", "2"]) == 2
+        out, _ = capsys.readouterr()
+        assert out.splitlines() == [
+            "PASS  orbits n=1 p=3", "FAIL  orbits n=2 p=3",
+            "      first counterexample: 3 orbits at n=2 p=3, expected "
+            "Bell(2) = 2"]
 
     @pytest.mark.parametrize("family", ["psiK", "ut"])
     def test_solver_negative_control(self, family, monkeypatch):

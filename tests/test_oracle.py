@@ -9,9 +9,11 @@ from utrestrict.setpart import (
 )
 from utrestrict.scfcore import superclass_size
 from utrestrict.restrict import psiK
+from utrestrict import oracle
 from utrestrict.oracle import (
-    BudgetExceeded, superclass_orbits, borel_generators, module_trace,
-    u_mu_matrix, mat_mul, mat_inverse_unipotent, identity,
+    BudgetExceeded, OracleInvariantError, superclass_orbits,
+    borel_generators, module_trace, u_mu_matrix, mat_mul,
+    mat_inverse_unipotent, identity,
 )
 
 from conftest import (
@@ -125,21 +127,48 @@ class TestOrbits:
         assert table.orbits[oid] == [zero]
         assert table.reps[oid].arcs == ()
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # refused before the search builds anything
+        monkeypatch.setattr(oracle, "borel_generators", None)
         with pytest.raises(BudgetExceeded):
             superclass_orbits(5, 2, budget=100)
 
+    @pytest.mark.parametrize("n,p", [(1, 2), (4, 2), (4, 3), (5, 5)])
+    def test_generating_set_size(self, n, p):
+        # n - 1 simple-root transvections, and n torus scalings when F_p^*
+        # is not trivial
+        assert len(borel_generators(n, p)) == (n - 1) + n * (p > 2)
+
     @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (3, 5)])
     def test_orbits_closed_under_generators(self, n, p):
-        # ties the row/column moves of the search to matrix products
+        # every I + cE_ij (i < j, c a unit) and every scaling of one
+        # diagonal entry by a unit other than 1, built here and not by
+        # borel_generators: each orbit must be closed under all of B, not
+        # only under the moves the search makes
         table = superclass_orbits(n, p)
-        gens = borel_generators(n, p)
         index = orbit_of(table)
         assert len(index) == p ** (n * (n - 1) // 2)
+        gens = []
+        for i, j in itertools.product(range(n), repeat=2):
+            for c in range(1, p):
+                if i < j or (i == j and c > 1):
+                    g = [list(row) for row in identity(n)]
+                    g[i][j] = c
+                    gens.append(tuple(map(tuple, g)))
+        assert len(gens) == (n * (n - 1) // 2 + n) * (p - 1) - n
         for x, oid in index.items():
             for g in gens:
                 assert index[mat_mul(g, x, p)] == oid, (x, g)
                 assert index[mat_mul(x, g, p)] == oid, (x, g)
+
+    def test_two_patterns_in_one_orbit_fail(self, monkeypatch):
+        # each u_mu pattern listed twice: the orbit count still holds, the
+        # one-pattern check does not
+        real = oracle._arc_patterns
+        monkeypatch.setattr(oracle, "_arc_patterns", lambda n: [
+            arcs for arcs in real(n) for _ in range(2)])
+        with pytest.raises(OracleInvariantError, match="got 2"):
+            superclass_orbits(3, 2)
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3), (4, 3)])
     def test_supercharacter_orthogonality(self, n, p):
