@@ -287,7 +287,7 @@ def _grid_suite(suite, grid, table_at, trace_at):
     closed-form value at q = p (traces) and the closed-form coefficients
     at q = p rebuilt through the supercharacter table (solver); the table
     is invertible at p, so a matching rebuild proves the coefficients
-    unique.  table_at(n, p) and trace_at(spec, u, p, n) are the oracle's
+    unique.  table_at(n, p) and trace_at(spec, u, p) are the oracle's
     superclass_orbits and module_trace, memoised by the caller, so suites
     run in one command share each table and each trace.
     """
@@ -318,7 +318,7 @@ def _grid_suite(suite, grid, table_at, trace_at):
                     dec = decomposition()
                     coeffs = [dec[nu](p) for nu in parts]
                 for mu, u in reps:
-                    trace = trace_at(spec, u, p, n)
+                    trace = trace_at(spec, u, p)
                     if suite == "traces":
                         got, word = value(mu)(p), "formula"
                     else:

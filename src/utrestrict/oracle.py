@@ -8,14 +8,16 @@ diagonal entry by a primitive root.  A state is coded as its index in
 itertools.product order, and a move adds to it an index delta read off the
 state's digits.
 
-Module traces use the Diaconis-Isaacs realisation of the modules on
-strictly lower-triangular matrices: the vectors that u fixes form an
-F_p-subspace F, the trace is the cyclotomic sum of theta(phi(v)) over F for
-a linear functional phi, and that sum is p^dim F when phi vanishes on F and
-0 otherwise.  Both dim F and the vanishing test are ranks found by Gaussian
-elimination mod p.  The enumerated cyclotomic sum stays in the tests as the
-witness of this shortcut.  Everything here is independent of the
-closed-form engines, so agreement is evidence.
+Module traces use the Diaconis-Isaacs realisation of two modules: the
+column-set module psi^K on strictly lower-triangular matrices and the
+algebra ut_N itself, each with u acting on the left.  The vectors that u
+fixes form an F_p-subspace F, the trace of psi^K is the cyclotomic sum of
+theta(phi(v)) over F for a linear functional phi, and that sum is p^dim F
+when phi vanishes on F and 0 otherwise; the trace on ut_N is |F|.  Both
+dim F and the vanishing test are ranks found by Gaussian elimination mod p.
+The enumerated cyclotomic sum stays in the tests as the witness of this
+shortcut.  Everything here is independent of the closed-form engines, so
+agreement is evidence.
 """
 
 import functools
@@ -50,23 +52,6 @@ def mat_mul(a, b, p):
         for i in range(n))
 
 
-def identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_inverse_unipotent(u, p):
-    """Inverse of a unipotent upper-triangular matrix by back substitution."""
-    n = len(u)
-    x = identity(n)
-    v = [list(row) for row in x]
-    # solve u * v = Id column by column
-    for col in range(n):
-        for i in range(n - 1, -1, -1):
-            s = sum(u[i][k] * v[k][col] for k in range(i + 1, n))
-            v[i][col] = (int(i == col) - s) % p
-    return tuple(tuple(row) for row in v)
-
-
 def u_mu_matrix(mu, n):
     """Canonical superclass representative: Id plus the arc pattern."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -82,20 +67,17 @@ def _primitive_root(p):
 
 
 def borel_generators(n, p):
-    """A minimal generating set of the Borel subgroup B of GL_n(F_p): the
-    n - 1 simple-root transvections I + E_(i,i+1), which generate U_n(F_p),
-    and, for p > 2, the scaling of each diagonal entry by a primitive root
-    mod p, which generate the torus because F_p^* is cyclic.  None can be
-    left out: every product of the others has 0 at its (i, i + 1), or 1 at
-    its (i, i)."""
-    def elementary(i, j, c):
-        m = [[int(a == b) for b in range(n)] for a in range(n)]
-        m[i][j] = c
-        return tuple(tuple(r) for r in m)
-    gens = [elementary(i, i + 1, 1) for i in range(n - 1)]
+    """A minimal generating set of the Borel subgroup B of GL_n(F_p), each
+    element I + cE_(a,b) given as the 0-based triple (a, b, c): the n - 1
+    simple-root transvections (i, i + 1, 1), which generate U_n(F_p), and,
+    for p > 2, the scalings (i, i, g - 1) of each diagonal entry by a
+    primitive root g mod p, which generate the torus because F_p^* is
+    cyclic.  None can be left out: every product of the others has 0 at
+    its (i, i + 1), or 1 at its (i, i)."""
+    gens = [(i, i + 1, 1) for i in range(n - 1)]
     if p > 2:
         root = _primitive_root(p)
-        gens += [elementary(i, i, root) for i in range(n)]
+        gens += [(i, i, root - 1) for i in range(n)]
     return gens
 
 
@@ -113,31 +95,24 @@ class OrbitTable:
 #
 # A state is the flat vector of the strictly upper cells (i, j), i < j, in
 # row-major order, coded as its index in itertools.product order: the first
-# cell is the most significant base-p digit.  A Borel element g acts as
-# x -> x + (g - I) x on the left and x -> x + x (g - I) on the right, and
-# g - I has one nonzero entry: left multiplication by I + cE_ij adds c times
-# row j to row i, right multiplication adds c times column i to column j,
-# and a diagonal generator scales a row (left) or a column (right).  A move
-# changes each target digit d_t to (d_t + c d_s) mod p, so it adds that
-# change times p^(place of t) to the index.
+# cell is the most significant base-p digit.  A generator g = I + cE_ab
+# acts as x -> x + cE_ab x on the left and x -> x + x cE_ab on the right:
+# left multiplication adds c times row b to row a, right multiplication
+# adds c times column a to column b, and a diagonal generator (a = b)
+# scales a row (left) or a column (right).  A move changes each target
+# digit d_t to (d_t + c d_s) mod p, so it adds that change times
+# p^(place of t) to the index.
 
-def _move(g, cells, left):
+def _move(gen, n, cells, left):
     """(target, source, coefficient) triples of x -> g x (left) or x -> x g
-    on the flat vector over `cells`."""
-    index = {c: t for t, c in enumerate(cells)}
-    n = len(g)
-    out = []
-    for a in range(n):
-        for b in range(n):
-            c = g[a][b] - (a == b)
-            if not c:
-                continue
-            for m in range(n):
-                # (g x)_am gains c x_bm; (x g)_mb gains c x_ma
-                t, s = ((a, m), (b, m)) if left else ((m, b), (m, a))
-                if s in index:
-                    out.append((index[t], index[s], c))
-    return out
+    for the generator g = I + cE_ab, gen = (a, b, c), on the flat vector
+    over `cells`."""
+    a, b, c = gen
+    index = {cell: t for t, cell in enumerate(cells)}
+    # (g x)_am gains c x_bm; (x g)_mb gains c x_ma
+    pairs = [((a, m), (b, m)) if left else ((m, b), (m, a))
+             for m in range(n)]
+    return [(index[t], index[s], c) for t, s in pairs if s in index]
 
 
 def _arc_patterns(n):
@@ -165,7 +140,7 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
     if states > budget:
         raise BudgetExceeded(f"{states} states exceeds budget {budget}")
     place = [p ** k for k in reversed(range(len(cells)))]
-    moves = [[(t, s, c, place[t]) for t, s, c in _move(g, cells, left)]
+    moves = [[(t, s, c, place[t]) for t, s, c in _move(g, n, cells, left)]
              for g in borel_generators(n, p) for left in (True, False)]
     digits = list(itertools.product(range(p), repeat=len(cells)))
     orbit_of = [-1] * states
@@ -219,12 +194,11 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
 # --- module traces -----------------------------------------------------------
 #
 # A module is the span of a set of cells (0-based (row, column)) of a
-# triangle: the strictly lower one for the column- and row-set modules, the
-# strictly upper one for ut_N.  u acts by v -> v + a v (left, a = u - 1) or
-# v -> v + v a (right, a = u^-1 - 1), cut back to the triangle, times the
-# scalar theta(tr(a v)) = theta(tr(v a)).  The fixed vectors are the kernel
-# of v -> (a v) or (v a) on the triangle, and the cyclotomic sum over them
-# is p^dim when the trace functional vanishes on the kernel, else 0.
+# triangle: the strictly lower one for the column-set modules, the strictly
+# upper one for ut_N.  u acts on the left by v -> v + a v, a = u - 1, cut
+# back to the triangle, times the scalar theta(tr(a v)).  The fixed vectors
+# are the kernel of v -> a v on the triangle, and the cyclotomic sum over
+# them is p^dim when the trace functional vanishes on the kernel, else 0.
 
 def _echelon(rows, p):
     """Row space mod p as {pivot column: row scaled to 1 there}; each row
@@ -247,18 +221,13 @@ def _reduce(row, basis, p):
     return row
 
 
-def _fixed_sum(a, cells, triangle, p, left=True, functional=True):
+def _fixed_sum(a, cells, triangle, p, functional=True):
     """Sum of theta(tr(a v)) (or of 1, without the functional) over the v
-    in the span of `cells` whose image a v (left) or v a (right) vanishes
-    on every cell of `triangle`."""
-    if left:
-        # (a v)_rs = sum_k a_rk v_ks
-        eqs = [[a[r][k] if t == s else 0 for k, t in cells]
-               for r, s in triangle]
-    else:
-        # (v a)_rs = sum_k v_rk a_ks
-        eqs = [[a[k][s] if t == r else 0 for t, k in cells]
-               for r, s in triangle]
+    in the span of `cells` whose image a v vanishes on every cell of
+    `triangle`."""
+    # (a v)_rs = sum_k a_rk v_ks
+    eqs = [[a[r][k] if t == s else 0 for k, t in cells]
+           for r, s in triangle]
     basis = _echelon(eqs, p)
     # tr(a v) = sum_xy a_yx v_xy
     if functional and any(_reduce([a[y][x] for x, y in cells], basis, p)):
@@ -275,44 +244,22 @@ def _minus_identity(m, p):
                  for i in range(n))
 
 
-def module_trace(spec, u, p, n):
-    """Trace of u in UT_N on a concretely realized module, an integer.
+def module_trace(spec, u, p):
+    """Trace of u in UT_N, N = len(u), on a concretely realized module, an
+    integer.
 
-    spec: ("psiK", K) | ("psiHook", K, J) | ("regular",) | ("utAlgebra",)
-        | ("flippedK", K), with K, J sets of 1-based labels.
+    spec: ("psiK", K), K a set of 1-based column labels, or ("utAlgebra",).
     """
     _check_prime(p)
-    kind = spec[0]
-    lower = [(i, j) for i in range(n) for j in range(i)]
-    if kind == "regular":
-        spec = ("psiK", frozenset(range(1, n + 1)))
-        kind = "psiK"
-    if kind == "psiK":
-        K = set(spec[1])
-        cells = [(i, j) for i, j in lower if j + 1 in K]
-        return _fixed_sum(_minus_identity(u, p), cells, lower, p)
-    if kind == "psiHook":
-        K, J = set(spec[1]), sorted(set(spec[2]))
-        a = _minus_identity(u, p)
-        # row support exactly J: inclusion-exclusion over the subspaces
-        # with row support inside each J' of J
-        value = 0
-        for r in range(len(J) + 1):
-            for rows in itertools.combinations(J, r):
-                cells = [(i, j) for i, j in lower
-                         if j + 1 in K and i + 1 in rows]
-                value += (-1) ** (len(J) - r) * _fixed_sum(
-                    a, cells, lower, p)
-        return value
-    if kind == "flippedK":
-        R = set(spec[1])
-        cells = [(i, j) for i, j in lower if i + 1 in R]
-        a = _minus_identity(mat_inverse_unipotent(u, p), p)
-        return _fixed_sum(a, cells, lower, p, left=False)
-    if kind == "utAlgebra":
-        # u v = v on ut_N: the kernel of v -> (u - 1) v, no character
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return _fixed_sum(_minus_identity(u, p), upper, upper, p,
-                          functional=False)
+    n = len(u)
+    match spec:
+        case ("psiK", K):
+            lower = [(i, j) for i in range(n) for j in range(i)]
+            cells = [(i, j) for i, j in lower if j + 1 in K]
+            return _fixed_sum(_minus_identity(u, p), cells, lower, p)
+        case ("utAlgebra",):
+            # u v = v on ut_N: the kernel of v -> (u - 1) v, no character
+            upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            return _fixed_sum(_minus_identity(u, p), upper, upper, p,
+                              functional=False)
     raise ValueError(f"unknown module spec {spec!r}")
-

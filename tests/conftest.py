@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import utrestrict
-from utrestrict.oracle import mat_inverse_unipotent, mat_mul
+from utrestrict.oracle import mat_mul
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qphi
 from utrestrict.scfcore import (
     SuperclassFunction, decompose_at_prime, superchar_value,
@@ -269,27 +270,30 @@ def _minus_identity(m, p):
                  for i in range(n))
 
 
-def _left_fixed(u, p, basis, unit=1):
-    """(v, theta(tr((u-1)v))) for each v of the basis with
-    strict_lower(u v) == v; theta(x) = zeta^(unit x)."""
+def _left_trace(u, p, basis, unit=1):
+    """Trace of u on the left action u > v = theta(tr((u-1)v)) (uv mod b),
+    with theta(x) = zeta^(unit x)."""
     um1 = _minus_identity(u, p)
+    total = CyclotomicInt.zero(p)
     for v in basis:
         if _strict_lower_part(mat_mul(u, v, p)) == v:
-            yield v, CyclotomicInt.theta(p, unit * _trace_prod(um1, v, p))
-
-
-def _left_trace(u, p, basis, unit=1):
-    """Trace of u on the left action u > v = theta(tr((u-1)v)) (uv mod b)."""
-    total = CyclotomicInt.zero(p)
-    for _, z in _left_fixed(u, p, basis, unit):
-        total = total + z
+            total = total + CyclotomicInt.theta(
+                p, unit * _trace_prod(um1, v, p))
     return total.as_integer()
+
+
+@functools.cache
+def _inverse(u, p):
+    """u^-1 for u in UT_n(F_p), found by search over the group."""
+    n = len(u)
+    one = add_identity(((0,) * n,) * n, p)
+    return next(v for v in _unitriangular(n, p) if mat_mul(u, v, p) == one)
 
 
 def _right_trace(u, p, basis):
     """Trace of u on the right action u > v = theta(tr(v(u^-1 - 1)))
     (v u^-1 mod b)."""
-    uinv = mat_inverse_unipotent(u, p)
+    uinv = _inverse(u, p)
     um1 = _minus_identity(uinv, p)
     total = CyclotomicInt.zero(p)
     for v in basis:
@@ -298,25 +302,14 @@ def _right_trace(u, p, basis):
     return total.as_integer()
 
 
-def _hook_traces(K, u, p, n):
-    """Trace of u on each hook module ("psiHook", K, J): J -> trace, for
-    every row support J that some fixed vector of the column-set module
-    has."""
-    out = {}
-    for v, z in _left_fixed(u, p, _lt_basis(n, p, cols=set(K))):
-        J = frozenset(i + 1 for i, row in enumerate(v) if any(row))
-        out[J] = out.get(J, CyclotomicInt.zero(p)) + z
-    return {J: z.as_integer() for J, z in out.items()}
-
-
-def _cyclotomic_trace(spec, u, p, n):
-    """The reference for oracle.module_trace, with the same specs (but
-    "regular")."""
+def _cyclotomic_trace(spec, u, p):
+    """The reference for oracle.module_trace, with its specs, and with
+    ("flippedK", R): the row-set module on the strictly lower matrices with
+    row support R, under the right action."""
+    n = len(u)
     kind = spec[0]
     if kind == "psiK":
         return _left_trace(u, p, _lt_basis(n, p, cols=set(spec[1])))
-    if kind == "psiHook":
-        return _hook_traces(spec[1], u, p, n).get(frozenset(spec[2]), 0)
     if kind == "flippedK":
         return _right_trace(u, p, _lt_basis(n, p, rows=set(spec[1])))
     if kind == "utAlgebra":
@@ -327,8 +320,7 @@ def _cyclotomic_trace(spec, u, p, n):
 @pytest.fixture
 def brute_force():
     return SimpleNamespace(
-        trace=_cyclotomic_trace, hook_traces=_hook_traces,
-        left_trace=_left_trace, lt_basis=_lt_basis,
+        trace=_cyclotomic_trace, left_trace=_left_trace, lt_basis=_lt_basis,
         unitriangular=_unitriangular)
 
 

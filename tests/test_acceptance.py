@@ -65,17 +65,8 @@ class TestColumnModuleGroundTruth:
                     mod = psiK(g, K)
                     for mu in table.reps:
                         u = u_mu_matrix(mu, n)
-                        got = module_trace(("psiK", K), u, p, n)
+                        got = module_trace(("psiK", K), u, p)
                         assert got == mod.value(mu)(p), (n, K, mu)
-
-    def test_regular_module_is_full_column_set(self):
-        n, p = 3, 2
-        table = superclass_orbits(n, p)
-        K = frozenset(range(1, n + 1))
-        for mu in table.reps:
-            u = u_mu_matrix(mu, n)
-            assert module_trace(("regular",), u, p, n) == \
-                module_trace(("psiK", K), u, p, n)
 
 
 # --- criterion 3: rainbow restriction end to end ------------------------------
@@ -214,7 +205,7 @@ class TestOnionAcceptance:
         mod = ut_algebra(GroundSet.range(n))
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("utAlgebra",), u, p, n)
+            got = module_trace(("utAlgebra",), u, p)
             assert got == mod.trace(mu)(p), (n, p, mu)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -225,7 +216,7 @@ class TestOnionAcceptance:
         values = {}
         for mu, _, _ in enumerate_partitions(g):
             u = u_mu_matrix(mu, n)
-            values[mu] = module_trace(("utAlgebra",), u, p, n)
+            values[mu] = module_trace(("utAlgebra",), u, p)
         sol = numeric_decompose(values, p, g)
         want = mod.superchar_decomposition()
         for lam, c in sol.items():

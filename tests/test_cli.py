@@ -556,7 +556,7 @@ class TestVerify:
         # ut_2(F_3) are its 3 elements, not Bell(2) = 2
         real = oracle.borel_generators
         monkeypatch.setattr(oracle, "borel_generators", lambda n, p: [
-            g for g in real(n, p) if all(g[i][i] == 1 for i in range(n))])
+            (a, b, c) for a, b, c in real(n, p) if a != b])
         assert main(["verify", "orbits", "--q", "3", "--n", "2"]) == 2
         out, _ = capsys.readouterr()
         assert out.splitlines() == [

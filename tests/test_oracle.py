@@ -8,12 +8,11 @@ from utrestrict.setpart import (
     wt_up,
 )
 from utrestrict.scfcore import superclass_size
-from utrestrict.restrict import psiK
+from utrestrict.restrict import PsiKModule, psiK, ut_algebra
 from utrestrict import oracle
 from utrestrict.oracle import (
     BudgetExceeded, OracleInvariantError, superclass_orbits,
     borel_generators, module_trace, u_mu_matrix, mat_mul,
-    mat_inverse_unipotent, identity,
 )
 
 from conftest import (
@@ -82,11 +81,6 @@ class TestCyclotomic:
 
 
 class TestMatrixPlumbing:
-    def test_inverse(self, brute_force):
-        for p in (2, 3):
-            for u in brute_force.unitriangular(3, p):
-                assert mat_mul(u, mat_inverse_unipotent(u, p), p) == identity(3)
-
     def test_dagger_involution_and_product(self, brute_force):
         for u in brute_force.unitriangular(3, 2):
             assert mat_dagger(mat_dagger(u)) == u
@@ -152,7 +146,8 @@ class TestOrbits:
         for i, j in itertools.product(range(n), repeat=2):
             for c in range(1, p):
                 if i < j or (i == j and c > 1):
-                    g = [list(row) for row in identity(n)]
+                    g = [[int(a == b) for b in range(n)]
+                         for a in range(n)]
                     g[i][j] = c
                     gens.append(tuple(map(tuple, g)))
         assert len(gens) == (n * (n - 1) // 2 + n) * (p - 1) - n
@@ -202,7 +197,7 @@ class TestModuleTraces:
                 mod = psiK(g, K)
                 for mu in table.reps:
                     u = u_mu_matrix(mu, n)
-                    got = module_trace(("psiK", K), u, p, n)
+                    got = module_trace(("psiK", K), u, p)
                     assert got == mod.value(mu)(p), (K, mu)
 
     def test_psiK_p3(self):
@@ -213,44 +208,37 @@ class TestModuleTraces:
             mod = psiK(GroundSet.range(n), K)
             for mu in table.reps:
                 u = u_mu_matrix(mu, n)
-                got = module_trace(("psiK", K), u, p, n)
+                got = module_trace(("psiK", K), u, p)
                 assert got == mod.value(mu)(p)
 
     def test_regular_module(self):
+        # the column-set module on every column is the regular module
         n, p = 3, 2
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("regular",), u, p, n)
+            got = module_trace(("psiK", frozenset(range(1, n + 1))), u, p)
             want = p ** 3 if not mu.arcs else 0
             assert got == want
 
-    def test_hooks_partition_psiK(self):
-        n, p = 3, 2
-        labels = list(range(1, n + 1))
-        table = superclass_orbits(n, p)
-        for r in range(n + 1):
-            for K in itertools.combinations(labels, r):
-                K = frozenset(K)
-                for mu in table.reps:
-                    u = u_mu_matrix(mu, n)
-                    total = 0
-                    for s in range(n + 1):
-                        for J in itertools.combinations(labels, s):
-                            total = total + module_trace(
-                                ("psiHook", K, frozenset(J)), u, p, n)
-                    assert total == module_trace(("psiK", K), u, p, n)
-
     def test_flipped_dagger_transport(self, brute_force):
+        # the row-set module under the right action is the column-set
+        # module of the flipped rows at the flipped u
         n, p = 3, 2
-        labels = list(range(1, n + 1))
-        for r in range(n + 1):
-            for K in itertools.combinations(labels, r):
-                K = frozenset(K)
-                w0K = frozenset(n + 1 - x for x in K)
-                for u in brute_force.unitriangular(n, p):
-                    assert module_trace(("flippedK", K), u, p, n) == \
-                        module_trace(("psiK", w0K), mat_dagger(u), p, n)
+        for K in subsets(n):
+            w0K = frozenset(n + 1 - x for x in K)
+            for u in brute_force.unitriangular(n, p):
+                assert brute_force.trace(("flippedK", K), u, p) == \
+                    module_trace(("psiK", w0K), mat_dagger(u), p)
+
+    def test_unknown_spec_refused(self):
+        # two kinds, each with its own arity
+        u = u_mu_matrix(SetPartition(GroundSet.range(3), ()), 3)
+        for spec in [("regular",), ("flippedK", frozenset({1})),
+                     ("psiHook", frozenset({1}), frozenset({2})),
+                     ("psiK",), ("utAlgebra", frozenset()), ()]:
+            with pytest.raises(ValueError, match="unknown module spec"):
+                module_trace(spec, u, 2)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2),
                                      (4, 3), (5, 2), (3, 5)])
@@ -258,7 +246,7 @@ class TestModuleTraces:
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            got = module_trace(("utAlgebra",), u, p, n)
+            got = module_trace(("utAlgebra",), u, p)
             e = n * (n - 1) // 2 - sum(n - j for _, j in mu.arcs)
             assert got == p ** e, (mu, got)
 
@@ -267,8 +255,8 @@ class TestModuleTraces:
         g = GroundSet.range(2)
         mu = SetPartition(g, [(1, 2)])
         u = u_mu_matrix(mu, 2)
-        assert module_trace(("utAlgebra",), u, 2, 2) == 2
-        assert module_trace(("utAlgebra",), u, 3, 2) == 3
+        assert module_trace(("utAlgebra",), u, 2) == 2
+        assert module_trace(("utAlgebra",), u, 3) == 3
 
     def test_theta_choice_irrelevant(self, brute_force):
         # replacing theta(x) = zeta^x by theta(x) = zeta^(c x) for any unit c
@@ -279,7 +267,7 @@ class TestModuleTraces:
         table = superclass_orbits(n, p)
         for mu in table.reps:
             u = u_mu_matrix(mu, n)
-            want = module_trace(("psiK", K), u, p, n)
+            want = module_trace(("psiK", K), u, p)
             for c in range(1, p):
                 assert brute_force.left_trace(u, p, basis, unit=c) == want
 
@@ -304,30 +292,57 @@ class TestCyclotomicWitness:
     def test_psiK(self, n, p, brute_force):
         for u in witness_points(n, p, brute_force):
             for K in subsets(n):
-                assert module_trace(("psiK", K), u, p, n) == \
-                    brute_force.trace(("psiK", K), u, p, n), (u, K)
+                assert module_trace(("psiK", K), u, p) == \
+                    brute_force.trace(("psiK", K), u, p), (u, K)
 
     @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
     def test_flippedK(self, n, p, brute_force):
+        # the right action on row set R, against its dagger transport
         for u in witness_points(n, p, brute_force):
             for R in subsets(n):
-                assert module_trace(("flippedK", R), u, p, n) == \
-                    brute_force.trace(("flippedK", R), u, p, n), (u, R)
-
-    @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
-    def test_psiHook(self, n, p, brute_force):
-        for u in witness_points(n, p, brute_force):
-            for K in subsets(n):
-                hooks = brute_force.hook_traces(K, u, p, n)
-                for J in subsets(n):
-                    assert module_trace(("psiHook", K, J), u, p, n) == \
-                        hooks.get(J, 0), (u, K, J)
+                w0R = frozenset(n + 1 - x for x in R)
+                assert brute_force.trace(("flippedK", R), u, p) == \
+                    module_trace(("psiK", w0R), mat_dagger(u), p), (u, R)
 
     @pytest.mark.parametrize("n,p", EVERY_U + EVERY_U_MU)
     def test_ut_algebra(self, n, p, brute_force):
         for u in witness_points(n, p, brute_force):
-            assert module_trace(("utAlgebra",), u, p, n) == \
-                brute_force.trace(("utAlgebra",), u, p, n), u
+            assert module_trace(("utAlgebra",), u, p) == \
+                brute_force.trace(("utAlgebra",), u, p), u
+
+
+# the row-set modules W^A label ut-algebra --target core; the witness runs
+# over every row set A and every u_mu
+ROW_GRID = [(n, 2) for n in range(1, 5)] + [(n, 3) for n in (2, 3)]
+
+
+def row_module_cases(n, p, brute_force):
+    """(A, mu, trace) for every row set A and every u_mu at (n, p), with the
+    brute-force trace of u_mu under the right action on the strictly lower
+    matrices with row support A."""
+    for mu in superclass_orbits(n, p).reps:
+        u = u_mu_matrix(mu, n)
+        for A in subsets(n):
+            yield A, mu, brute_force.trace(("flippedK", A), u, p)
+
+
+class TestRowModuleWitness:
+    @pytest.mark.parametrize("n,p", ROW_GRID)
+    def test_row_module_value(self, n, p, brute_force):
+        alg = ut_algebra(GroundSet.range(n))
+        for A, mu, trace in row_module_cases(n, p, brute_force):
+            assert alg.row_module_value(A, mu)(p) == trace, (A, mu)
+
+    def test_negative_control(self, brute_force):
+        # the transport without w0 reads the wrong rows, and the witness
+        # sees it on 152 of the 338 cases
+        cases = misses = 0
+        for n, p in ROW_GRID:
+            g = GroundSet.range(n)
+            for A, mu, trace in row_module_cases(n, p, brute_force):
+                cases += 1
+                misses += PsiKModule(g, A).value(mu.dagger())(p) != trace
+        assert (cases, misses) == (338, 152)
 
 
 def orbit_values(f, table):
@@ -342,14 +357,14 @@ class TestConstancy:
         table = superclass_orbits(n, p)
         for K in [frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})]:
             values = orbit_values(
-                lambda u: module_trace(("psiK", K), u, p, n), table)
+                lambda u: module_trace(("psiK", K), u, p), table)
             assert all(len(v) == 1 for v in values), K
 
     def test_ut_algebra_constant(self):
         n, p = 3, 2
         table = superclass_orbits(n, p)
         values = orbit_values(
-            lambda u: module_trace(("utAlgebra",), u, p, n), table)
+            lambda u: module_trace(("utAlgebra",), u, p), table)
         assert all(len(v) == 1 for v in values)
 
     def test_negative_control(self):
@@ -382,7 +397,7 @@ class TestNumericDecompose:
                 values = {}
                 for mu, _, _ in enumerate_partitions(g):
                     u = u_mu_matrix(mu, n)
-                    values[mu] = module_trace(("psiK", K), u, p, n)
+                    values[mu] = module_trace(("psiK", K), u, p)
                 sol = numeric_decompose(values, p, g)
                 for lam, c in sol.items():
                     if not lam.left_endpoints() <= K:
@@ -400,9 +415,10 @@ class TestOptimizedInterpreter:
         script = (
             "import json\n"
             "from utrestrict.oracle import (\n"
-            "    identity, module_trace, superclass_orbits)\n"
+            "    module_trace, superclass_orbits)\n"
+            "one = ((1, 0, 0), (0, 1, 0), (0, 0, 1))\n"
             "calls = [lambda: superclass_orbits(3, 4),\n"
-            "         lambda: module_trace(('psiK', {1}), identity(3), 4, 3)]\n"
+            "         lambda: module_trace(('psiK', {1}), one, 4)]\n"
             "out = []\n"
             "for call in calls:\n"
             "    try:\n"
