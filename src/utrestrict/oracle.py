@@ -12,12 +12,12 @@ Module traces use the Diaconis-Isaacs realisation of two modules: the
 column-set module psi^K on strictly lower-triangular matrices and the
 algebra ut_N itself, each with u acting on the left.  The vectors that u
 fixes form an F_p-subspace F, the trace of psi^K is the cyclotomic sum of
-theta(phi(v)) over F for a linear functional phi, and that sum is p^dim F
-when phi vanishes on F and 0 otherwise; the trace on ut_N is |F|.  Both
-dim F and the vanishing test are ranks found by Gaussian elimination mod p.
-The enumerated cyclotomic sum stays in the tests as the witness of this
-shortcut.  Everything here is independent of the closed-form engines, so
-agreement is evidence.
+theta(phi(v)) over F for a linear functional phi, p^dim F when phi
+vanishes on F and 0 otherwise, and the trace on ut_N is |F|.  F and phi
+split by column, so both traces are read off the ranks mod p of the 2n + 2
+principal blocks of u - 1, found once per u.  The enumerated cyclotomic
+sum stays in the tests as the witness of this shortcut.  Everything here
+is independent of the closed-form engines, so agreement is evidence.
 """
 
 import functools
@@ -193,55 +193,50 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
 
 # --- module traces -----------------------------------------------------------
 #
-# A module is the span of a set of cells (0-based (row, column)) of a
-# triangle: the strictly lower one for the column-set modules, the strictly
-# upper one for ut_N.  u acts on the left by v -> v + a v, a = u - 1, cut
-# back to the triangle, times the scalar theta(tr(a v)).  The fixed vectors
-# are the kernel of v -> a v on the triangle, and the cyclotomic sum over
-# them is p^dim when the trace functional vanishes on the kernel, else 0.
+# u acts on the left by v -> v + a v, a = u - 1, cut back to the module's
+# triangle, times theta(tr(a v)) on psi^K.  a is strictly upper triangular,
+# so (a v)_rs = sum_k a_rk v_ks reads only column s of v (0-based), and the
+# fixed vectors and tr(a v) split by column.  On psi^K, column s = k - 1
+# for k in K has the unknowns v_ks, k > s, and the equations of rows r > s:
+# matrix a[s+1:, s+1:].  tr(a v) there is the row a[s][s+1:], which
+# vanishes on the kernel iff it is in the row space of a[s+1:, s+1:], iff
+# rank a[s:, s:] = rank a[s+1:, s+1:] (column s of a[s:, s:] is 0).  The
+# sum is the product over the columns: 0 if one fails, else p^(sum of
+# n - 1 - s - rank a[s+1:, s+1:]).  On ut_N, column s has the unknowns
+# v_ks, k < s, and matrix a[:s, :s]: the trace is p^(sum of s - rank).
 
-def _echelon(rows, p):
-    """Row space mod p as {pivot column: row scaled to 1 there}; each row
-    is zero at the pivots of the rows before it."""
+def _rank(rows, p):
+    """Rank mod p: each row is reduced by the rows kept before it, each
+    kept row scaled to 1 at its pivot and zero at the earlier pivots."""
     basis = {}
     for row in rows:
-        row = _reduce(row, basis, p)
+        for pivot, b in basis.items():
+            c = row[pivot]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, b)]
         pivot = next((k for k, x in enumerate(row) if x), None)
         if pivot is not None:
             inv = pow(row[pivot], -1, p)
             basis[pivot] = [x * inv % p for x in row]
-    return basis
-
-
-def _reduce(row, basis, p):
-    for pivot, b in basis.items():
-        c = row[pivot]
-        if c:
-            row = [(x - c * y) % p for x, y in zip(row, b)]
-    return row
-
-
-def _fixed_sum(a, cells, triangle, p, functional=True):
-    """Sum of theta(tr(a v)) (or of 1, without the functional) over the v
-    in the span of `cells` whose image a v vanishes on every cell of
-    `triangle`."""
-    # (a v)_rs = sum_k a_rk v_ks
-    eqs = [[a[r][k] if t == s else 0 for k, t in cells]
-           for r, s in triangle]
-    basis = _echelon(eqs, p)
-    # tr(a v) = sum_xy a_yx v_xy
-    if functional and any(_reduce([a[y][x] for x, y in cells], basis, p)):
-        return 0
-    return p ** (len(cells) - len(basis))
+    return len(basis)
 
 
 # verify takes the trace of every module at each representative u: the
-# cache builds u - 1 once per u, and holds a whole table's representatives
+# cache finds the ranks once per u, and holds a whole table's
+# representatives
 @functools.lru_cache(maxsize=256)
-def _minus_identity(m, p):
-    n = len(m)
-    return tuple(tuple((m[i][j] - (i == j)) % p for j in range(n))
-                 for i in range(n))
+def _block_ranks(u, p):
+    """(low, up) for t = 0..n: low[t] = rank a[t:, t:] and up[t] =
+    rank a[:t, :t] mod p, a = u - 1."""
+    n = len(u)
+    a = [[(x - (i == j)) % p for j, x in enumerate(row)]
+         for i, row in enumerate(u)]
+    if any(len(row) != n or any(row[:i + 1]) for i, row in enumerate(a)):
+        raise ValueError("u must be a square upper unitriangular matrix "
+                         f"mod {p}, got {u!r}")
+    low = tuple(_rank([row[t:] for row in a[t:]], p) for t in range(n + 1))
+    up = tuple(_rank([row[:t] for row in a[:t]], p) for t in range(n + 1))
+    return low, up
 
 
 def module_trace(spec, u, p):
@@ -254,12 +249,15 @@ def module_trace(spec, u, p):
     n = len(u)
     match spec:
         case ("psiK", K):
-            lower = [(i, j) for i in range(n) for j in range(i)]
-            cells = [(i, j) for i, j in lower if j + 1 in K]
-            return _fixed_sum(_minus_identity(u, p), cells, lower, p)
+            if not all(1 <= k <= n for k in K):
+                raise ValueError(f"psiK column labels must lie in 1..{n}, "
+                                 f"got {sorted(K)!r}")
+            low, _ = _block_ranks(u, p)
+            cols = [k - 1 for k in K]
+            if any(low[s] != low[s + 1] for s in cols):
+                return 0
+            return p ** sum(n - 1 - s - low[s + 1] for s in cols)
         case ("utAlgebra",):
-            # u v = v on ut_N: the kernel of v -> (u - 1) v, no character
-            upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            return _fixed_sum(_minus_identity(u, p), upper, upper, p,
-                              functional=False)
+            _, up = _block_ranks(u, p)
+            return p ** sum(s - up[s] for s in range(n))
     raise ValueError(f"unknown module spec {spec!r}")

@@ -542,6 +542,14 @@ class TestVerify:
         assert code == 0
         assert calls == {"orbits": 9, "traces": 2342}
 
+    def test_block_ranks_once_per_u(self):
+        # every trace at u reads the ranks found once for (u, p): one miss
+        # per u_mu of the grid, Bell(1..5) at p = 2 and Bell(1..4) at p = 3
+        oracle._block_ranks.cache_clear()
+        code, _ = capture(["verify", "all"])
+        assert code == 0
+        assert oracle._block_ranks.cache_info().misses == 75 + 23
+
     def test_oracle_invariant_failure(self, monkeypatch, capsys):
         # a broken orbit census is a verification failure, not a traceback
         monkeypatch.setattr(oracle, "bell", lambda n: 99)

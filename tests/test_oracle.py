@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -221,16 +222,6 @@ class TestModuleTraces:
             want = p ** 3 if not mu.arcs else 0
             assert got == want
 
-    def test_flipped_dagger_transport(self, brute_force):
-        # the row-set module under the right action is the column-set
-        # module of the flipped rows at the flipped u
-        n, p = 3, 2
-        for K in subsets(n):
-            w0K = frozenset(n + 1 - x for x in K)
-            for u in brute_force.unitriangular(n, p):
-                assert brute_force.trace(("flippedK", K), u, p) == \
-                    module_trace(("psiK", w0K), mat_dagger(u), p)
-
     def test_unknown_spec_refused(self):
         # two kinds, each with its own arity
         u = u_mu_matrix(SetPartition(GroundSet.range(3), ()), 3)
@@ -239,6 +230,25 @@ class TestModuleTraces:
                      ("psiK",), ("utAlgebra", frozenset()), ()]:
             with pytest.raises(ValueError, match="unknown module spec"):
                 module_trace(spec, u, 2)
+
+    def test_non_unitriangular_refused(self):
+        # an entry below the diagonal, and a diagonal entry other than 1
+        for u in [((1, 0), (1, 1)), ((1, 1), (0, 2))]:
+            for spec in [("psiK", frozenset({1})), ("utAlgebra",)]:
+                with pytest.raises(ValueError, match="upper unitriangular"):
+                    module_trace(spec, u, 3)
+
+    def test_non_square_refused(self):
+        u = ((1, 0, 0), (0, 1, 0))
+        for spec in [("psiK", frozenset({1})), ("utAlgebra",)]:
+            with pytest.raises(ValueError, match="square"):
+                module_trace(spec, u, 2)
+
+    @pytest.mark.parametrize("label", [0, 4])
+    def test_column_label_out_of_range_refused(self, label):
+        u = u_mu_matrix(SetPartition(GroundSet.range(3), [(1, 3)]), 3)
+        with pytest.raises(ValueError, match=r"lie in 1\.\.3"):
+            module_trace(("psiK", frozenset({2, label})), u, 2)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2),
                                      (4, 3), (5, 2), (3, 5)])
@@ -274,8 +284,8 @@ class TestModuleTraces:
 
 # grids where the witness runs over every u in UT_n(F_p), and grids where it
 # runs over the superclass representatives u_mu
-EVERY_U = [(2, 2), (3, 2), (2, 3), (3, 3)]
-EVERY_U_MU = [(4, 2), (4, 3), (3, 5)]
+EVERY_U = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]
+EVERY_U_MU = [(4, 3), (3, 5)]
 
 
 def witness_points(n, p, brute_force):
@@ -309,6 +319,26 @@ class TestCyclotomicWitness:
         for u in witness_points(n, p, brute_force):
             assert module_trace(("utAlgebra",), u, p) == \
                 brute_force.trace(("utAlgebra",), u, p), u
+
+
+def random_unitriangular(n, p, count, seed):
+    """`count` seeded random u in UT_n(F_p)."""
+    rng = random.Random(seed)
+    return [tuple(tuple(int(i == j) if i >= j else rng.randrange(p)
+                        for j in range(n)) for i in range(n))
+            for _ in range(count)]
+
+
+class TestRandomBlocks:
+    """The u_mu are partial permutations plus the identity, so their blocks
+    barely exercise the column split; random u of UT_4(F_3) do."""
+
+    @pytest.mark.parametrize("u", random_unitriangular(4, 3, 20, seed=4),
+                             ids=range(20))
+    def test_traces(self, u, brute_force):
+        for spec in [("psiK", K) for K in subsets(4)] + [("utAlgebra",)]:
+            assert module_trace(spec, u, 3) == \
+                brute_force.trace(spec, u, 3), (u, spec)
 
 
 # the row-set modules W^A label ut-algebra --target core; the witness runs
@@ -411,14 +441,18 @@ class TestNumericDecompose:
 class TestOptimizedInterpreter:
     def test_invariant_checks_survive_optimize(self, run_optimized):
         # `python -O` strips asserts: these must still raise; elimination
-        # mod p needs a field, so p = 4 is refused
+        # mod p needs a field, so p = 4 is refused, and the column split
+        # needs u unitriangular and the labels in 1..n
         script = (
             "import json\n"
             "from utrestrict.oracle import (\n"
             "    module_trace, superclass_orbits)\n"
             "one = ((1, 0, 0), (0, 1, 0), (0, 0, 1))\n"
+            "lower = ((1, 0, 0), (0, 1, 0), (1, 0, 1))\n"
             "calls = [lambda: superclass_orbits(3, 4),\n"
-            "         lambda: module_trace(('psiK', {1}), one, 4)]\n"
+            "         lambda: module_trace(('psiK', {1}), one, 4),\n"
+            "         lambda: module_trace(('utAlgebra',), lower, 2),\n"
+            "         lambda: module_trace(('psiK', {4}), one, 2)]\n"
             "out = []\n"
             "for call in calls:\n"
             "    try:\n"
@@ -429,4 +463,4 @@ class TestOptimizedInterpreter:
             "print(json.dumps(out))\n")
         proc = run_optimized(script)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["raised"] * 2
+        assert json.loads(proc.stdout) == ["raised"] * 4
