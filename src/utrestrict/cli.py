@@ -397,7 +397,9 @@ def _run_verify(args, out):
         raise UsageError("verify --max must be at most 16")
     grid = [(n, p) for p, cap in caps.items() if args.q in (None, p)
             for n in range(1, min(args.n or cap, cap) + 1)]
-    # the oracle, computed once per table and per trace in this command
+    # the oracle, computed once per table and per trace in this command: the
+    # solver suite rereads every trace, and verify all is about 3% slower
+    # without the trace cache, although _block_ranks caches per u
     table_at = functools.cache(
         functools.partial(superclass_orbits, budget=args.budget))
     trace_at = functools.cache(module_trace)
@@ -430,6 +432,12 @@ def build_parser():
                 description="Exact restriction calculus for unitriangular "
                             "supercharacters")
     sub = p.add_subparsers(dest="command", required=True)
+    # {command words: (the leaf parser that reads the flags after them,
+    # {namespace name: word})}, filled as the leaves are declared
+    p.leaves = {}
+
+    def leaf(parser, **words):
+        p.leaves[tuple(words.values())] = parser, words
 
     def add_ground(sp, required=True):
         group = sp.add_mutually_exclusive_group(required=required)
@@ -439,6 +447,7 @@ def build_parser():
                            type=_ground_labels)
 
     qb = sub.add_parser("qbinom", description="poset binomial coefficients")
+    leaf(qb, command="qbinom")
     qb.set_defaults(run=_run_qbinom)
     add_ground(qb, required=False)
     qb.add_argument("--k", type=_at_least(0), required=True)
@@ -450,12 +459,13 @@ def build_parser():
     # export is decompose with JSON as the default format
     dp = sub.add_parser("decompose", aliases=["export"],
                         description="decomposition coefficients")
-    dp.set_defaults(run=_run_decompose)
     families = dp.add_subparsers(dest="family", required=True)
 
     def family(name, build, ground=True):
         fp = families.add_parser(name)
-        fp.set_defaults(build=build)
+        for command in ("decompose", "export"):
+            leaf(fp, command=command, family=name)
+        fp.set_defaults(run=_run_decompose, build=build)
         if ground:
             add_ground(fp)
         fp.add_argument("--format", choices=("text", "json", "csv"))
@@ -491,17 +501,19 @@ def build_parser():
                     default="superchars")
 
     sh = sub.add_parser("show", description="ASCII arc diagram")
+    leaf(sh, command="show")
     sh.set_defaults(run=_run_show)
     add_ground(sh)
     sh.add_argument("arcs", nargs="*")
 
     vf = sub.add_parser("verify", description="oracle verification suites")
-    vf.set_defaults(run=_run_verify)
     suites = vf.add_subparsers(dest="suite", required=True)
     for name in ("identities", "orbits", "traces", "solver", "all"):
         sp = suites.add_parser(name)
+        leaf(sp, command="verify", suite=name)
         # defaults, also of the flags that the suite does not read
-        sp.set_defaults(n=None, q=None, budget=DEFAULT_BUDGET, max=8)
+        sp.set_defaults(run=_run_verify, n=None, q=None,
+                        budget=DEFAULT_BUDGET, max=8)
         if name != "identities":
             sp.add_argument("--n", type=_at_least(1))
             sp.add_argument("--q", type=_integer, choices=(2, 3))
@@ -511,9 +523,25 @@ def build_parser():
     return p
 
 
+def parse_args(argv):
+    """The namespace of argv.  The command words (qbinom, show,
+    decompose|export FAMILY, verify SUITE) pick the leaf parser that
+    declares the flags after them, and only it parses them: one argparse
+    pass, with the help and messages that the whole tree would give, since
+    the tree hands those flags to the same leaf.  argv that names no leaf
+    (help above a leaf, a missing or unknown command word, flags before
+    the family or suite) goes to the whole tree."""
+    tree = build_parser()
+    hit = tree.leaves.get(tuple(argv[:2])) or tree.leaves.get(tuple(argv[:1]))
+    if hit is None:
+        return tree.parse_args(argv)
+    parser, words = hit
+    return parser.parse_args(argv[len(words):], argparse.Namespace(**words))
+
+
 def run(argv, out=None):
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     args.run(args, out)
     return 0
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +7,7 @@ import itertools
 import json
 import re
 import sys
+from collections import Counter
 from math import comb, prod
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import (
-    GroundSet, SetPartition, enumerate_partitions, bell,
+    GroundSet, RegionSplit, SetPartition, enumerate_partitions, bell,
 )
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
@@ -593,20 +595,70 @@ class TestVerify:
 
 
 class TestParser:
-    def test_built_once_per_process(self, monkeypatch):
+    def test_built_once_per_process(self, monkeypatch, run_python):
+        # importing the module builds no parser
+        proc = run_python("-c", (
+            "import argparse\n"
+            "built = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(type(self).__name__)\n"
+            "    real(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import utrestrict.cli\n"
+            "print(built)\n"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        # the first run builds the tree and the leaf table together, and
+        # later runs build nothing
         built = []
         real = cli._Parser.__init__
 
         def counted(self, **kwargs):
-            built.append(kwargs.get("prog"))
+            built.append(self)
             real(self, **kwargs)
 
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli.build_parser.cache_clear()
         argv = ["qbinom", "--chain", "2", "--k", "1"]
         run(argv, out=io.StringIO())
-        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        tree = cli.build_parser()
+        assert built[0] is tree
+        assert set(tree.leaves) == leaf_words(tree) and len(tree.leaves) == 21
+        assert all(any(parser is b for b in built)
+                   for parser, _ in tree.leaves.values())
+        count = len(built)
         run(argv, out=io.StringIO())
-        run(argv, out=io.StringIO())
-        assert built == []
+        run(["verify", "identities", "--max", "2"], out=io.StringIO())
+        assert len(built) == count
+
+    def test_dispatch_equals_the_tree(self, monkeypatch):
+        # every argv of the corpus gives the same namespace, UsageError text
+        # or help exit through run's dispatch as through the whole tree
+        tree = cli.build_parser()
+        calls = count_parses(monkeypatch)
+        paths = Counter()
+        for argv in dispatch_corpus():
+            calls.clear()
+            got = parse_outcome(cli.parse_args, argv)
+            paths["tree" if calls[0] is tree else "leaf"] += 1
+            assert got == parse_outcome(tree.parse_args, argv), argv
+        assert paths["leaf"] >= 2000 and paths["tree"] >= 5, paths
+
+    def test_one_parse_per_leaf_command(self, monkeypatch):
+        # a command that names a leaf is parsed by that leaf alone: one
+        # parse_known_args per run, where the tree makes one per level
+        words = leaf_words(cli.build_parser())
+        calls = count_parses(monkeypatch, skip_work=True)
+        counts = Counter()
+        for argv in dispatch_corpus():
+            if tuple(argv[:2]) in words or tuple(argv[:1]) in words:
+                calls.clear()
+                try:
+                    run(argv, out=io.StringIO())
+                except (UsageError, SystemExit):
+                    pass
+                counts[len(calls)] += 1
+        assert set(counts) == {1} and counts[1] >= 2000, counts
 
     def test_readme_tables_match_the_parser(self):
         # README's flag tables against the flags each subparser declares
@@ -629,6 +681,97 @@ class TestParser:
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# --- the dispatch corpus ------------------------------------------------------
+
+SUITES = ("identities", "orbits", "traces", "solver", "all")
+VERIFY_FLAGS = (["--n", "2"], ["--q", "3"], ["--budget", "500"],
+                ["--max", "4"])
+MALFORMED = [
+    ["decompose", "core", "--n", "3", "--k"],
+    ["decompose", "core", "--n", "3", "--k", "1", "--k", "2"],
+    ["decompose", "core", "--n=3", "--k", "1"],
+    ["decompose", "core", "--", "--n", "3", "--k", "1"],
+    ["decompose", "core", "--n", "3", "--k", "1", "extra"],
+    ["decompose", "core", "--n", "3", "--k", "1", "--format", "xml"],
+    ["export", "peel", "--split", "1,2", "--b", "0", "--f", "1"],
+    ["decompose", "psi", "--n", "3", "--labels", "1,2"],
+    ["qbinom", "--n", "3", "--labels", "1,2", "--partition", "1-2",
+     "--k", "1"],
+    ["decompose", "hexagon", "--n", "3"],
+    ["export", "--n", "3", "core", "--k", "1"],
+    ["verify", "--max", "3", "identities"],
+    ["decompose"], ["verify"], ["frobnicate"], [],
+]
+HELP = [["--help"], ["decompose", "--help"], ["decompose", "rainbow", "-h"],
+        ["verify", "--help"], ["verify", "orbits", "--help"]]
+
+
+def dispatch_corpus():
+    """argv for the dispatch tests: the bad inputs, every recorded digest
+    key under decompose and export, each verify suite with and without
+    each of its flags, malformed lines and help at every level."""
+    keys = json.loads(DIGESTS.read_text())
+    corpus = [argv for argv, _ in BAD_INPUTS]
+    corpus += [[command, *key.split()] for command in ("decompose", "export")
+               for key in keys]
+    for suite in SUITES:
+        corpus.append(["verify", suite])
+        corpus += [["verify", suite, *flag] for flag in VERIFY_FLAGS]
+        corpus.append(["verify", suite, *sum(VERIFY_FLAGS, [])])
+    return corpus + MALFORMED + HELP
+
+
+def leaf_words(tree):
+    """The command words that name a leaf parser, read off the tree."""
+    words = set()
+    for command, parser in subparsers(tree).items():
+        if any(isinstance(a, argparse._SubParsersAction)
+               for a in parser._actions):
+            words.update((command, name) for name in subparsers(parser))
+        else:
+            words.add((command,))
+    return words
+
+
+def count_parses(monkeypatch, skip_work=False):
+    """The list of parsers that parse_known_args runs on, call by call;
+    with skip_work, the namespace it returns runs nothing."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, args=None, namespace=None):
+        calls.append(self)
+        namespace, extras = real(self, args, namespace)
+        if skip_work:
+            namespace.run = lambda args, out: None
+        return namespace, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return calls
+
+
+def parse_outcome(parse, argv):
+    """What parse makes of argv: its namespace, with a ground set read as
+    its labels and a region split as its sizes; the text of its
+    UsageError; or the code and stdout of its exit."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            args = parse(list(argv))
+    except UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue()
+    values = {}
+    for name, value in vars(args).items():
+        if isinstance(value, GroundSet):
+            value = value.labels
+        elif isinstance(value, RegionSplit):
+            value = tuple(map(len, (value.n_lt, value.n_eq, value.n_gt)))
+        values[name] = value
+    return "args", values
 
 
 def subparsers(parser):
