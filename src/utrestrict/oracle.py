@@ -5,8 +5,10 @@ two-sided Borel orbits (superclasses) by breadth-first search.  The moves
 are the row and column operations of a minimal generating set of B: the
 simple-root transvections I + E_(i,i+1) and, for p > 2, the scaling of each
 diagonal entry by a primitive root.  A state is coded as its index in
-itertools.product order, and a move adds to it an index delta read off the
-state's digits.
+itertools.product order, a move adds to it an index delta read off the
+state's digits, and an orbit is the list of its states' indices.  Each
+orbit's representative is the one partition of setpart's scan whose u_mu
+pattern it holds, so a scan that drops, repeats or invents one fails.
 
 Module traces use the Diaconis-Isaacs realisation of two modules: the
 column-set module psi^K on strictly lower-triangular matrices and the
@@ -23,7 +25,7 @@ is independent of the closed-form engines, so agreement is evidence.
 import functools
 import itertools
 
-from .setpart import GroundSet, SetPartition, bell
+from .setpart import GroundSet, bell, enumerate_partitions
 
 
 class BudgetExceeded(Exception):
@@ -87,8 +89,8 @@ class OrbitTable:
     def __init__(self, n, p, orbits, reps):
         self.n = n
         self.p = p
-        self.orbits = orbits        # orbit id -> list of matrices
-        self.reps = reps            # orbit id -> SetPartition
+        self.orbits = orbits        # orbit id -> list of state indices
+        self.reps = reps            # orbit id -> SetPartition, from the scan
 
 
 # --- superclass orbits ------------------------------------------------------
@@ -115,20 +117,6 @@ def _move(gen, n, cells, left):
     return [(index[t], index[s], c) for t, s in pairs if s in index]
 
 
-def _arc_patterns(n):
-    """The arc sets on the 0-based points of [n] with distinct left ends and
-    distinct right ends: the 0/1 states of the u_mu patterns."""
-    def grow(i, arcs, rights):
-        if i == n:
-            yield arcs
-            return
-        yield from grow(i + 1, arcs, rights)
-        for j in range(i + 1, n):
-            if j not in rights:
-                yield from grow(i + 1, arcs + [(i, j)], rights | {j})
-    return grow(0, [], frozenset())
-
-
 def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
     """The B x B orbits on ut_N(F_p), found breadth-first from each state
     not yet reached, in itertools.product order, under the left and right
@@ -144,11 +132,11 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
              for g in borel_generators(n, p) for left in (True, False)]
     digits = list(itertools.product(range(p), repeat=len(cells)))
     orbit_of = [-1] * states
-    flat_orbits = []
+    orbits = []
     for start in range(states):
         if orbit_of[start] >= 0:
             continue
-        oid = len(flat_orbits)
+        oid = len(orbits)
         orbit_of[start] = oid
         # the member list is the search's queue: the loop reaches what it
         # appends
@@ -162,33 +150,23 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
                 if orbit_of[y] < 0:
                     orbit_of[y] = oid
                     members.append(y)
-        flat_orbits.append(members)
-    if len(flat_orbits) != bell(n):
+        orbits.append(members)
+    if len(orbits) != bell(n):
         raise OracleInvariantError(
-            f"{len(flat_orbits)} orbits at n={n} p={p}, expected "
+            f"{len(orbits)} orbits at n={n} p={p}, expected "
             f"Bell({n}) = {bell(n)}")
-    patterns = [[] for _ in flat_orbits]
-    at = dict(zip(cells, place))
-    for arcs in _arc_patterns(n):
-        patterns[orbit_of[sum(at[a] for a in arcs)]].append(arcs)
-    # the matrix of every state in index order: row i is i + 1 zeros, then
-    # its cells
-    matrices = list(itertools.product(*(
-        [(0,) * (i + 1) + row
-         for row in itertools.product(range(p), repeat=n - 1 - i)]
-        for i in range(n))))
-    ground = GroundSet.range(n)
-    orbits = []
-    reps = []
-    for members, found in zip(flat_orbits, patterns):
-        if len(found) != 1:
+    # each partition of the scan, filed under the orbit of its u_mu
+    # pattern: the state whose digits are 1 at its arcs and 0 elsewhere
+    found = [[] for _ in orbits]
+    at = {(i + 1, j + 1): w for (i, j), w in zip(cells, place)}
+    for mu, _, _ in enumerate_partitions(GroundSet.range(n)):
+        found[orbit_of[sum(at[arc] for arc in mu.arcs)]].append(mu)
+    for mus in found:
+        if len(mus) != 1:
             raise OracleInvariantError(
                 f"orbit must contain exactly one u_mu pattern, "
-                f"got {len(found)}")
-        reps.append(SetPartition(ground, [(i + 1, j + 1)
-                                          for i, j in found[0]]))
-        orbits.append([matrices[x] for x in members])
-    return OrbitTable(n, p, orbits, reps)
+                f"got {len(mus)}")
+    return OrbitTable(n, p, orbits, [mus[0] for mus in found])
 
 
 # --- module traces -----------------------------------------------------------

@@ -305,9 +305,9 @@ def interference(ground, k_minus, k_plus, K, ell, mode, nu=None, J=None):
                     label = ModuleLabel("hook", (Jp, I))
                     if e < 0:
                         # only admissible when the hook module vanishes
-                        subK = ground.subset(K)
-                        assert not psi_hook(subK, Jp, I).coeffs, \
-                            "negative exponent on a nonzero hook module"
+                        if psi_hook(ground.subset(K), Jp, I).coeffs:
+                            raise ArithmeticError(
+                                "negative exponent on a nonzero hook module")
                         continue
                     coeffs[label] = QPoly.q_pow(e)
         return Decomposition("psiHook", coeffs)

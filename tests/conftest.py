@@ -15,7 +15,9 @@ from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qphi
 from utrestrict.scfcore import (
     SuperclassFunction, decompose_at_prime, superchar_value,
 )
-from utrestrict.setpart import enumerate_partitions, nst_points
+from utrestrict.setpart import (
+    GroundSet, SetPartition, bell, enumerate_partitions, nst_points,
+)
 
 
 # --- arc-diagram references ----------------------------------------------------
@@ -322,6 +324,32 @@ def brute_force():
     return SimpleNamespace(
         trace=_cyclotomic_trace, left_trace=_left_trace, lt_basis=_lt_basis,
         unitriangular=_unitriangular)
+
+
+# --- the oracle's orbit tables ------------------------------------------------
+
+def assert_census(table):
+    """An oracle orbit table at (n, p) has Bell(n) orbits over the p^C(n,2)
+    states, and each representative is a set partition of [n] whose arc
+    pattern u_mu - 1 is, by its index in _strict_upper order, a state of
+    its own orbit.  Orbits are disjoint, so the representatives are then
+    Bell(n) distinct partitions: all of them."""
+    n, p = table.n, table.p
+    ground = GroundSet.range(n)
+    assert len(table.orbits) == bell(n), (n, p)
+    assert sum(len(o) for o in table.orbits) == p ** comb(n, 2), (n, p)
+    index = {x: k for k, x in enumerate(_strict_upper(n, p))}
+    for rep, orbit in zip(table.reps, table.orbits, strict=True):
+        assert SetPartition(ground, rep.arcs) == rep, rep
+        pattern = [[0] * n for _ in range(n)]
+        for i, j in rep.arcs:
+            pattern[i - 1][j - 1] = 1
+        assert index[tuple(map(tuple, pattern))] in orbit, (n, p, rep)
+
+
+def dropping_scan(scan):
+    """enumerate_partitions without its last yield."""
+    return lambda ground: list(scan(ground))[:-1]
 
 
 # --- subprocesses ------------------------------------------------------------

@@ -22,6 +22,8 @@ from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
 from utrestrict import cli, oracle, restrict
 from utrestrict.cli import main, run, UsageError
 
+from conftest import dropping_scan
+
 
 def capture(argv):
     buf = io.StringIO()
@@ -573,6 +575,18 @@ class TestVerify:
             "PASS  orbits n=1 p=3", "FAIL  orbits n=2 p=3",
             "      first counterexample: 3 orbits at n=2 p=3, expected "
             "Bell(2) = 2"]
+
+    def test_dropped_partition_fails(self, monkeypatch, capsys):
+        # the orbit search reads its representatives off the partition
+        # scan: a scan one partition short leaves an orbit with no u_mu
+        monkeypatch.setattr(oracle, "enumerate_partitions",
+                            dropping_scan(oracle.enumerate_partitions))
+        assert main(["verify", "orbits", "--q", "2", "--n", "3"]) == 2
+        out, _ = capsys.readouterr()
+        assert out.splitlines() == [
+            "FAIL  orbits n=1 p=2",
+            "      first counterexample: orbit must contain exactly one "
+            "u_mu pattern, got 0"]
 
     @pytest.mark.parametrize("family", ["psiK", "ut"])
     def test_solver_negative_control(self, family, monkeypatch):

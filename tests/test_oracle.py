@@ -5,8 +5,7 @@ import random
 import pytest
 
 from utrestrict.setpart import (
-    GroundSet, SetPartition, enumerate_partitions, bell, nst, nst_points,
-    wt_up,
+    GroundSet, SetPartition, enumerate_partitions, nst, nst_points, wt_up,
 )
 from utrestrict.scfcore import superclass_size
 from utrestrict.restrict import PsiKModule, psiK, ut_algebra
@@ -17,8 +16,8 @@ from utrestrict.oracle import (
 )
 
 from conftest import (
-    CyclotomicInt, add_identity, character_function, mat_dagger,
-    numeric_decompose,
+    CyclotomicInt, _strict_upper, add_identity, assert_census,
+    character_function, dropping_scan, mat_dagger, numeric_decompose,
 )
 
 
@@ -28,9 +27,17 @@ def subsets(n):
             for c in itertools.combinations(labels, r)]
 
 
+def orbit_members(table):
+    """Each orbit's states as matrices: state k is the k-th matrix of
+    _strict_upper, the itertools.product order the oracle codes states in."""
+    states = list(_strict_upper(table.n, table.p))
+    return [[states[x] for x in orbit] for orbit in table.orbits]
+
+
 def orbit_of(table):
     """matrix -> orbit id over the oracle's orbit lists."""
-    return {x: oid for oid, orbit in enumerate(table.orbits) for x in orbit}
+    return {x: oid for oid, orbit in enumerate(orbit_members(table))
+            for x in orbit}
 
 
 def character_values(table):
@@ -96,14 +103,7 @@ class TestOrbits:
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3),
                                      (4, 2), (4, 3), (6, 2), (4, 5)])
     def test_census(self, n, p):
-        table = superclass_orbits(n, p)
-        assert len(table.orbits) == bell(n)
-        sizes = sum(len(o) for o in table.orbits)
-        assert sizes == p ** (n * (n - 1) // 2)
-        labels = sorted(r.label() for r in table.reps)
-        want = sorted(mu.label() for mu, _, _
-                      in enumerate_partitions(GroundSet.range(n)))
-        assert labels == want
+        assert_census(superclass_orbits(n, p))
 
     @pytest.mark.parametrize("n,p", [(n, 2) for n in range(1, 7)]
                              + [(n, 3) for n in range(1, 5)]
@@ -116,10 +116,11 @@ class TestOrbits:
             assert superclass_size(rep, g)(p) == len(orbit), rep
 
     def test_zero_orbit_is_singleton(self):
+        # the zero matrix is state 0
         table = superclass_orbits(3, 3)
-        zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
-        oid = orbit_of(table)[zero]
-        assert table.orbits[oid] == [zero]
+        assert not any(map(any, next(_strict_upper(3, 3))))
+        oid = next(k for k, orbit in enumerate(table.orbits) if 0 in orbit)
+        assert table.orbits[oid] == [0]
         assert table.reps[oid].arcs == ()
 
     def test_budget(self, monkeypatch):
@@ -158,12 +159,19 @@ class TestOrbits:
                 assert index[mat_mul(x, g, p)] == oid, (x, g)
 
     def test_two_patterns_in_one_orbit_fail(self, monkeypatch):
-        # each u_mu pattern listed twice: the orbit count still holds, the
-        # one-pattern check does not
-        real = oracle._arc_patterns
-        monkeypatch.setattr(oracle, "_arc_patterns", lambda n: [
-            arcs for arcs in real(n) for _ in range(2)])
+        # a scan that yields each partition twice: the orbit count still
+        # holds, the one-pattern check does not
+        real = oracle.enumerate_partitions
+        monkeypatch.setattr(oracle, "enumerate_partitions", lambda g: [
+            yielded for yielded in real(g) for _ in range(2)])
         with pytest.raises(OracleInvariantError, match="got 2"):
+            superclass_orbits(3, 2)
+
+    def test_dropped_pattern_fails(self, monkeypatch):
+        # a scan that drops its last partition leaves that orbit with none
+        monkeypatch.setattr(oracle, "enumerate_partitions",
+                            dropping_scan(oracle.enumerate_partitions))
+        with pytest.raises(OracleInvariantError, match="got 0"):
             superclass_orbits(3, 2)
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3), (4, 3)])
@@ -378,7 +386,7 @@ class TestRowModuleWitness:
 def orbit_values(f, table):
     """For each orbit, the set of values of f at Id + x over its members."""
     return [{f(add_identity(x, table.p)) for x in members}
-            for members in table.orbits]
+            for members in orbit_members(table)]
 
 
 class TestConstancy:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from math import comb
 
 import pytest
@@ -393,6 +394,31 @@ class TestInterferenceHooks:
                             hook = psi_hook(gK, Jp, I)
                             rhs = rhs + c * expand_value(hook, mu, gK)
                         assert lhs == nuval * rhs, (nu_arcs, J, mu)
+
+
+    def test_nonzero_hook_at_negative_exponent_raises(self, monkeypatch,
+                                                      run_optimized):
+        # J = {2, 3} reaches a negative exponent at the hook J' = {3},
+        # I = {2}, which vanishes; were it nonzero, the call must raise, and
+        # under python -O as well
+        nonzero = types.SimpleNamespace(coeffs={0: 1})
+        monkeypatch.setattr(restrict, "psi_hook", lambda *args: nonzero)
+        with pytest.raises(ArithmeticError, match="nonzero hook module"):
+            interference(GroundSet.range(4), 1, 4, {2, 3}, 0, "superchars_a",
+                         J={2, 3})
+        proc = run_optimized(
+            "from types import SimpleNamespace\n"
+            "from utrestrict import restrict\n"
+            "from utrestrict.setpart import GroundSet\n"
+            "restrict.psi_hook = lambda *a: SimpleNamespace(coeffs={0: 1})\n"
+            "try:\n"
+            "    restrict.interference(GroundSet.range(4), 1, 4, {2, 3}, 0,\n"
+            "                          'superchars_a', J={2, 3})\n"
+            "except ArithmeticError as exc:\n"
+            "    print('raised', exc)\n")
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout == \
+            "raised negative exponent on a nonzero hook module\n"
 
 
 def proof_style_coefficients(ambient, K, nu, ell):

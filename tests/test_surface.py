@@ -94,6 +94,14 @@ def test_guard_sees_its_inputs():
     assert {"module_trace", "QPoly.shift", "enumerate_partitions"} <= names
 
 
+def test_no_assert_in_src():
+    # python -O strips assert statements, so a check in src/ must raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def load_tracer():
     """bench/tracer.py as a fresh module, compiled from its source so that
     no bytecode cache is written under bench/."""
