@@ -7,8 +7,9 @@ simple-root transvections I + E_(i,i+1) and, for p > 2, the scaling of each
 diagonal entry by a primitive root.  A state is coded as its index in
 itertools.product order, a move adds to it an index delta read off the
 state's digits, and an orbit is the list of its states' indices.  Each
-orbit's representative is the one partition of setpart's scan whose u_mu
-pattern it holds, so a scan that drops, repeats or invents one fails.
+search starts from the u_mu pattern of a partition of setpart's scan, and
+the scan must be a transversal: a start in an earlier orbit, or orbits
+that miss a state, mean it drops, repeats or invents a partition.
 
 Module traces use the Diaconis-Isaacs realisation of two modules: the
 column-set module psi^K on strictly lower-triangular matrices and the
@@ -25,7 +26,7 @@ is independent of the closed-form engines, so agreement is evidence.
 import functools
 import itertools
 
-from .setpart import GroundSet, bell, enumerate_partitions
+from .setpart import GroundSet, enumerate_partitions
 
 
 class BudgetExceeded(Exception):
@@ -90,7 +91,7 @@ class OrbitTable:
         self.n = n
         self.p = p
         self.orbits = orbits        # orbit id -> list of state indices
-        self.reps = reps            # orbit id -> SetPartition, from the scan
+        self.reps = reps            # orbit id -> SetPartition, in scan order
 
 
 # --- superclass orbits ------------------------------------------------------
@@ -118,10 +119,11 @@ def _move(gen, n, cells, left):
 
 
 def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
-    """The B x B orbits on ut_N(F_p), found breadth-first from each state
-    not yet reached, in itertools.product order, under the left and right
-    moves of borel_generators.  Their closure is the whole orbit, because
-    those elements generate B."""
+    """The B x B orbits on ut_N(F_p), in scan order, each found
+    breadth-first from a partition's u_mu pattern (digits 1 at its arcs)
+    under the moves of borel_generators, whose closure is the whole orbit
+    because they generate B.  A start already seen, or orbits that miss a
+    state, raise OracleInvariantError."""
     _check_prime(p)
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     states = p ** len(cells)
@@ -131,15 +133,18 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
     moves = [[(t, s, c, place[t]) for t, s, c in _move(g, n, cells, left)]
              for g in borel_generators(n, p) for left in (True, False)]
     digits = list(itertools.product(range(p), repeat=len(cells)))
-    orbit_of = [-1] * states
+    at = {(i + 1, j + 1): w for (i, j), w in zip(cells, place)}
+    reps = [mu for mu, _, _ in enumerate_partitions(GroundSet.range(n))]
+    seen = bytearray(states)
     orbits = []
-    for start in range(states):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(orbits)
-        orbit_of[start] = oid
-        # the member list is the search's queue: the loop reaches what it
-        # appends
+    for mu in reps:
+        start = sum(at[arc] for arc in mu.arcs)
+        if seen[start]:
+            raise OracleInvariantError(
+                f"u_mu of {mu.label()} lies in the orbit of an earlier "
+                "partition")
+        seen[start] = 1
+        # members is the search's queue: the loop reaches what it appends
         members = [start]
         for x in members:
             d = digits[x]
@@ -147,26 +152,16 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
                 y = x
                 for t, s, c, w in move:
                     y += ((d[t] + c * d[s]) % p - d[t]) * w
-                if orbit_of[y] < 0:
-                    orbit_of[y] = oid
+                if not seen[y]:
+                    seen[y] = 1
                     members.append(y)
         orbits.append(members)
-    if len(orbits) != bell(n):
+    covered = sum(map(len, orbits))
+    if covered != states:
         raise OracleInvariantError(
-            f"{len(orbits)} orbits at n={n} p={p}, expected "
-            f"Bell({n}) = {bell(n)}")
-    # each partition of the scan, filed under the orbit of its u_mu
-    # pattern: the state whose digits are 1 at its arcs and 0 elsewhere
-    found = [[] for _ in orbits]
-    at = {(i + 1, j + 1): w for (i, j), w in zip(cells, place)}
-    for mu, _, _ in enumerate_partitions(GroundSet.range(n)):
-        found[orbit_of[sum(at[arc] for arc in mu.arcs)]].append(mu)
-    for mus in found:
-        if len(mus) != 1:
-            raise OracleInvariantError(
-                f"orbit must contain exactly one u_mu pattern, "
-                f"got {len(mus)}")
-    return OrbitTable(n, p, orbits, [mus[0] for mus in found])
+            f"the orbits of the {len(reps)} u_mu patterns cover {covered} "
+            f"of the {states} states at n={n} p={p}")
+    return OrbitTable(n, p, orbits, reps)
 
 
 # --- module traces -----------------------------------------------------------

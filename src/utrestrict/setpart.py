@@ -381,12 +381,3 @@ def depth_vector(skeleton, n):
         skeleton >>= 2
     weights.sort()
     return tuple(weights)
-
-
-def bell(n):
-    """Bell number by the independent binomial recurrence."""
-    from math import comb
-    out = [1]
-    for m in range(1, n + 1):
-        out.append(sum(comb(m - 1, k) * out[k] for k in range(m)))
-    return out[n]

@@ -16,11 +16,20 @@ from utrestrict.scfcore import (
     SuperclassFunction, decompose_at_prime, superchar_value,
 )
 from utrestrict.setpart import (
-    GroundSet, SetPartition, bell, enumerate_partitions, nst_points,
+    GroundSet, SetPartition, enumerate_partitions, nst_points,
 )
 
 
 # --- arc-diagram references ----------------------------------------------------
+
+def bell(n):
+    """Bell number by the binomial recurrence: the witness, independent of
+    the scan, of how many partitions setpart enumerates."""
+    out = [1]
+    for m in range(1, n + 1):
+        out.append(sum(comb(m - 1, k) * out[k] for k in range(m)))
+    return out[n]
+
 
 def blocks(lam):
     """Classical set partition bl(lam) by transitive closure of the arcs,
@@ -354,13 +363,14 @@ def dropping_scan(scan):
 
 # --- subprocesses ------------------------------------------------------------
 
-def _run_python(*argv):
+def _run_python(*argv, env=None):
     """Run the Python interpreter on argv with this checkout's package
-    importable."""
+    importable, and the variables of `env`, if given, set over the
+    current environment."""
     src = os.path.dirname(os.path.dirname(utrestrict.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)

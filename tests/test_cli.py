@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import re
+import shlex
 import sys
 from collections import Counter
 from math import comb, prod
@@ -15,14 +16,14 @@ import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import (
-    GroundSet, RegionSplit, SetPartition, enumerate_partitions, bell,
+    GroundSet, RegionSplit, SetPartition, enumerate_partitions,
 )
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
 from utrestrict import cli, oracle, restrict
 from utrestrict.cli import main, run, UsageError
 
-from conftest import dropping_scan
+from conftest import bell, dropping_scan
 
 
 def capture(argv):
@@ -516,13 +517,15 @@ class TestVerify:
     def test_broken_census_fails_every_grid_suite(self, monkeypatch, capsys):
         # each grid suite reports the bad orbit table once and stops;
         # identities still runs, and the command exits 2
-        monkeypatch.setattr(oracle, "bell", lambda n: 99)
+        monkeypatch.setattr(oracle, "enumerate_partitions",
+                            dropping_scan(oracle.enumerate_partitions))
         assert main(["verify", "all", "--n", "2", "--q", "2"]) == 2
         out, _ = capsys.readouterr()
         lines = out.splitlines()
         assert lines[0::2][:3] == [f"FAIL  {suite} n=1 p=2"
                                    for suite in ("orbits", "traces", "solver")]
-        assert all("expected Bell(1) = 99" in line for line in lines[1:6:2])
+        assert all("cover 0 of the 1 states" in line
+                   for line in lines[1:6:2])
         assert lines[6:] == [f"PASS  identities {name}" for name in (
             "phi-telescoping", "core-tensor", "rainbow-consistency")]
 
@@ -556,16 +559,18 @@ class TestVerify:
 
     def test_oracle_invariant_failure(self, monkeypatch, capsys):
         # a broken orbit census is a verification failure, not a traceback
-        monkeypatch.setattr(oracle, "bell", lambda n: 99)
+        monkeypatch.setattr(oracle, "enumerate_partitions",
+                            dropping_scan(oracle.enumerate_partitions))
         assert main(["verify", "orbits", "--n", "2", "--q", "2"]) == 2
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "FAIL  orbits n=1 p=2"
-        assert "expected Bell(1) = 99" in out
+        assert "the orbits of the 0 u_mu patterns cover 0 of the 1 states at n=1 p=2" in out
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_too_small_generating_set_fails(self, monkeypatch, capsys):
         # the transvections alone generate U, not B: the U x U orbits of
-        # ut_2(F_3) are its 3 elements, not Bell(2) = 2
+        # ut_2(F_3) are its 3 elements, and the Bell(2) = 2 u_mu patterns
+        # reach only 2 of them
         real = oracle.borel_generators
         monkeypatch.setattr(oracle, "borel_generators", lambda n, p: [
             (a, b, c) for a, b, c in real(n, p) if a != b])
@@ -573,20 +578,33 @@ class TestVerify:
         out, _ = capsys.readouterr()
         assert out.splitlines() == [
             "PASS  orbits n=1 p=3", "FAIL  orbits n=2 p=3",
-            "      first counterexample: 3 orbits at n=2 p=3, expected "
-            "Bell(2) = 2"]
+            "      first counterexample: the orbits of the 2 u_mu patterns "
+            "cover 2 of the 3 states at n=2 p=3"]
 
     def test_dropped_partition_fails(self, monkeypatch, capsys):
-        # the orbit search reads its representatives off the partition
-        # scan: a scan one partition short leaves an orbit with no u_mu
+        # the orbit search starts from each partition of the scan: a scan
+        # one partition short leaves that partition's orbit unreached
         monkeypatch.setattr(oracle, "enumerate_partitions",
                             dropping_scan(oracle.enumerate_partitions))
         assert main(["verify", "orbits", "--q", "2", "--n", "3"]) == 2
         out, _ = capsys.readouterr()
         assert out.splitlines() == [
             "FAIL  orbits n=1 p=2",
-            "      first counterexample: orbit must contain exactly one "
-            "u_mu pattern, got 0"]
+            "      first counterexample: the orbits of the 0 u_mu patterns "
+            "cover 0 of the 1 states at n=1 p=2"]
+
+    def test_repeated_partition_fails(self, monkeypatch, capsys):
+        # a scan that yields each partition twice starts its second search
+        # inside the orbit of the first
+        real = oracle.enumerate_partitions
+        monkeypatch.setattr(oracle, "enumerate_partitions", lambda g: [
+            yielded for yielded in real(g) for _ in range(2)])
+        assert main(["verify", "orbits", "--q", "2", "--n", "3"]) == 2
+        out, _ = capsys.readouterr()
+        assert out.splitlines() == [
+            "FAIL  orbits n=1 p=2",
+            "      first counterexample: u_mu of () lies in the orbit of an "
+            "earlier partition"]
 
     @pytest.mark.parametrize("family", ["psiK", "ut"])
     def test_solver_negative_control(self, family, monkeypatch):
@@ -935,3 +953,46 @@ class TestWriterBytes:
                 assert self.emitted(argv + flags, dec) \
                     == reference_output(dec, fmt, q), (key, fmt, q)
         assert empty >= 1
+
+
+class TestDeterminism:
+    # one command per family, every --target and every --format, and
+    # export once; verify all covers every suite
+    COMMANDS = [
+        'qbinom --partition "1-5 2-4 4-6" --n 6 --k 1',
+        "show 1-5 2-4 4-6 --n 6",
+        "decompose rainbow --n 3 --m 2 --target superchars",
+        "decompose rainbow --n 4 --m 1 --target core --format csv",
+        "decompose double-rainbow --split 1,1,1 --m 2 --ell 1 --format json",
+        "decompose double-rainbow --split 2,1,1 --m 1 --ell 1 --target peel",
+        "decompose double-rainbow --split 1,2,1 --m 1 --ell 1 "
+        "--target trivial_coeff --format csv",
+        "decompose onion --labels 2,3,4,5,6,7,8,9 --anchors '1,10;3,8' "
+        "--m-list 2,1",
+        "decompose psi --n 5 --cols 2,4 --q 3",
+        "decompose core --n 5 --k 2 --format json",
+        "decompose peel --split 2,2,2 --b 1 --f 2",
+        "decompose ut-algebra --n 4 --target superchars --q 2",
+        "decompose ut-algebra --n 4 --target core",
+        "export core --n 4 --k 2",
+        "verify all",
+    ]
+    SCRIPT = "\n".join([
+        "import json, sys",
+        "from utrestrict.cli import main",
+        "for argv in json.loads(sys.argv[1]):",
+        "    print('$', *argv, flush=True)",
+        "    print('exit', main(argv))"])
+
+    def test_stdout_is_the_same_under_two_hash_seeds(self, run_python):
+        # README: output is deterministic and byte-stable for fixed inputs;
+        # str hashes, and so set and dict-as-set orders, vary with the seed
+        argvs = json.dumps(list(map(shlex.split, self.COMMANDS)))
+        procs = [run_python("-c", self.SCRIPT, argvs,
+                            env={"PYTHONHASHSEED": seed})
+                 for seed in ("1", "2")]
+        for proc in procs:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.splitlines().count("exit 0") \
+                == len(self.COMMANDS)
+        assert procs[0].stdout == procs[1].stdout

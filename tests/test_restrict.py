@@ -11,7 +11,7 @@ from utrestrict.qcalc import (
 from utrestrict import qcalc, restrict, scfcore
 from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, enumerate_partitions,
-    nst, nst_points, wt_up, parse_partition, RegionSplit, bell,
+    nst, nst_points, wt_up, parse_partition, RegionSplit,
 )
 from utrestrict.nestposet import block_poset, poset_binom, poset_multinom
 from utrestrict.scfcore import (
@@ -23,7 +23,7 @@ from utrestrict.restrict import (
     onion, ut_algebra,
 )
 
-from conftest import check_nonnegative_at, dr_trivial_reference
+from conftest import bell, check_nonnegative_at, dr_trivial_reference
 
 
 # the q at which multiplicities must be nonnegative

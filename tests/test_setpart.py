@@ -9,11 +9,11 @@ from utrestrict.setpart import (
     GroundSet, SetPartition, ArcMultiset, RegionSplit,
     DistinctEndpointViolation, GroundViolation, EnumerationBoundExceeded,
     parse_partition, nst, nst_points, wt_up,
-    enumerate_partitions, from_blocks, bell, depth_vector, MAX_PARTITIONS,
+    enumerate_partitions, from_blocks, depth_vector, MAX_PARTITIONS,
 )
 from utrestrict.nestposet import block_poset
 
-from conftest import blocks, crs
+from conftest import bell, blocks, crs
 
 N6 = GroundSet.range(6)
 RUNNING_LAM = parse_partition("1-5 2-4 4-6", N6)
