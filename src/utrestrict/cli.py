@@ -422,120 +422,142 @@ def _run_verify(args, out):
 
 
 # --- argument surface --------------------------------------------------------
+# a leaf parser (qbinom, show, decompose|export FAMILY, verify SUITE) gets its
+# flags from one fill(parser), whether built alone or in the whole tree
 
-@functools.cache
-def build_parser():
-    """The whole command line, each flag declared by the one (sub)parser
-    that reads it.  Built once per process, on first use: importing the
-    module does not pay for it."""
-    p = _Parser(prog="utrestrict",
-                description="Exact restriction calculus for unitriangular "
-                            "supercharacters")
-    sub = p.add_subparsers(dest="command", required=True)
-    # {command words: (the leaf parser that reads the flags after them,
-    # {namespace name: word})}, filled as the leaves are declared
-    p.leaves = {}
+def _add_ground(sp, required=True):
+    group = sp.add_mutually_exclusive_group(required=required)
+    group.add_argument("--n", dest="ground", metavar="N", type=_ground_size)
+    group.add_argument("--labels", dest="ground", metavar="LABELS",
+                       type=_ground_labels)
 
-    def leaf(parser, **words):
-        p.leaves[tuple(words.values())] = parser, words
 
-    def add_ground(sp, required=True):
-        group = sp.add_mutually_exclusive_group(required=required)
-        group.add_argument("--n", dest="ground", metavar="N",
-                           type=_ground_size)
-        group.add_argument("--labels", dest="ground", metavar="LABELS",
-                           type=_ground_labels)
-
-    qb = sub.add_parser("qbinom", description="poset binomial coefficients")
-    leaf(qb, command="qbinom")
+def _fill_qbinom(qb):
     qb.set_defaults(run=_run_qbinom)
-    add_ground(qb, required=False)
+    _add_ground(qb, required=False)
     qb.add_argument("--k", type=_at_least(0), required=True)
     shape = qb.add_mutually_exclusive_group(required=True)
     shape.add_argument("--chain", type=_at_least(0))
     shape.add_argument("--antichain", type=_at_least(0))
     shape.add_argument("--partition")
 
-    # export is decompose with JSON as the default format
-    dp = sub.add_parser("decompose", aliases=["export"],
-                        description="decomposition coefficients")
-    families = dp.add_subparsers(dest="family", required=True)
 
-    def family(name, build, ground=True):
-        fp = families.add_parser(name)
-        for command in ("decompose", "export"):
-            leaf(fp, command=command, family=name)
+def _fill_show(sh):
+    sh.set_defaults(run=_run_show)
+    _add_ground(sh)
+    sh.add_argument("arcs", nargs="*")
+
+
+def _family(build, *required, ground=True, **optional):
+    """The fill of a decompose family built by build(args): ground and
+    output flags, the `required` (flag, type) pairs, then `optional`."""
+    def fill(fp):
         fp.set_defaults(run=_run_decompose, build=build)
         if ground:
-            add_ground(fp)
+            _add_ground(fp)
         fp.add_argument("--format", choices=("text", "json", "csv"))
         fp.add_argument("--q", type=_integer)
         fp.add_argument("--out")
-        return fp
+        for flag, convert in required:
+            fp.add_argument(flag, type=convert, required=True)
+        for name, keywords in optional.items():
+            fp.add_argument("--" + name, **keywords)
+    return fill
 
-    fp = family("rainbow", lambda a: rainbow(a.ground, a.m, a.target))
-    fp.add_argument("--m", type=_at_least(0), required=True)
-    fp.add_argument("--target", choices=("superchars", "core"),
-                    default="superchars")
-    fp = family("double-rainbow", lambda a: double_rainbow(
-        a.split, a.m, a.ell, a.target), ground=False)
-    fp.add_argument("--split", type=_split, required=True)
-    fp.add_argument("--m", type=_at_least(0), required=True)
-    fp.add_argument("--ell", type=_at_least(0), required=True)
-    fp.add_argument("--target", choices=("superchars", "peel",
-                                         "trivial_coeff"),
-                    default="superchars")
-    fp = family("onion", lambda a: onion(a.ground, a.anchors, a.m_list))
-    fp.add_argument("--anchors", type=_anchor_pairs, required=True)
-    fp.add_argument("--m-list", type=_m_list, required=True)
-    fp = family("psi", lambda a: psiK(a.ground, a.cols).decomposition())
-    fp.add_argument("--cols", type=_cols, default=())
-    fp = family("core", lambda a: core(a.ground, a.k).decomposition())
-    fp.add_argument("--k", type=_at_least(0), required=True)
-    fp = family("peel", lambda a: peel(a.split, a.b, a.f), ground=False)
-    fp.add_argument("--split", type=_split, required=True)
-    fp.add_argument("--b", type=_integer, required=True)
-    fp.add_argument("--f", type=_integer, required=True)
-    fp = family("ut-algebra", _build_ut_algebra)
-    fp.add_argument("--target", choices=("superchars", "core"),
-                    default="superchars")
 
-    sh = sub.add_parser("show", description="ASCII arc diagram")
-    leaf(sh, command="show")
-    sh.set_defaults(run=_run_show)
-    add_ground(sh)
-    sh.add_argument("arcs", nargs="*")
+_CORE_TARGET = {"choices": ("superchars", "core"), "default": "superchars"}
+_FAMILIES = {
+    "rainbow": _family(lambda a: rainbow(a.ground, a.m, a.target),
+                       ("--m", _at_least(0)), target=_CORE_TARGET),
+    "double-rainbow": _family(
+        lambda a: double_rainbow(a.split, a.m, a.ell, a.target),
+        ("--split", _split), ("--m", _at_least(0)), ("--ell", _at_least(0)),
+        target={"choices": ("superchars", "peel", "trivial_coeff"),
+                "default": "superchars"}, ground=False),
+    "onion": _family(lambda a: onion(a.ground, a.anchors, a.m_list),
+                     ("--anchors", _anchor_pairs), ("--m-list", _m_list)),
+    "psi": _family(lambda a: psiK(a.ground, a.cols).decomposition(),
+                   cols={"type": _cols, "default": ()}),
+    "core": _family(lambda a: core(a.ground, a.k).decomposition(),
+                    ("--k", _at_least(0))),
+    "peel": _family(lambda a: peel(a.split, a.b, a.f), ("--split", _split),
+                    ("--b", _integer), ("--f", _integer), ground=False),
+    "ut-algebra": _family(_build_ut_algebra, target=_CORE_TARGET),
+}
 
+
+def _fill_suite(name, sp):
+    # defaults, also of the flags that the suite does not read
+    sp.set_defaults(run=_run_verify, n=None, q=None, budget=DEFAULT_BUDGET,
+                    max=8)
+    if name != "identities":
+        sp.add_argument("--n", type=_at_least(1))
+        sp.add_argument("--q", type=_integer, choices=(2, 3))
+        sp.add_argument("--budget", type=_at_least(1))
+    if name in ("identities", "all"):
+        sp.add_argument("--max", type=_at_least(1))
+
+
+# {command words: (prog words, {namespace name: word}, description, fill)};
+# export FAMILY is decompose FAMILY, named so in its help as by the tree
+_LEAVES = {
+    ("qbinom",): ("qbinom", {"command": "qbinom"},
+                  "poset binomial coefficients", _fill_qbinom),
+    ("show",): ("show", {"command": "show"}, "ASCII arc diagram", _fill_show),
+    **{(command, name): (f"decompose {name}",
+                         {"command": command, "family": name}, None, fill)
+       for command in ("decompose", "export")
+       for name, fill in _FAMILIES.items()},
+    **{("verify", name): (f"verify {name}",
+                          {"command": "verify", "suite": name}, None,
+                          functools.partial(_fill_suite, name))
+       for name in ("identities", "orbits", "traces", "solver", "all")},
+}
+_BUILT = {}  # {prog words: leaf parser}, each built on first use
+
+
+@functools.cache
+def build_parser():
+    """The whole command line, filled by the leaves' fills: built once per
+    process, for argv that names no leaf (see parse_args)."""
+    p = _Parser(prog="utrestrict",
+                description="Exact restriction calculus for unitriangular "
+                            "supercharacters")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(holder, words):
+        _, _, description, fill = _LEAVES[words]
+        fill(holder.add_parser(words[-1], description=description))
+
+    add(sub, ("qbinom",))
+    dp = sub.add_parser("decompose", aliases=["export"],
+                        description="decomposition coefficients")
+    add(sub, ("show",))
     vf = sub.add_parser("verify", description="oracle verification suites")
-    suites = vf.add_subparsers(dest="suite", required=True)
-    for name in ("identities", "orbits", "traces", "solver", "all"):
-        sp = suites.add_parser(name)
-        leaf(sp, command="verify", suite=name)
-        # defaults, also of the flags that the suite does not read
-        sp.set_defaults(run=_run_verify, n=None, q=None,
-                        budget=DEFAULT_BUDGET, max=8)
-        if name != "identities":
-            sp.add_argument("--n", type=_at_least(1))
-            sp.add_argument("--q", type=_integer, choices=(2, 3))
-            sp.add_argument("--budget", type=_at_least(1))
-        if name in ("identities", "all"):
-            sp.add_argument("--max", type=_at_least(1))
+    groups = {"decompose": dp.add_subparsers(dest="family", required=True),
+              "verify": vf.add_subparsers(dest="suite", required=True)}
+    for words in _LEAVES:
+        if words[0] in groups:
+            add(groups[words[0]], words)
     return p
 
 
 def parse_args(argv):
     """The namespace of argv.  The command words (qbinom, show,
-    decompose|export FAMILY, verify SUITE) pick the leaf parser that
-    declares the flags after them, and only it parses them: one argparse
-    pass, with the help and messages that the whole tree would give, since
-    the tree hands those flags to the same leaf.  argv that names no leaf
-    (help above a leaf, a missing or unknown command word, flags before
-    the family or suite) goes to the whole tree."""
-    tree = build_parser()
-    hit = tree.leaves.get(tuple(argv[:2])) or tree.leaves.get(tuple(argv[:1]))
+    decompose|export FAMILY, verify SUITE) name the leaf that declares the
+    flags after them: only it is built, once per process, and parses them,
+    with the tree's help and messages.  argv that names no leaf (help above
+    a leaf, a missing or unknown command word, flags before the family or
+    suite) goes to the whole tree."""
+    hit = _LEAVES.get(tuple(argv[:2])) or _LEAVES.get(tuple(argv[:1]))
     if hit is None:
-        return tree.parse_args(argv)
-    parser, words = hit
+        return build_parser().parse_args(argv)
+    prog, words, description, fill = hit
+    parser = _BUILT.get(prog)
+    if parser is None:
+        parser = _BUILT[prog] = _Parser(prog="utrestrict " + prog,
+                                        description=description)
+        fill(parser)
     return parser.parse_args(argv[len(words):], argparse.Namespace(**words))
 
 

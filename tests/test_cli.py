@@ -628,20 +628,22 @@ class TestVerify:
 
 class TestParser:
     def test_built_once_per_process(self, monkeypatch, run_python):
-        # importing the module builds no parser
+        # importing the module builds no parser, and a command that names a
+        # leaf builds that leaf alone: one ArgumentParser in a fresh process
         proc = run_python("-c", (
-            "import argparse\n"
+            "import argparse, io, sys\n"
             "built = []\n"
             "real = argparse.ArgumentParser.__init__\n"
             "def counted(self, *args, **kwargs):\n"
-            "    built.append(type(self).__name__)\n"
             "    real(self, *args, **kwargs)\n"
+            "    built.append(self.prog)\n"
             "argparse.ArgumentParser.__init__ = counted\n"
             "import utrestrict.cli\n"
-            "print(built)\n"))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
-        # the first run builds the tree and the leaf table together, and
-        # later runs build nothing
+            "print(built)\n"
+            "utrestrict.cli.run(sys.argv[1:], out=io.StringIO())\n"
+            "print(built)\n"), "decompose", "rainbow", "--n", "3", "--m", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (0, "[]\n['utrestrict decompose rainbow']\n", "")
         built = []
         real = cli._Parser.__init__
 
@@ -650,18 +652,40 @@ class TestParser:
             real(self, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counted)
-        cli.build_parser.cache_clear()
-        argv = ["qbinom", "--chain", "2", "--k", "1"]
+        monkeypatch.setattr(cli, "_BUILT", {})
+        argv = ["decompose", "core", "--n", "3", "--k", "1"]
         run(argv, out=io.StringIO())
+        assert [p.prog for p in built] == ["utrestrict decompose core"]
+        # rerunning the leaf, or exporting the same family, builds nothing
+        run(argv, out=io.StringIO())
+        run(["export", *argv[1:]], out=io.StringIO())
+        assert len(built) == 1
+        # argv that names no leaf builds the whole tree, of 17 parsers
+        for argv in (["decompose", "--help"], []):
+            cli.build_parser.cache_clear()
+            built.clear()
+            with pytest.raises((SystemExit, UsageError)), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                cli.parse_args(argv)
+            assert built[0] is cli.build_parser() and len(built) == 17
+
+    def test_leaves_match_the_tree(self):
+        # the leaf table names each leaf of the tree, and a leaf built alone
+        # has the prog, description, flags and defaults of its tree copy
         tree = cli.build_parser()
-        assert built[0] is tree
-        assert set(tree.leaves) == leaf_words(tree) and len(tree.leaves) == 21
-        assert all(any(parser is b for b in built)
-                   for parser, _ in tree.leaves.values())
-        count = len(built)
-        run(argv, out=io.StringIO())
-        run(["verify", "identities", "--max", "2"], out=io.StringIO())
-        assert len(built) == count
+        assert set(cli._LEAVES) == leaf_words(tree)
+        assert len(cli._LEAVES) == 21
+        for words, (prog, *_) in cli._LEAVES.items():
+            node = subparsers(tree)[words[0]]
+            if len(words) == 2:
+                node = subparsers(node)[words[1]]
+            with pytest.raises(SystemExit), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                cli.parse_args([*words, "--help"])
+            leaf = cli._BUILT[prog]
+            assert leaf is not node
+            assert (leaf.prog, leaf.description, flags(leaf), leaf._defaults) \
+                == (node.prog, node.description, flags(node), node._defaults)
 
     def test_dispatch_equals_the_tree(self, monkeypatch):
         # every argv of the corpus gives the same namespace, UsageError text
@@ -736,8 +760,14 @@ MALFORMED = [
     ["verify", "--max", "3", "identities"],
     ["decompose"], ["verify"], ["frobnicate"], [],
 ]
-HELP = [["--help"], ["decompose", "--help"], ["decompose", "rainbow", "-h"],
-        ["verify", "--help"], ["verify", "orbits", "--help"]]
+FAMILIES = ("rainbow", "double-rainbow", "onion", "psi", "core", "peel",
+            "ut-algebra")
+# help at every level: above the leaves, and on each of the 21 leaves
+HELP = [["--help"], ["decompose", "--help"], ["export", "-h"],
+        ["verify", "--help"], ["qbinom", "--help"], ["show", "-h"]]
+HELP += [[command, family, "--help"] for command in ("decompose", "export")
+         for family in FAMILIES]
+HELP += [["verify", suite, "--help"] for suite in SUITES]
 
 
 def dispatch_corpus():
