@@ -25,6 +25,7 @@ is independent of the closed-form engines, so agreement is evidence.
 
 import functools
 import itertools
+from collections import namedtuple
 
 from .setpart import GroundSet, enumerate_partitions
 
@@ -84,14 +85,8 @@ def borel_generators(n, p):
     return gens
 
 
-class OrbitTable:
-    __slots__ = ("n", "p", "orbits", "reps")
-
-    def __init__(self, n, p, orbits, reps):
-        self.n = n
-        self.p = p
-        self.orbits = orbits        # orbit id -> list of state indices
-        self.reps = reps            # orbit id -> SetPartition, in scan order
+# orbit i lists its state indices in orbits[i]; reps[i] is its partition
+OrbitTable = namedtuple("OrbitTable", "n p orbits reps")
 
 
 # --- superclass orbits ------------------------------------------------------
@@ -194,10 +189,10 @@ def _rank(rows, p):
     return len(basis)
 
 
-# verify takes the trace of every module at each representative u: the
-# cache finds the ranks once per u, and holds a whole table's
-# representatives
-@functools.lru_cache(maxsize=256)
+# verify traces every module at each representative u, module by module:
+# the cache finds the ranks once per u, so it holds one command's whole
+# grid, unbounded, since a smaller LRU evicts each u before its next module
+@functools.cache
 def _block_ranks(u, p):
     """(low, up) for t = 0..n: low[t] = rank a[t:, t:] and up[t] =
     rank a[:t, :t] mod p, a = u - 1."""

@@ -8,6 +8,7 @@ themselves are witnessed by the brute-force oracle at small sizes.
 """
 
 import itertools
+from collections import namedtuple
 from math import comb
 
 from .qcalc import (
@@ -22,24 +23,11 @@ from .nestposet import block_poset, poset_binom, poset_multinom
 from .scfcore import Decomposition
 
 
-class ModuleLabel:
-    """Hashable tag for a non-supercharacter basis element."""
+class ModuleLabel(namedtuple("ModuleLabel", "kind payload")):
+    """Hashable tag for a non-supercharacter basis element: its kind and a
+    tuple payload."""
 
-    __slots__ = ("kind", "payload")
-
-    def __init__(self, kind, payload):
-        self.kind = kind
-        self.payload = tuple(payload)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleLabel)
-                and self.kind == other.kind and self.payload == other.payload)
-
-    def __hash__(self):
-        return hash((self.kind, self.payload))
-
-    def __repr__(self):
-        return f"ModuleLabel({self.kind!r}, {self.payload!r})"
+    __slots__ = ()
 
     @staticmethod
     def _set_text(s):
@@ -136,7 +124,7 @@ class PsiKModule:
     def __init__(self, ground, K):
         K = frozenset(K)
         if not all(x in ground for x in K):
-            raise ValueError(f"column set {sorted(K)} not inside {ground.labels}")
+            raise ValueError(f"column set {sorted(K)} not inside {tuple(ground)}")
         self.ground = ground
         self.K = K
 
@@ -573,7 +561,7 @@ class UtAlgebra:
         runs at q = 2^K (qcalc.pack): each of its n - 1 steps makes at most
         3 signed terms of one, so the sum's l1 norm, a bound on its
         coefficients, is at most 3^(n-1): K = qcalc.packing(3^(n-1))."""
-        rest = self.ground.labels[:-1]
+        rest = self.ground[:-1]
         K = packing(3 ** (len(self.ground) - 1))
 
         def base(lam, skeleton):
@@ -591,7 +579,7 @@ class UtAlgebra:
 
         # A holds R(lam) and misses the top point: an arc of lam ending
         # there makes the coefficient zero
-        top = self.ground.labels[-1]
+        top = self.ground[-1]
         return _superchars(self.ground, base, None,
                            lambda i, j: None if j == top else 0)
 

@@ -43,7 +43,6 @@ tracer call it.  `verify solver` rebuilds oracle traces through the integer
 table instead.
 """
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -70,11 +69,11 @@ class SingularSystem(Exception):
 def _monomial(lam, mu, ambient):
     """chi^lam(u_mu) as (sign, a, e) with value sign (q-1)^a q^e, or None
     when it vanishes; lam may be any ArcMultiset, mu must be a
-    SetPartition; both read over the `ambient` ground set.  An arc i~k
-    gives 0 when mu has an arc i~j or j~k with i<j<k; otherwise q^(points
-    inside - arcs of mu inside) times q-1 when mu lacks the arc, and times
-    -1 when mu has it."""
-    labels = ambient.labels
+    SetPartition; both read over the `ambient` ground set, which holds
+    both ends of every arc of lam.  An arc i~k gives 0 when mu has an arc
+    i~j or j~k with i<j<k; otherwise q^(points inside - arcs of mu inside)
+    times q-1 when mu lacks the arc, and times -1 when mu has it."""
+    index = ambient.index
     meet = e = 0
     for i, k in lam.arcs:
         # an arc of mu that shares one end with i~k and lies under it kills
@@ -92,7 +91,7 @@ def _monomial(lam, mu, ambient):
                     return None
             elif i < j and l < k:
                 e -= 1
-        e += bisect_left(labels, k) - bisect_right(labels, i)
+        e += index(k) - index(i) - 1
     return -1 if meet & 1 else 1, len(lam.arcs) - meet, e
 
 

@@ -12,7 +12,7 @@ arcs, and `depth_vector` reads the block weights of the uncrossing off it.
 
 import re
 from collections import Counter
-from itertools import islice
+from itertools import islice, pairwise
 
 
 class DistinctEndpointViolation(ValueError):
@@ -27,51 +27,37 @@ class EnumerationBoundExceeded(Exception):
     pass
 
 
-class GroundSet:
-    """A totally ordered finite label set, possibly inside a larger ambient set."""
+class GroundSet(tuple):
+    """A totally ordered finite label set, possibly inside a larger ambient
+    set: the tuple of its labels."""
 
-    __slots__ = ("labels",)
+    __slots__ = ()
 
-    def __init__(self, labels):
-        labels = tuple(labels)
-        if not all(isinstance(x, int) and x > 0 for x in labels):
-            raise ValueError(f"ground set labels must be positive: {labels}")
-        if not all(a < b for a, b in zip(labels, labels[1:])):
+    def __new__(cls, labels):
+        self = tuple.__new__(cls, labels)
+        if not all(isinstance(x, int) and x > 0 for x in self):
+            raise ValueError(
+                f"ground set labels must be positive: {tuple(self)}")
+        if not all(a < b for a, b in pairwise(self)):
             raise ValueError(f"ground set labels must be strictly increasing: "
-                             f"{labels}")
-        self.labels = labels
+                             f"{tuple(self)}")
+        return self
 
     @staticmethod
     def range(n):
         return GroundSet(range(1, n + 1))
 
-    def __len__(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, x):
-        return x in self.labels
-
-    def __eq__(self, other):
-        return isinstance(other, GroundSet) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
-
     def __repr__(self):
-        return f"GroundSet{self.labels}"
+        return f"GroundSet{tuple(self)}"
 
     def w0(self, x):
         """Order-reversing involution of the ground set."""
-        i = self.labels.index(x)
-        return self.labels[len(self.labels) - 1 - i]
+        return self[-1 - self.index(x)]
 
     def subset(self, labels):
         labels = tuple(sorted(labels))
         if not all(x in self for x in labels):
-            raise GroundViolation(f"{list(labels)} is not in {self.labels}")
+            raise GroundViolation(f"{list(labels)} is not in {tuple(self)}")
         return GroundSet(labels)
 
 
@@ -88,7 +74,7 @@ class ArcMultiset:
                 raise ValueError(f"arc ({i},{j}) needs left < right")
             if i not in ground or j not in ground:
                 raise GroundViolation(
-                    f"arc ({i},{j}) leaves ground {ground.labels}")
+                    f"arc ({i},{j}) leaves ground {tuple(ground)}")
         self.ground = ground
         self.arcs = arcs
 
@@ -105,7 +91,7 @@ class ArcMultiset:
         return hash(self.arcs)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.ground.labels}, {list(self.arcs)})"
+        return f"{type(self).__name__}({tuple(self.ground)}, {list(self.arcs)})"
 
     def left_endpoints(self):
         return frozenset(i for i, _ in self.arcs)

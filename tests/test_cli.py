@@ -128,6 +128,17 @@ BAD_INPUTS = [
       "--anchors", "1,12;3,10;5,8", "--m-list", "2,1,2"], 1),
 ]
 
+# usage errors that print a ground set, pinned byte for byte: the ground
+# reads as the tuple of its labels
+GROUND_ERRORS = [
+    (["decompose", "psi", "--n", "3", "--cols", "5"],
+     "usage error: column set [5] not inside (1, 2, 3)\n"),
+    (["show", "1-5", "--n", "3"],
+     "usage error: bad partition: arc (1,5) leaves ground (1, 2, 3)\n"),
+    (["qbinom", "--partition", "1-5", "--n", "3", "--k", "1"],
+     "usage error: bad --partition: arc (1,5) leaves ground (1, 2, 3)\n"),
+]
+
 
 class TestExitCodes:
     def test_success(self):
@@ -241,6 +252,12 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, err", GROUND_ERRORS,
+                             ids=[" ".join(a) for a, _ in GROUND_ERRORS])
+    def test_ground_in_usage_error(self, argv, err, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", err)
 
     def test_bad_input_under_optimize(self, run_optimized):
         # `python -O` strips asserts: every rejection must still happen,
@@ -829,7 +846,7 @@ def parse_outcome(parse, argv):
     values = {}
     for name, value in vars(args).items():
         if isinstance(value, GroundSet):
-            value = value.labels
+            value = tuple(value)
         elif isinstance(value, RegionSplit):
             value = tuple(map(len, (value.n_lt, value.n_eq, value.n_gt)))
         values[name] = value

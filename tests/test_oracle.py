@@ -271,6 +271,19 @@ class TestModuleTraces:
             e = n * (n - 1) // 2 - sum(n - j for _, j in mu.arcs)
             assert got == p ** e, (mu, got)
 
+    def test_rank_cache_holds_a_grid(self):
+        # verify traces one module at every representative, then the next:
+        # the rank cache must hold the whole grid, here the 877 u_mu of
+        # (7, 2), so that the second module finds each u ranked already
+        us = [u_mu_matrix(mu, 7)
+              for mu, _, _ in enumerate_partitions(GroundSet.range(7))]
+        oracle._block_ranks.cache_clear()
+        for spec in [("psiK", frozenset()), ("utAlgebra",)]:
+            for u in us:
+                module_trace(spec, u, 2)
+        info = oracle._block_ranks.cache_info()
+        assert (info.misses, info.hits) == (877, 877)
+
     def test_ut_algebra_n2_arc(self):
         # the single-arc superclass at n=2 fixes exactly q of the q elements
         g = GroundSet.range(2)

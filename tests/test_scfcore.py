@@ -285,7 +285,7 @@ class TestClosedNorm:
     GROUNDS = [GroundSet.range(n) for n in range(7)] \
         + [GroundSet((2, 3, 5, 8, 9, 12))]
 
-    @pytest.mark.parametrize("ground", GROUNDS, ids=lambda g: str(g.labels))
+    @pytest.mark.parametrize("ground", GROUNDS, ids=lambda g: str(tuple(g)))
     def test_norm_is_the_summed_denominator(self, ground):
         parts = [mu for mu, _, _ in enumerate_partitions(ground)]
         sizes = [superclass_size(mu, ground) for mu in parts]
