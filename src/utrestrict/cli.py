@@ -23,7 +23,7 @@ from .setpart import (
 )
 from .nestposet import block_poset, poset_binom
 from .oracle import (
-    BudgetExceeded, DEFAULT_BUDGET, OracleInvariantError, superclass_orbits,
+    DEFAULT_BUDGET, OracleInvariantError, superclass_orbits,
     module_trace, u_mu_matrix,
 )
 from .scfcore import supercharacter_table
@@ -229,8 +229,8 @@ def _run_qbinom(args, out):
         out.write(str(qbinom(args.chain, args.k)) + "\n")
         return
     if args.antichain is not None:
-        blocks = [(x, x, 0) for x in range(1, args.antichain + 1)]
-        out.write(str(poset_binom(blocks, args.k)) + "\n")
+        # every block of an antichain weighs 0
+        out.write(str(e_k((0,) * args.antichain, args.k)) + "\n")
         return
     try:
         lam = parse_partition(args.partition, args.ground)
@@ -474,8 +474,11 @@ _FAMILIES = {
         ("--split", _split), ("--m", _at_least(0)), ("--ell", _at_least(0)),
         target={"choices": ("superchars", "peel", "trivial_coeff"),
                 "default": "superchars"}, ground=False),
-    "onion": _family(lambda a: onion(a.ground, a.anchors, a.m_list),
-                     ("--anchors", _anchor_pairs), ("--m-list", _m_list)),
+    # the anchors lie outside the ground, so 1..n is never an onion's ground
+    "onion": _family(lambda a: onion(a.labels, a.anchors, a.m_list),
+                     ("--labels", _ground_labels),
+                     ("--anchors", _anchor_pairs), ("--m-list", _m_list),
+                     ground=False),
     "psi": _family(lambda a: psiK(a.ground, a.cols).decomposition(),
                    cols={"type": _cols, "default": ()}),
     "core": _family(lambda a: core(a.ground, a.k).decomposition(),
@@ -585,7 +588,7 @@ def main(argv=None):
     except VerifyFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, EnumerationBoundExceeded) as exc:
+    except EnumerationBoundExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
 

@@ -27,11 +27,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .setpart import GroundSet, enumerate_partitions
-
-
-class BudgetExceeded(Exception):
-    pass
+from .setpart import GroundSet, EnumerationBoundExceeded, enumerate_partitions
 
 
 class OracleInvariantError(RuntimeError):
@@ -123,7 +119,8 @@ def superclass_orbits(n, p, budget=DEFAULT_BUDGET):
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     states = p ** len(cells)
     if states > budget:
-        raise BudgetExceeded(f"{states} states exceeds budget {budget}")
+        raise EnumerationBoundExceeded(
+            f"{states} states exceeds budget {budget}")
     place = [p ** k for k in reversed(range(len(cells)))]
     moves = [[(t, s, c, place[t]) for t, s, c in _move(g, n, cells, left)]
              for g in borel_generators(n, p) for left in (True, False)]

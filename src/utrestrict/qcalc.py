@@ -12,6 +12,7 @@ binomial over the block weights (nestposet), and qbinom(n, k) over the chain
 weights 0..n-1, where e_k is q^C(k,2) times the Gaussian binomial.
 """
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -52,10 +53,10 @@ class QPoly:
         return QPoly((c,))
 
     @staticmethod
-    def q_pow(e, c=1):
+    def q_pow(e):
         if e < 0:
             raise ValueError(f"negative power of q: q^{e}")
-        return QPoly((0,) * e + (c,))
+        return QPoly((0,) * e + (1,))
 
     def is_zero(self):
         return not self.coeffs
@@ -163,45 +164,23 @@ class QPoly:
 
     @staticmethod
     def parse(text):
-        """Parse the sparse descending text form produced by __str__."""
-        s = text.replace("-", " - ").replace("+", " + ").split()
+        """The inverse of __str__: a text that no polynomial prints raises
+        ValueError."""
+        # the first term gets a sign, "+ " or "- ", as each later one has
+        words = re.split(r"(?:^| )([-+]) ",
+                         "- " + text[1:] if text[:1] == "-" else "+ " + text)
         coeffs = {}
-        sign = 1
-        i = 0
-        while i < len(s):
-            tok = s[i]
-            if tok == "+":
-                sign = 1
-                i += 1
-                continue
-            if tok == "-":
-                sign = -1
-                i += 1
-                continue
-            if "*" in tok:
-                a, term = tok.split("*")
-                c = int(a)
-            elif tok.startswith("q"):
-                c, term = 1, tok
-            else:
-                c, term = int(tok), ""
-            if term == "":
-                e = 0
-            elif term == "q":
-                e = 1
-            elif term.startswith("q^"):
-                e = int(term[2:])
-            else:
-                raise ValueError(f"bad term {tok!r} in {text!r}")
-            coeffs[e] = coeffs.get(e, 0) + sign * c
-            sign = 1
-            i += 1
-        if not coeffs:
-            return QPoly()
-        out = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            out[e] = c
-        return QPoly(out)
+        for sign, term in zip(words[1::2], words[2::2]):
+            m = re.fullmatch(r"([0-9]+)|(?:([0-9]+)\*)?q(?:\^([0-9]+))?", term)
+            if m is None:
+                raise ValueError(f"bad term {term!r} in {text!r}")
+            c = int(m[1] or m[2] or 1)
+            e = 0 if m[1] else int(m[3] or 1)
+            coeffs[e] = c if sign == "+" else -c
+        out = QPoly([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+        if str(out) != text:
+            raise ValueError(f"{text!r} is not the text of a polynomial")
+        return out
 
 
 ZERO = QPoly()

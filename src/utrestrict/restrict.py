@@ -46,12 +46,11 @@ class ModuleLabel(namedtuple("ModuleLabel", "kind payload")):
         if self.kind == "peel_rainbow":
             b, f, mm = self.payload
             return f"V^({b};{f})xRainbow({mm})"
-        if self.kind == "onion":
-            bs, fs = self.payload
-            btxt = ",".join(str(x) for x in bs)
-            ftxt = ",".join(str(x) for x in fs)
-            return f"V^(b={btxt};f={ftxt})"
-        return f"{self.kind}{self.payload}"
+        # onion, the last kind
+        bs, fs = self.payload
+        btxt = ",".join(str(x) for x in bs)
+        ftxt = ",".join(str(x) for x in fs)
+        return f"V^(b={btxt};f={ftxt})"
 
 
 def _shift_signed(poly, e):

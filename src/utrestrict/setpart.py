@@ -68,7 +68,11 @@ class ArcMultiset:
     __slots__ = ("ground", "arcs")
 
     def __init__(self, ground, arcs):
-        arcs = tuple(sorted((int(i), int(j)) for i, j in arcs))
+        arcs = [(i, j) for i, j in arcs]
+        # checked before the sort, which raises TypeError on mixed types
+        if not all(type(i) is type(j) is int for i, j in arcs):
+            raise ValueError(f"arc ends must be integers: {arcs}")
+        arcs = tuple(sorted(arcs))
         for i, j in arcs:
             if not (i < j):
                 raise ValueError(f"arc ({i},{j}) needs left < right")
@@ -201,7 +205,7 @@ class RegionSplit:
     """
 
     __slots__ = ("ambient", "inner", "n_mm", "n_m", "n_p", "n_pp",
-                 "n_lt", "n_eq", "n_gt", "region")
+                 "n_lt", "n_gt", "region")
 
     def __init__(self, a, b, c):
         if min(a, b, c) < 0 or not a + b + c:
@@ -216,7 +220,6 @@ class RegionSplit:
         inner = [x for x in self.ambient if x not in anchors]
         self.inner = GroundSet(inner)
         self.n_lt = GroundSet(x for x in inner if x < n_m)
-        self.n_eq = GroundSet(x for x in inner if n_m < x < n_p)
         self.n_gt = GroundSet(x for x in inner if x > n_p)
         # the region tag of each point of N
         self.region = {x: "<" if x < n_m else "=" if x < n_p else ">"

@@ -121,13 +121,20 @@ def numeric_decompose(values, p, ground):
     return decompose_at_prime(SuperclassFunction(ground, values), p)
 
 
+def region_sizes(split):
+    """(|N_<|, |N_=|, |N_>|) of a RegionSplit, counted off its region
+    tags."""
+    tags = list(split.region.values())
+    return tuple(map(tags.count, "<=>"))
+
+
 def dr_trivial_reference(split, m, ell, pre=None):
     """The double rainbow's coefficient at the trivial supercharacter, from
     its explicit sum: (q-1)^(m+ell) q^pre times the sum over f, l of
     phi^m_f phi^(m-f+ell)_l C(|N| - |N_=|, f) C(|N_=|, l).  The prefactor
     pre is m per nonempty side region unless given: each one puts an inner
     anchor strictly inside the outer pair."""
-    n_eq = len(split.n_eq)
+    n_eq = region_sizes(split)[1]
     rest = len(split.inner) - n_eq
     total = ZERO
     for f in range(m + 1):

@@ -29,7 +29,9 @@ from utrestrict.restrict import (
     psiK, core_tensor, rainbow, double_rainbow, onion, ut_algebra,
 )
 
-from conftest import assert_census, dr_trivial_reference, numeric_decompose
+from conftest import (
+    assert_census, dr_trivial_reference, numeric_decompose, region_sizes,
+)
 
 
 # --- criterion 1: superclass census ------------------------------------------
@@ -174,9 +176,9 @@ class TestOnionAcceptance:
         for i, abc in enumerate(DR_GRID) if abc[1] > 0])
     def test_two_layer_onion_equals_peel_target(self, abc):
         split = RegionSplit.from_sizes(*abc)
-        assert len(split.n_eq) == abc[1] > 0
+        n_eq = region_sizes(split)[1]
+        assert n_eq == abc[1] > 0
         pairs = [(split.n_mm, split.n_pp), (split.n_m, split.n_p)]
-        n_eq = len(split.n_eq)
         for m in (1, 2):
             for ell in (1, 2):
                 got = onion(split.inner, pairs, [m, ell])

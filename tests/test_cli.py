@@ -16,14 +16,15 @@ import pytest
 
 from utrestrict.qcalc import QPoly, ZERO, Q_MINUS_1, qbinom
 from utrestrict.setpart import (
-    GroundSet, RegionSplit, SetPartition, enumerate_partitions,
+    GroundSet, RegionSplit, SetPartition, EnumerationBoundExceeded,
+    enumerate_partitions,
 )
 from utrestrict.scfcore import superchar_value
 from utrestrict.restrict import PsiKModule, UtAlgebra, rainbow
 from utrestrict import cli, oracle, restrict
 from utrestrict.cli import main, run, UsageError
 
-from conftest import bell, dropping_scan
+from conftest import bell, dropping_scan, region_sizes
 
 
 def capture(argv):
@@ -61,11 +62,16 @@ BAD_INPUTS = [
     (["decompose", "rainbow", "--labels", "0,1", "--m", "1"], 1),
     (["decompose", "rainbow", "--labels", "3,1", "--m", "1"], 1),
     (["decompose", "rainbow", "--n", "5", "--labels", "2,3", "--m", "1"], 1),
+    # onion has no --n: its anchors lie outside its ground, never 1..n
     (["decompose", "onion", "--n", "3", "--anchors", "0,5",
+      "--m-list", "0"], 1),
+    (["decompose", "onion", "--labels", "1,2,3", "--anchors", "0,5",
       "--m-list", "0"], 1),
     (["decompose", "onion", "--labels", "2,3,4", "--anchors", "1,5",
       "--m-list", "0"], 1),
     (["decompose", "onion", "--n", "3", "--anchors", "4,5",
+      "--m-list", "1"], 1),
+    (["decompose", "onion", "--labels", "1,2,3", "--anchors", "4,5",
       "--m-list", "1"], 1),
     (["decompose", "onion", "--labels", "2,3,4,5,6,7,8,9,10,11",
       "--anchors", "1,12;2,20", "--m-list", "1,1"], 1),
@@ -186,8 +192,27 @@ class TestExitCodes:
                      "--m", "1", "--ell", "1"]) == 1
         assert main(["show", "1-9", "--n", "4"]) == 1
 
-    def test_budget_exit(self):
+    def test_budget_exit(self, capsys):
+        # the oracle's state budget and the scan's partition budget are one
+        # exception, so one exit 3
         assert main(["verify", "orbits", "--budget", "5"]) == 3
+        assert capsys.readouterr() == \
+            ("", "budget exceeded: 8 states exceeds budget 5\n")
+        with pytest.raises(EnumerationBoundExceeded):
+            run(["verify", "orbits", "--budget", "5"], out=io.StringIO())
+
+    def test_onion_takes_labels_only(self, capsys):
+        # an onion's anchors lie outside its ground, which is never 1..n
+        assert main(["decompose", "onion", "--n", "3", "--anchors", "1,5",
+                     "--m-list", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")
+        assert "--labels" in err
+        with pytest.raises(SystemExit), \
+                contextlib.redirect_stdout(io.StringIO()) as help_text:
+            cli.parse_args(["decompose", "onion", "--help"])
+        assert "--labels" in help_text.getvalue()
+        assert "--n" not in help_text.getvalue()
 
     def test_budget_counts_partitions_not_points(self):
         # 1,772 partitions of [12] have at most 2 arcs: inside the budget
@@ -848,7 +873,7 @@ def parse_outcome(parse, argv):
         if isinstance(value, GroundSet):
             value = tuple(value)
         elif isinstance(value, RegionSplit):
-            value = tuple(map(len, (value.n_lt, value.n_eq, value.n_gt)))
+            value = region_sizes(value)
         values[name] = value
     return "args", values
 

@@ -106,15 +106,15 @@ class TestPosetBinom:
         for n in range(2, 7):
             P = from_weights(*[1] * (n - 1), 0)
             for k in range(1, n + 1):
-                expect = QPoly.q_pow(k - 1, comb(n - 1, k - 1)) + \
-                    QPoly.q_pow(k, comb(n - 1, k))
+                expect = QPoly.q_pow(k - 1) * comb(n - 1, k - 1) + \
+                    QPoly.q_pow(k) * comb(n - 1, k)
                 assert poset_binom(P, k) == expect
 
     def test_one_bottom_under_maxima(self):
         for n in range(2, 7):
             P = from_weights(n - 1, *[0] * (n - 1))
             for k in range(1, n + 1):
-                expect = QPoly.q_pow(n - 1, comb(n - 1, k - 1)) + \
+                expect = QPoly.q_pow(n - 1) * comb(n - 1, k - 1) + \
                     QPoly.const(comb(n - 1, k))
                 assert poset_binom(P, k) == expect
 

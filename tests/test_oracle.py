@@ -5,13 +5,14 @@ import random
 import pytest
 
 from utrestrict.setpart import (
-    GroundSet, SetPartition, enumerate_partitions, nst, nst_points, wt_up,
+    GroundSet, SetPartition, EnumerationBoundExceeded, enumerate_partitions,
+    nst, nst_points, wt_up,
 )
 from utrestrict.scfcore import superclass_size
 from utrestrict.restrict import PsiKModule, psiK, ut_algebra
 from utrestrict import oracle
 from utrestrict.oracle import (
-    BudgetExceeded, OracleInvariantError, superclass_orbits,
+    OracleInvariantError, superclass_orbits,
     borel_generators, module_trace, u_mu_matrix, mat_mul,
 )
 
@@ -126,7 +127,7 @@ class TestOrbits:
     def test_budget(self, monkeypatch):
         # refused before the search builds anything
         monkeypatch.setattr(oracle, "borel_generators", None)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(EnumerationBoundExceeded):
             superclass_orbits(5, 2, budget=100)
 
     @pytest.mark.parametrize("n,p", [(1, 2), (4, 2), (4, 3), (5, 5)])

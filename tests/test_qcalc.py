@@ -56,6 +56,12 @@ class TestQPoly:
         for p in cases:
             assert QPoly.parse(str(p)) == p
 
+    @pytest.mark.parametrize("text", ["2*p^3", "1*q", "q^1", "q^2 + q^2",
+                                      "q^2+q", "+q", "", "-0", "q^0"])
+    def test_parse_reads_only_what_str_prints(self, text):
+        with pytest.raises(ValueError):
+            QPoly.parse(text)
+
     def test_str_form(self):
         assert str(QPoly((1, 0, -1, -1, 0, 1))) == "q^5 - q^3 - q^2 + 1"
         assert str(ZERO) == "0"

@@ -23,7 +23,9 @@ from utrestrict.restrict import (
     onion, ut_algebra,
 )
 
-from conftest import bell, check_nonnegative_at, dr_trivial_reference
+from conftest import (
+    bell, check_nonnegative_at, dr_trivial_reference, region_sizes,
+)
 
 
 # the q at which multiplicities must be nonnegative
@@ -829,7 +831,7 @@ class TestOnion:
             got = onion(split.inner, [(split.n_mm, split.n_pp),
                                       (split.n_m, split.n_p)], [m, ell])
             dr = double_rainbow(split, m, ell, "peel")
-            n_eq = len(split.n_eq)
+            n_eq = region_sizes(split)[1]
             derived = {}
             for lab, c in dr.coeffs.items():
                 b, f, mm = lab.payload

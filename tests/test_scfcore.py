@@ -245,7 +245,7 @@ class TestCertification:
     @pytest.mark.parametrize("corruption", [
         QPoly.q_pow(64),
         # packs to 0 at q = 2^8: a rebuild at a fixed K = 8 would accept it
-        QPoly.q_pow(64, 256) - QPoly.q_pow(65)])
+        QPoly.q_pow(64) * 256 - QPoly.q_pow(65)])
     def test_corrupt_coefficient_fails_rebuild(self, monkeypatch, corruption):
         # one coefficient off by a term far above every value's degree; the
         # rebuild packs at a K read off the coefficients' l1 norms

@@ -13,7 +13,7 @@ from utrestrict.setpart import (
 )
 from utrestrict.nestposet import block_poset
 
-from conftest import bell, blocks, crs
+from conftest import bell, blocks, crs, region_sizes
 
 N6 = GroundSet.range(6)
 RUNNING_LAM = parse_partition("1-5 2-4 4-6", N6)
@@ -57,6 +57,16 @@ class TestParsing:
     def test_multiset_allows_repeats(self):
         m = ArcMultiset(N6, [(2, 5), (1, 6), (1, 6)])
         assert m.arcs == ((1, 6), (1, 6), (2, 5))
+
+    @pytest.mark.parametrize("arcs", [[(1.9, 3), (2, 4.7)], [("1", "3")],
+                                      [(2.0, 3)], [(1, 3), ("2", 4)]])
+    def test_arc_ends_are_ints(self, arcs):
+        # an end is kept as given, never truncated or read from text; the
+        # mixed ends are refused before a sort could raise TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            SetPartition(GroundSet.range(4), arcs)
+        with pytest.raises(ValueError, match="must be integers"):
+            ArcMultiset(GroundSet.range(4), arcs)
 
 
 class TestCanonicalArcs:
@@ -236,7 +246,7 @@ class TestRegions:
     def test_regions(self):
         s = self.split()
         assert list(s.n_lt) == [2]
-        assert list(s.n_eq) == [4, 5]
+        assert [x for x in s.inner if s.region[x] == "="] == [4, 5]
         assert list(s.n_gt) == [7]
         # the restriction ground N excludes all four anchors
         assert list(s.inner) == [2, 4, 5, 7]
@@ -259,7 +269,7 @@ class TestRegions:
         assert (s.n_mm, s.n_m, s.n_p, s.n_pp) == (1, 3, 6, 8)
         c = RegionSplit.from_sizes(0, 1, 0)
         assert c.n_mm == c.n_m and c.n_p == c.n_pp
-        assert list(c.n_eq) == [2]
+        assert c.region == {2: "="}
         # consecutive labels from 1, regions of the asked sizes, and an
         # anchor collapse exactly at an empty outer region
         for a, b, c in itertools.product(range(4), repeat=3):
@@ -267,7 +277,8 @@ class TestRegions:
                 continue
             s = RegionSplit.from_sizes(a, b, c)
             assert list(s.ambient) == list(range(1, s.n_pp + 1))
-            assert (len(s.n_lt), len(s.n_eq), len(s.n_gt)) == (a, b, c)
+            assert region_sizes(s) == (a, b, c)
+            assert (len(s.n_lt), len(s.n_gt)) == (a, c)
             assert s.n_mm == 1
             assert (s.n_m == s.n_mm, s.n_p == s.n_pp) == (a == 0, c == 0)
 

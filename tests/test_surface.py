@@ -4,9 +4,11 @@ Every module-level def, class or assigned name, and every public method, of
 src/utrestrict must be used.  A use is an AST Name, Attribute or imported
 name anywhere in src/utrestrict, or, in bench/*.py, a NAME token or a string
 literal that is a dotted identifier (the tracer names the functions it
-rebinds by strings such as "QPoly.shift").  Comments and docstrings do not
-count, and neither do the tests: code that only tests call belongs in
-tests/.
+rebinds by strings such as "QPoly.shift").  Every __slots__ name of a class
+must be read: an attribute load in src/utrestrict, or a NAME token in
+bench/*.py, since an attribute that is only stored holds nothing anyone
+uses.  Comments and docstrings do not count, and neither do the tests: code
+that only tests call belongs in tests/.
 
 The benchmark's tracer (bench/tracer.py) rebinds named functions and
 methods of every layer; installing it here makes a rename or deletion of
@@ -70,6 +72,32 @@ def bench_uses(path):
                     yield from value.split(".")
 
 
+def slots(tree):
+    """Class.name for each __slots__ name of a class in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    for name in ast.literal_eval(item.value):
+                        yield f"{node.name}.{name}"
+
+
+def unread_slots():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    for path in sorted(BENCH.glob("*.py")):
+        with tokenize.open(path) as fh:
+            read.update(tok.string
+                        for tok in tokenize.generate_tokens(fh.readline)
+                        if tok.type == tokenize.NAME)
+    names = [name for tree in trees for name in slots(tree)]
+    return names, [name for name in names if name.split(".")[1] not in read]
+
+
 def unused_definitions():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
@@ -92,6 +120,13 @@ def test_guard_sees_its_inputs():
     names = {name for path in SRC.glob("*.py")
              for name in definitions(ast.parse(path.read_text()))}
     assert {"module_trace", "QPoly.shift", "enumerate_partitions"} <= names
+
+
+def test_every_slot_is_read():
+    names, unread = unread_slots()
+    # vacuous if it reads no slots: src/utrestrict declares 21
+    assert len(names) >= 21 and "RegionSplit.n_gt" in names
+    assert unread == []
 
 
 def test_no_assert_in_src():
